@@ -12,19 +12,20 @@ Boolean combination of atoms "the maximum color seen infinitely often
 on track t is even".  Single-track automata are ordinary parity
 automata; products (union/intersection) simply concatenate tracks, and
 complement dualizes the formula, shifting colors of negated atoms by
-one.  Membership of a lasso and emptiness (with a lasso witness) are
-decided exactly on this representation.
+one.  A difference ``GAMMA^w \\ {l1..lk}`` is not built as a product: it
+compiles to a single co-Buchi track, so its complement's acceptance
+stays one atom.  Membership of a lasso and emptiness (with a lasso
+witness) are decided exactly on this representation.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Hashable, Optional, Sequence
 
 from .words import (
-    EPSILON,
     FiniteWord,
     G2,
     GAMMA,
@@ -32,7 +33,6 @@ from .words import (
     LassoWord,
     Letter,
     ParseError,
-    parse_lasso,
 )
 
 
@@ -90,6 +90,21 @@ def _dnf(f) -> list[frozenset[int]]:
             prod = [a | b for a in prod for b in _dnf(p)]
         return prod
     raise TypeError(f)
+
+
+def _explore(init, alphabet, step) -> dict:
+    """``{state: {letter: step(state, letter)}}`` over every state
+    reachable from ``init``; ``step`` returns ``(next_state, label)``."""
+    trans: dict = {}
+    todo = [init]
+    while todo:
+        st = todo.pop()
+        if st in trans:
+            continue
+        row = {a: step(st, a) for a in alphabet}
+        trans[st] = row
+        todo.extend(nxt for nxt, _ in row.values() if nxt not in trans)
+    return trans
 
 
 # ---------------------------------------------------------------------------
@@ -616,23 +631,17 @@ def regex_to_dfa(rx, alphabet):
                     todo.append(nxt)
         return frozenset(out)
 
+    def step(cur, a):
+        tgt = set()
+        for st in cur:
+            tgt |= by_letter.get((st, a), set())
+        return closure(tgt), None
+
     init = closure({start})
-    dfa_trans = {}
-    todo = [init]
-    while todo:
-        cur = todo.pop()
-        if cur in dfa_trans:
-            continue
-        row = {}
-        for a in alphabet:
-            tgt = set()
-            for st in cur:
-                tgt |= by_letter.get((st, a), set())
-            nxt = closure(tgt)
-            row[a] = nxt
-            if nxt not in dfa_trans and nxt != cur:
-                todo.append(nxt)
-        dfa_trans[cur] = row
+    dfa_trans = {
+        st: {a: nxt for a, (nxt, _) in row.items()}
+        for st, row in _explore(init, alphabet, step).items()
+    }
     dfa_finals = {st for st in dfa_trans if st & finals}
     return init, dfa_trans, dfa_finals
 
@@ -670,12 +679,7 @@ def _compile(e, alphabet) -> AdversaryAutomaton:
         out.source = e
         return out
     if isinstance(e, DifferenceFromFull):
-        full = _compile_omega_power(frozenset(e.alphabet), alphabet, None)
-        out = full
-        for l in e.excluded:
-            out = intersect(out, complement(_lasso_singleton(l, alphabet)))
-        out.source = e
-        return out
+        return _compile_difference(e, alphabet)
     raise CompileError("unsupported expression %r" % (e,))
 
 
@@ -702,6 +706,38 @@ def _lasso_singleton(l: LassoWord, alphabet) -> AdversaryAutomaton:
             for a in alphabet
         }
     return AdversaryAutomaton(alphabet, 0, trans, 1, Atom(0), None)
+
+
+def _compile_difference(e: DifferenceFromFull, alphabet) -> AdversaryAutomaton:
+    """Deterministic co-Buchi automaton for ``e.alphabet^w`` minus the
+    excluded lassos, on one track.
+
+    A state is the frozenset of ``(excluded index, position)`` pairs
+    still consistent with the word read so far; a position runs through
+    the stem and then wraps inside the cycle.  Once no excluded lasso
+    is consistent the word is accepted for good: the run moves to the
+    absorbing ``"free"`` state, whose edges alone have color 0.  A
+    letter outside ``e.alphabet`` leads to the reject sink.
+    """
+    # lasso i reads letters[i][pos] next; past its end it wraps to loop[i]
+    letters = [l.stem.letters + l.cycle.letters for l in e.excluded]
+    loop = [len(l.stem.letters) for l in e.excluded]
+
+    def step(st, a):
+        if st == "sink" or a not in e.alphabet:
+            return "sink", (1,)
+        if st == "free":
+            return "free", (0,)
+        nxt = frozenset(
+            (i, pos + 1 if pos + 1 < len(letters[i]) else loop[i])
+            for i, pos in st
+            if letters[i][pos] == a
+        )
+        return (nxt or "free"), (1,)
+
+    init = frozenset((i, 0) for i in range(len(letters))) or "free"
+    trans = _explore(init, alphabet, step)
+    return AdversaryAutomaton(alphabet, init, trans, 1, Atom(0), e)
 
 
 def _flatten_concat(e: Concat):
@@ -770,20 +806,6 @@ def _compile_prefixed_oblivious(rx, letters, alphabet) -> AdversaryAutomaton:
 # Boolean operations
 
 
-def _shift_track(auto: AdversaryAutomaton, track: int):
-    """In-place-free color shift of one track (parity dualization)."""
-    trans = {
-        st: {
-            a: (nxt, tuple(
-                c + 1 if t == track else c for t, c in enumerate(colors)
-            ))
-            for a, (nxt, colors) in row.items()
-        }
-        for st, row in auto.transitions.items()
-    }
-    return trans
-
-
 def complement(a: AdversaryAutomaton) -> AdversaryAutomaton:
     """Language complement within a's full alphabet."""
 
@@ -827,21 +849,14 @@ def _product(a, b, combine):
         raise ValueError("alphabet mismatch")
     shift = a.num_tracks
     acc_b = _shift_formula(b.acceptance, shift)
+
+    def step(st, letter):
+        na, ca = a.transitions[st[0]][letter]
+        nb, cb = b.transitions[st[1]][letter]
+        return (na, nb), ca + cb
+
     init = (a.initial, b.initial)
-    trans: dict = {}
-    todo = [init]
-    while todo:
-        (sa, sb) = todo.pop()
-        if (sa, sb) in trans:
-            continue
-        row = {}
-        for letter in a.alphabet:
-            na, ca = a.transitions[sa][letter]
-            nb, cb = b.transitions[sb][letter]
-            row[letter] = ((na, nb), ca + cb)
-            if (na, nb) not in trans:
-                todo.append((na, nb))
-        trans[(sa, sb)] = row
+    trans = _explore(init, a.alphabet, step)
     return AdversaryAutomaton(
         a.alphabet, init, trans, a.num_tracks + b.num_tracks,
         combine(a.acceptance, acc_b), None,
@@ -1146,7 +1161,7 @@ class _DslParser:
             parts.append(atom)
         if not parts:
             raise ParseError("empty regex")
-        return parts[0] if len(parts) == 1 else RegexConcat(parts)
+        return parts[0] if len(parts) == 1 else RegexConcat(tuple(parts))
 
 
 def parse_adversary(text: str) -> AdversaryExpr:

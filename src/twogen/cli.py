@@ -278,7 +278,7 @@ def main(argv=None) -> int:
     except (ParseError, CompileError) as e:
         print("parse: %s" % e, file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print("domain: %s" % e, file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -161,55 +161,32 @@ def special_pair_product(c: AdversaryAutomaton) -> AdversaryAutomaton:
     sink = "sink"
     init = (c.initial, c.initial, 0, 0)
 
-    def delta(state, pair):
+    sink_colors = _sink_colors(c)
+
+    def step(state, pair):
         if state == sink:
-            return sink
+            return sink, sink_colors
         (q1, q2, d, p) = state
         a, a2 = pair
-        n1, _ = c.transitions[q1][a]
-        n2, _ = c.transitions[q2][a2]
-        s = 1 if p == 0 else -1
         if d == 0:
-            if a is a2:
-                return (n1, n2, 0, (p + a.mu + 1) % 2)
-            diff = s * (a2.mu - a.mu)
-            if diff == 1:
-                return (n1, n2, 1, (p + a.mu + 1) % 2)
-            return sink
-        # d == +1: stays only when both read the letter that moves the
-        # even-side word outward (LW at even lower parity, LB at odd)
-        keep = Letter.LW if p == 0 else Letter.LB
-        if a is keep and a2 is keep:
-            return (n1, n2, 1, (p + a.mu + 1) % 2)
-        return sink
+            if a is not a2:
+                s = 1 if p == 0 else -1
+                if s * (a2.mu - a.mu) != 1:
+                    return sink, sink_colors
+                d = 1
+        else:
+            # d == +1: stays only when both read the letter that moves
+            # the even-side word outward (LW at even lower parity, LB
+            # at odd)
+            keep = Letter.LW if p == 0 else Letter.LB
+            if not (a is keep and a2 is keep):
+                return sink, sink_colors
+        n1, c1 = c.transitions[q1][a]
+        n2, c2 = c.transitions[q2][a2]
+        sep = 0 if d == 1 else 1
+        return (n1, n2, d, (p + a.mu + 1) % 2), c1 + c2 + (sep,)
 
-    trans: dict = {}
-    todo = [init]
-    while todo:
-        st = todo.pop()
-        if st in trans:
-            continue
-        row = {}
-        for pair in pair_alphabet:
-            nxt = delta(st, pair)
-            if nxt == sink:
-                row[pair] = (sink, _sink_colors(c))
-            else:
-                (q1, q2, d, p) = nxt
-                a, a2 = pair
-                _, c1 = c.transitions[st[0]][a]
-                _, c2 = c.transitions[st[1]][a2]
-                sep = 0 if d == 1 else 1
-                row[pair] = (nxt, c1 + c2 + (sep,))
-                if nxt not in trans:
-                    todo.append(nxt)
-        trans[st] = row
-    if sink not in trans:
-        trans[sink] = {
-            pair: (sink, _sink_colors(c)) for pair in pair_alphabet
-        }
-    else:  # pragma: no cover - sink added during exploration
-        pass
+    trans = adv._explore(init, pair_alphabet, step)
     n = c.num_tracks
     acc = And(
         (

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from .adversary import AdversaryAutomaton
+from .adversary import AdversaryAutomaton, ResourceBoundError
 from .indexfn import BLACK, WHITE, ProcessId, ind, ind_step
 from .words import FiniteWord, GAMMA, LassoWord, Letter
 
@@ -278,7 +278,9 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton, depth: int = 4,
     obtained by completing the adversary's depth-prefixes with the
     given tails, across all four input vectors."""
     if depth > 10:
-        raise ValueError("verification depth capped at 10")
+        raise ResourceBoundError(
+            "verification depth %d exceeds bound 10" % depth
+        )
     budget = max_rounds if max_rounds is not None else depth + 40
     checked = 0
     violations = []

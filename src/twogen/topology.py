@@ -637,9 +637,22 @@ def _complex_doc(c: Complex) -> dict:
 
 
 def complex_from_json(text: str) -> Complex:
+    """Reads an exported complex; ValueError on any malformed document."""
     doc = json.loads(text)
-    if doc.get("type") not in ("complex", "terminating-subdivision"):
+    if not isinstance(doc, dict) or doc.get("type") not in (
+        "complex", "terminating-subdivision"
+    ):
         raise ValueError("not a complex document")
+    try:
+        return _complex_from_doc(doc)
+    except (KeyError, IndexError, TypeError, AttributeError,
+            ZeroDivisionError) as e:
+        raise ValueError(
+            "malformed complex document: %s %s" % (type(e).__name__, e)
+        ) from None
+
+
+def _complex_from_doc(doc: dict) -> Complex:
     verts = []
     for d in doc["vertices"]:
         num, den = d["position"].split("/")

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_gamma_lasso
 from twogen import adversary as adv
+from twogen import oracle
 from twogen.adversary import CompileError, ResourceBoundError
 from twogen.words import (FiniteWord, GAMMA, LassoWord, Letter, ParseError,
                           parse_lasso, parse_word)
@@ -184,3 +185,62 @@ def test_fairness_automaton():
 def test_to_json_deterministic(builtins):
     a = builtins["C1"]
     assert a.to_json() == adv.load("C1").to_json()
+
+
+def _difference_as_product(lassos):
+    """The k+1-track construction of GAMMA^w minus ``lassos``: the full
+    language intersected with each complemented singleton."""
+    out = adv.compile_expr(adv.OmegaPower(frozenset(GAMMA)))
+    for l in lassos:
+        out = adv.intersect(
+            out, adv.complement(adv._lasso_singleton(l, GAMMA)))
+    return out
+
+
+def test_difference_matches_product_construction():
+    rng = random.Random(23)
+    for _ in range(30):
+        lassos = tuple(
+            random_gamma_lasso(rng) for _ in range(rng.randint(1, 6)))
+        one = adv.compile_expr(adv.DifferenceFromFull(GAMMA, lassos))
+        many = _difference_as_product(lassos)
+        assert one.num_tracks == 1
+        assert len(one.transitions) == len(many.transitions), lassos
+        for l in lassos:
+            assert not one.contains(l) and not many.contains(l)
+        for _ in range(50):
+            l = random_gamma_lasso(rng)
+            assert one.contains(l) == many.contains(l), (lassos, l)
+        v = oracle.classify(one)
+        assert v.families == oracle.classify(many).families, lassos
+        assert oracle.check_witness(one, v)
+
+
+def test_difference_pair_product_has_one_clause():
+    rng = random.Random(29)
+    lassos = tuple(random_gamma_lasso(rng) for _ in range(16))
+    a = adv.compile_expr(adv.DifferenceFromFull(GAMMA, lassos))
+    machine = oracle.special_pair_product(adv.complement(a))
+    assert len(adv._dnf(machine.acceptance)) == 1
+
+
+def test_difference_without_exclusions_is_everything():
+    a = adv.compile_expr(adv.DifferenceFromFull(GAMMA, ()))
+    assert a.initial == "free"
+    rng = random.Random(31)
+    for _ in range(20):
+        assert a.contains(random_gamma_lasso(rng))
+
+
+def test_gamma_difference_under_a_g2_union():
+    a = adv.load("GAMMA^w \\ { ( OK )^w } | ( LL )^w")
+    assert a.alphabet == adv.G2
+    assert a.contains(L("( LL )^w"))
+    assert a.contains(L("( LW )^w"))
+    assert not a.contains(L("( OK )^w"))
+    assert not a.contains(L("OK ( LL )^w"))
+
+
+def test_parsed_asts_are_hashable():
+    e = adv.parse_adversary("OK LW* . {OK,LB}^w")
+    assert hash(e) == hash(adv.parse_adversary("OK LW* . {OK,LB}^w"))

@@ -197,3 +197,34 @@ def test_deterministic_output(capsys):
         capsys, "sim", "verify", "--adversary", "C1", "--depth", "3"
     )
     assert (rc3, out3) == (rc4, out4)
+
+
+def test_sim_verify_depth_over_cap_exit_2(capsys):
+    rc, _, err = run(
+        capsys, "sim", "verify", "--adversary", "C1", "--depth", "11",
+    )
+    assert rc == 2
+    assert err.startswith("resource:")
+
+
+def test_topo_components_missing_file(capsys, tmp_path):
+    rc, _, err = run(
+        capsys, "topo", "components", "--in", str(tmp_path / "none.json"),
+    )
+    assert rc == 1
+    assert err.startswith("domain:")
+
+
+@pytest.mark.parametrize("doc", [
+    {"type": "complex", "edges": []},
+    {"type": "complex", "vertices": [{"position": "1/0", "color": "WHITE",
+                                      "segment": 0}], "edges": []},
+    {"type": "complex", "vertices": [], "edges": [{"a": 0, "b": 1}]},
+    ["not", "an", "object"],
+])
+def test_topo_components_malformed_document(capsys, tmp_path, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, _, err = run(capsys, "topo", "components", "--in", str(path))
+    assert rc == 1
+    assert err.startswith("domain:")

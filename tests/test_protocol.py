@@ -5,6 +5,7 @@ import pytest
 
 from conftest import all_words
 from twogen import adversary as adv
+from twogen.adversary import ResourceBoundError
 from twogen.indexfn import BLACK, WHITE, ind
 from twogen.oracle import classify, select_forbidden_scenario
 from twogen.protocol import (DEFAULT_TAILS, IndexGuardAlgorithm, Message,
@@ -136,5 +137,5 @@ def test_completions_stay_inside(builtins):
 
 
 def test_verify_depth_cap(builtins):
-    with pytest.raises(ValueError):
+    with pytest.raises(ResourceBoundError):
         verify(OwnInputAlgorithm(), builtins["S0"], depth=11)
