@@ -197,11 +197,17 @@ class AdversaryAutomaton:
     def has_nonempty_residual(self, state) -> bool:
         return self.witness_from(state) is not None
 
-    def prefixes(self, r: int, bound: int = 12) -> set[FiniteWord]:
-        """All length-r words extendable to an accepted infinite word."""
-        if r > bound:
+    def extensions(self, prefix: FiniteWord, depth: int, bound: int = 12):
+        """Yields ``(word, state)`` for ``prefix`` and for each extension
+        of it by at most ``depth`` letters that an accepted infinite
+        word still extends, depth first with children in ``str`` order;
+        ``state`` is the one the automaton reaches on ``word``.  Yields
+        nothing when no accepted word extends ``prefix``, and raises
+        ResourceBoundError when words could grow longer than ``bound``."""
+        limit = len(prefix) + depth
+        if limit > bound:
             raise ResourceBoundError(
-                "prefix enumeration depth %d exceeds bound %d" % (r, bound)
+                "prefix enumeration depth %d exceeds bound %d" % (limit, bound)
             )
         live: dict = {}
 
@@ -210,33 +216,41 @@ class AdversaryAutomaton:
                 live[state] = self.has_nonempty_residual(state)
             return live[state]
 
-        order = sorted(self.alphabet, key=lambda a: LETTER_ORDER[a])
-        out: set[FiniteWord] = set()
-
-        def walk(state, acc: tuple):
-            if len(acc) == r:
-                out.add(FiniteWord(acc))
+        state = self.initial
+        for a in prefix:
+            if a not in self.alphabet:
                 return
-            for a in order:
-                nxt, _ = self.step(state, a)
-                if alive(nxt):
-                    walk(nxt, acc + (a,))
+            state, _ = self.step(state, a)
+        todo = [(prefix, state)] if alive(state) else []
+        backwards = sorted(self.alphabet, key=str, reverse=True)
+        while todo:
+            word, state = todo.pop()
+            yield word, state
+            if len(word.letters) < limit:
+                row = self.transitions[state]
+                for a in backwards:  # pushed last, popped first
+                    nxt = row[a][0]
+                    if alive(nxt):
+                        todo.append((FiniteWord(word.letters + (a,)), nxt))
 
-        if alive(self.initial):
-            walk(self.initial, ())
-        return out
+    def prefixes(self, r: int, bound: int = 12) -> set[FiniteWord]:
+        """All length-r words extendable to an accepted infinite word."""
+        walk = self.extensions(FiniteWord(), r, bound)
+        return {w for w, _ in walk if len(w) == r}
 
     # -- helpers ----------------------------------------------------------
 
-    def _reachable(self, start) -> set:
-        seen = {start}
+    def _reachable(self, start) -> dict:
+        """States reachable from ``start``, keyed in the order first seen
+        (a dict, so that witnesses do not depend on hash order)."""
+        seen = {start: None}
         todo = [start]
         while todo:
             st = todo.pop()
             for a in self.alphabet:
                 nxt, _ = self.transitions[st][a]
                 if nxt not in seen:
-                    seen.add(nxt)
+                    seen[nxt] = None
                     todo.append(nxt)
         return seen
 
@@ -342,11 +356,10 @@ def _good_cycle(edges, required: frozenset[int]):
 def _edge_sccs(edges):
     """Partitions ``edges`` into SCC-internal edge groups (Tarjan)."""
     adj: dict = {}
-    nodes = set()
+    nodes: dict = {}  # insertion-ordered: Tarjan roots in first-seen order
     for (src, a, dst, colors) in edges:
         adj.setdefault(src, []).append(dst)
-        nodes.add(src)
-        nodes.add(dst)
+        nodes[src] = nodes[dst] = None
     index: dict = {}
     low: dict = {}
     on_stack: set = set()
@@ -655,9 +668,6 @@ def compile_expr(e: AdversaryExpr) -> AdversaryAutomaton:
     return _compile(e, alphabet)
 
 
-compile = compile_expr  # spec operation name
-
-
 def _compile(e, alphabet) -> AdversaryAutomaton:
     if isinstance(e, Named):
         return _compile(builtin(e.name), alphabet)
@@ -684,12 +694,10 @@ def _compile(e, alphabet) -> AdversaryAutomaton:
 
 
 def _compile_omega_power(letters, alphabet, source) -> AdversaryAutomaton:
-    trans = {
-        "in": {},
-        "sink": {a: ("sink", (1,)) for a in alphabet},
-    }
-    for a in alphabet:
-        trans["in"][a] = ("in", (0,)) if a in letters else ("sink", (1,))
+    def step(st, a):
+        return ("in", (0,)) if st == "in" and a in letters else ("sink", (1,))
+
+    trans = _explore("in", alphabet, step)
     return AdversaryAutomaton(alphabet, "in", trans, 1, Atom(0), source)
 
 
@@ -784,22 +792,16 @@ def _compile_prefixed_oblivious(rx, letters, alphabet) -> AdversaryAutomaton:
     up, i.e. the complement of that condition happens finitely often.
     """
     init, dfa_trans, finals = regex_to_dfa(rx, alphabet)
-    states = [(q, g) for q in dfa_trans for g in (False, True)]
-    trans: dict = {}
-    for (q, g) in states:
-        row = {}
-        for a in alphabet:
-            q2 = dfa_trans[q][a]
-            if a in letters:
-                g2 = g or (q2 in finals)
-            else:
-                g2 = q2 in finals
-            color = 0 if (a in letters and g2) else 1
-            row[a] = ((q2, g2), (color,))
-        trans[(q, g)] = row
-    return AdversaryAutomaton(
-        alphabet, (init, init in finals), trans, 1, Atom(0), None
-    )
+
+    def step(st, a):
+        q, g = st
+        q2 = dfa_trans[q][a]
+        g2 = (g and a in letters) or q2 in finals
+        return (q2, g2), ((0 if a in letters and g2 else 1),)
+
+    start = (init, init in finals)
+    trans = _explore(start, alphabet, step)
+    return AdversaryAutomaton(alphabet, start, trans, 1, Atom(0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -1165,7 +1167,10 @@ class _DslParser:
 
 
 def parse_adversary(text: str) -> AdversaryExpr:
-    return _DslParser(text).parse()
+    try:
+        return _DslParser(text).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 def load(text: str) -> AdversaryAutomaton:

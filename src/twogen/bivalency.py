@@ -6,6 +6,12 @@ Everything here is relative to a fixed executable algorithm and a
 bounded unrolling: extensions are enumerated up to a depth and closed
 off with a tail set, so an Undetermined verdict only signals bound
 exhaustion, never a theorem.
+
+One depth-first walk over the live extensions of a prefix
+(``AdversaryAutomaton.extensions``) simulates each completion once and
+collects, for every word it passes, the decisions reached below that
+word.  ``valency`` reads the root of this map; ``explore`` builds its
+tree from the whole map, and ``find_decisive`` walks that tree.
 """
 
 from __future__ import annotations
@@ -30,26 +36,50 @@ class Valency(enum.Enum):
         return self.value
 
 
-def _completions_of(a: AdversaryAutomaton, prefix: FiniteWord, depth: int,
-                    tails: Iterable[LassoWord]):
-    """Scenarios prefix.u.tail inside a, with |u| ranging over 0..depth.
+def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
+                     prefix: FiniteWord, inputs: tuple, depth: int,
+                     tails: Iterable[LassoWord], budget: int) -> dict:
+    """``word -> decisions`` for ``prefix`` and each live extension of it
+    by at most ``depth`` letters, in ``str`` order.
 
-    Extensions are generated from the adversary's prefix sets so that
-    every enumerated scenario really extends ``prefix`` within it.
+    A word's set holds the decisions of the runs under every scenario
+    ``word'.tail`` inside the adversary with ``word'`` the word itself
+    or an extension of it; None stands for a run that did not halt
+    within ``budget`` rounds.
     """
-    n = len(prefix)
-    seen = set()
-    for extra in range(depth + 1):
-        for word in sorted(a.prefixes(n + extra), key=str):
-            if word.letters[:n] != prefix.letters:
-                continue
-            for tail in tails:
-                lasso = LassoWord(word + tail.stem, tail.cycle)
-                if lasso in seen:
-                    continue
-                seen.add(lasso)
+    if next(a.extensions(prefix, 0), None) is None:
+        raise ValueError(
+            "prefix %r is not a prefix of the adversary" % str(prefix))
+    below: dict = {}
+    runs: dict = {}  # each distinct scenario is simulated once
+    for word, _ in a.extensions(prefix, depth):
+        found = below[word] = set()
+        for tail in tails:
+            lasso = LassoWord(word + tail.stem, tail.cycle)
+            if lasso not in runs:
+                runs[lasso] = set()
                 if a.contains(lasso):
-                    yield lasso
+                    t = simulate(algorithm, lasso, inputs, budget)
+                    # an agreement violation makes valency meaningless;
+                    # both values surface it as bivalence of the prefix
+                    runs[lasso] = (set(t.decisions) if t.both_halted()
+                                   else {None})
+            found |= runs[lasso]
+    # the walk is depth first, so every word comes after its parent
+    for word in reversed(list(below)):
+        if len(word) > len(prefix):
+            below[word[:-1]] |= below[word]
+    return below
+
+
+def _valency_of(decided: set) -> Valency:
+    if decided == {0}:
+        return Valency.ZERO_VALENT
+    if decided == {1}:
+        return Valency.ONE_VALENT
+    if {0, 1} <= decided:
+        return Valency.BIVALENT
+    return Valency.UNDETERMINED
 
 
 def valency(algorithm: Algorithm, a: AdversaryAutomaton,
@@ -58,30 +88,10 @@ def valency(algorithm: Algorithm, a: AdversaryAutomaton,
             max_rounds: Optional[int] = None) -> Valency:
     """Valency of ``prefix`` for the given inputs, over completions of
     the prefix inside the adversary bounded by ``depth``."""
-    if prefix not in a.prefixes(len(prefix)):
-        raise ValueError("prefix %r is not a prefix of the adversary" % str(prefix))
     budget = max_rounds if max_rounds is not None else len(prefix) + depth + 40
-    decided = set()
-    undecided = False
-    for scenario in _completions_of(a, prefix, depth, tails):
-        t = simulate(algorithm, scenario, inputs, budget)
-        if not t.both_halted():
-            undecided = True
-            continue
-        dw, db = t.decisions
-        if dw != db:
-            # an agreement violation makes valency meaningless; surface
-            # it as bivalence of the offending prefix
-            decided.update({dw, db})
-        else:
-            decided.add(dw)
-    if decided == {0} and not undecided:
-        return Valency.ZERO_VALENT
-    if decided == {1} and not undecided:
-        return Valency.ONE_VALENT
-    if {0, 1} <= decided:
-        return Valency.BIVALENT
-    return Valency.UNDETERMINED
+    below = _decisions_below(algorithm, a, prefix, inputs, depth, tails,
+                             budget)
+    return _valency_of(below[prefix])
 
 
 @dataclass
@@ -102,15 +112,16 @@ def explore(algorithm: Algorithm, a: AdversaryAutomaton, inputs: tuple,
             depth: int, tails: Iterable[LassoWord] = DEFAULT_TAILS
             ) -> ExplorationNode:
     """Valency tree over Pref(a) up to ``depth`` letters."""
+    below = _decisions_below(algorithm, a, FiniteWord(), inputs, depth,
+                             tails, depth + 40)
+    letters = sorted(a.alphabet, key=str)
 
     def node(prefix: FiniteWord) -> ExplorationNode:
-        v = valency(algorithm, a, prefix, inputs, depth - len(prefix),
-                    tails)
-        n = ExplorationNode(prefix, v)
-        if len(prefix) < depth and v is Valency.BIVALENT:
-            children = sorted(a.prefixes(len(prefix) + 1), key=str)
-            for child in children:
-                if child.letters[: len(prefix)] == prefix.letters:
+        n = ExplorationNode(prefix, _valency_of(below[prefix]))
+        if len(prefix) < depth and n.valency is Valency.BIVALENT:
+            for letter in letters:
+                child = prefix + FiniteWord.of(letter)
+                if child in below:
                     n.children.append(node(child))
         return n
 
@@ -138,31 +149,22 @@ def find_decisive(algorithm: Algorithm, a: AdversaryAutomaton,
     Candidates with an Undetermined child are reported separately."""
     decisive = []
     inconclusive = []
-    frontier = [FiniteWord()]
-    for level in range(depth + 1):
-        next_frontier = []
-        for prefix in frontier:
-            v = valency(algorithm, a, prefix, inputs, depth - level, tails)
-            if v is not Valency.BIVALENT:
+    level = [explore(algorithm, a, inputs, depth, tails)]
+    while level:
+        for n in level:
+            if n.valency is not Valency.BIVALENT:
                 continue
-            children = [
-                w for w in sorted(a.prefixes(level + 1), key=str)
-                if w.letters[:level] == prefix.letters
-            ]
-            child_vals = [
-                valency(algorithm, a, w, inputs, max(depth - level - 1, 0),
-                        tails)
-                for w in children
-            ]
+            if len(n.prefix) < depth:
+                child_vals = [c.valency for c in n.children]
+            else:
+                # the tree stops at depth: look one letter further
+                children = list(a.extensions(n.prefix, 1))[1:]
+                child_vals = [valency(algorithm, a, w, inputs, 0, tails)
+                              for w, _ in children]
             if all(cv in (Valency.ZERO_VALENT, Valency.ONE_VALENT)
                    for cv in child_vals):
-                decisive.append(prefix)
+                decisive.append(n.prefix)
             elif any(cv is Valency.UNDETERMINED for cv in child_vals):
-                inconclusive.append(prefix)
-            if level < depth:
-                next_frontier.extend(
-                    w for w, cv in zip(children, child_vals)
-                    if cv is Valency.BIVALENT
-                )
-        frontier = next_frontier
+                inconclusive.append(n.prefix)
+        level = [c for n in level for c in n.children]
     return DecisiveReport(decisive, inconclusive)

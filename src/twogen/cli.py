@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import adversary as adv
@@ -31,11 +31,9 @@ EXIT_VIOLATIONS = 3
 
 @dataclass
 class Config:
-    prefix_depth: int = 12
     verify_depth: int = 4
     topology_depth: int = 8
     tails: tuple = protocol.DEFAULT_TAILS
-    seed: int = 0
 
 
 def _load_adversary(text: str):

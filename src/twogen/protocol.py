@@ -47,7 +47,7 @@ class Algorithm:
     name = "algorithm"
 
     def start(self, pid: ProcessId, init: int) -> ProcessState:
-        raise NotImplementedError
+        return ProcessState(pid, init, ind=0 if pid is WHITE else 1)
 
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         """Called at the top of each round; may halt and decide."""
@@ -77,8 +77,6 @@ class IndexGuardAlgorithm(Algorithm):
             raise ValueError("the forbidden scenario must avoid LL")
         self.w = w
 
-    def start(self, pid: ProcessId, init: int) -> ProcessState:
-        return ProcessState(pid, init, ind=0 if pid is WHITE else 1)
 
     def target_index(self, r: int) -> int:
         # incremental per round in the simulator; direct here
@@ -105,8 +103,6 @@ class OwnInputAlgorithm(Algorithm):
 
     name = "own-input"
 
-    def start(self, pid: ProcessId, init: int) -> ProcessState:
-        return ProcessState(pid, init, ind=0 if pid is WHITE else 1)
 
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         if s.round >= 1:

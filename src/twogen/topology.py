@@ -15,7 +15,7 @@ ball-inclusion answers are claims about real geometry, so no floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
@@ -24,8 +24,8 @@ from .indexfn import (BLACK, WHITE, ProcessId, TernaryRational, ind,
                       ind_limit)
 from .oracle import (CornerWitness, FairWitness, SpecialPairWitness,
                      Verdict, classify)
-from .protocol import (Algorithm, DEFAULT_TAILS, Message, ProcessState,
-                       Transcript, simulate)
+from .protocol import (Algorithm, DEFAULT_TAILS, ProcessState, Transcript,
+                       completions, simulate)
 from .words import FiniteWord, GAMMA, LassoWord, Letter
 
 UNIT = "unit"
@@ -155,7 +155,6 @@ def chromatic_subdivision(c: Complex) -> Complex:
     return Complex(tuple(edges), c.gluing, c.accumulation_points)
 
 
-chr_complex = chromatic_subdivision
 
 
 def _other(c: ProcessId) -> ProcessId:
@@ -349,16 +348,12 @@ class TerminatingSubdivision:
         stable = set()
         for k in self.words:
             stable.update(w.letters for w in self.words[k])
-        for w in self.adversary.prefixes(depth):
-            for t in tails:
-                lasso = LassoWord(w + t.stem, t.cycle)
-                if not self.adversary.contains(lasso):
-                    continue
-                if not any(
-                    lasso.prefix(n).letters in stable
-                    for n in range(1, horizon + 1)
-                ):
-                    return False
+        for lasso in completions(self.adversary, depth, tails):
+            if not any(
+                lasso.prefix(n).letters in stable
+                for n in range(1, horizon + 1)
+            ):
+                return False
         return True
 
 
@@ -479,9 +474,6 @@ class GeometricAlgorithm(Algorithm):
         self.eta = eta
         self.delta = delta
 
-    def start(self, pid: ProcessId, init: int) -> ProcessState:
-        return ProcessState(pid, init, ind=0 if pid is WHITE else 1)
-
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         r = s.round
         if r == 0:
@@ -496,7 +488,6 @@ class GeometricAlgorithm(Algorithm):
         side = self.delta(y.position.value)
         value = s.init if side is s.id else s.initother
         assert value is not None, "decision map points at an unseen input"
-        from dataclasses import replace
         return replace(s, decided=value, halted=True)
 
 

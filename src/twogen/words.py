@@ -164,10 +164,6 @@ class LassoWord:
         return LassoWord(FiniteWord(tuple(stem)), FiniteWord(tuple(cycle)))
 
 
-def lasso_prefix(l: LassoWord, r: int) -> FiniteWord:
-    return l.prefix(r)
-
-
 def is_fair(l: LassoWord) -> bool:
     """True iff both processes get messages through infinitely often.
 

@@ -244,3 +244,16 @@ def test_gamma_difference_under_a_g2_union():
 def test_parsed_asts_are_hashable():
     e = adv.parse_adversary("OK LW* . {OK,LB}^w")
     assert hash(e) == hash(adv.parse_adversary("OK LW* . {OK,LB}^w"))
+
+
+@pytest.mark.parametrize("text", adv.BUILTIN_NAMES + ("OK LW* . {OK,LB}^w",))
+def test_every_state_reachable(text):
+    a = adv.load(text)
+    seen = {a.initial}
+    todo = [a.initial]
+    while todo:
+        for nxt, _ in a.transitions[todo.pop()].values():
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    assert seen == set(a.transitions)

@@ -1,12 +1,17 @@
 import json
+import random
 
 import pytest
 
+from conftest import random_gamma_lasso
 from twogen import adversary as adv
-from twogen.bivalency import (DecisiveReport, Valency, explore,
-                              find_decisive, valency)
-from twogen.protocol import IndexGuardAlgorithm, OwnInputAlgorithm
-from twogen.words import FiniteWord, parse_lasso, parse_word
+from twogen import oracle
+from twogen.bivalency import (DecisiveReport, ExplorationNode, Valency,
+                              explore, find_decisive, valency)
+from twogen.protocol import (DEFAULT_TAILS, INPUT_VECTORS,
+                             IndexGuardAlgorithm, OwnInputAlgorithm,
+                             simulate)
+from twogen.words import FiniteWord, LassoWord, parse_lasso, parse_word
 
 FAIR = "GAMMA^w \\ { LW LB ( OK )^w }"
 PAIR = "GAMMA^w \\ { OK ( LW )^w , LB ( LW )^w }"
@@ -108,3 +113,181 @@ def test_report_json():
     rep = find_decisive(algo, a, (0, 1), 2)
     doc = json.loads(rep.to_json())
     assert "" in doc["decisive"]
+
+
+# -- reference: valency by re-enumerating the prefix set per node --------
+
+
+class _Memo:
+    """An adversary with its prefix sets, runs and valencies computed
+    once: the reference asks for them again and again, which is slow
+    but gives the same answers."""
+
+    def __init__(self, a):
+        self.a = a
+        self.words = {}
+        self.runs = {}
+        self.valencies = {}
+
+    def prefixes(self, r):
+        """The length-r prefixes in ``str`` order (a dict, for lookups)."""
+        if r not in self.words:
+            self.words[r] = dict.fromkeys(sorted(self.a.prefixes(r), key=str))
+        return self.words[r]
+
+    def simulate(self, algorithm, scenario, inputs, budget):
+        key = (algorithm, scenario, inputs, budget)
+        if key not in self.runs:
+            self.runs[key] = simulate(algorithm, scenario, inputs, budget)
+        return self.runs[key]
+
+
+def _ref_completions_of(m, prefix, depth, tails):
+    n = len(prefix)
+    seen = set()
+    for extra in range(depth + 1):
+        for word in m.prefixes(n + extra):
+            if word.letters[:n] != prefix.letters:
+                continue
+            for tail in tails:
+                lasso = LassoWord(word + tail.stem, tail.cycle)
+                if lasso in seen:
+                    continue
+                seen.add(lasso)
+                if m.a.contains(lasso):
+                    yield lasso
+
+
+def _ref_valency(algorithm, m, prefix, inputs, depth, tails=DEFAULT_TAILS,
+                 max_rounds=None):
+    key = (algorithm, prefix, inputs, depth, tuple(tails), max_rounds)
+    if key not in m.valencies:
+        m.valencies[key] = _ref_valency_of(algorithm, m, prefix, inputs,
+                                           depth, tails, max_rounds)
+    return m.valencies[key]
+
+
+def _ref_valency_of(algorithm, m, prefix, inputs, depth, tails, max_rounds):
+    if prefix not in m.prefixes(len(prefix)):
+        raise ValueError("not a prefix")
+    budget = max_rounds if max_rounds is not None else len(prefix) + depth + 40
+    decided = set()
+    undecided = False
+    for scenario in _ref_completions_of(m, prefix, depth, tails):
+        t = m.simulate(algorithm, scenario, inputs, budget)
+        if not t.both_halted():
+            undecided = True
+            continue
+        decided.update(t.decisions)
+    if decided == {0} and not undecided:
+        return Valency.ZERO_VALENT
+    if decided == {1} and not undecided:
+        return Valency.ONE_VALENT
+    if {0, 1} <= decided:
+        return Valency.BIVALENT
+    return Valency.UNDETERMINED
+
+
+def _ref_explore(algorithm, m, inputs, depth, tails=DEFAULT_TAILS):
+    def node(prefix):
+        v = _ref_valency(algorithm, m, prefix, inputs, depth - len(prefix),
+                         tails)
+        n = ExplorationNode(prefix, v)
+        if len(prefix) < depth and v is Valency.BIVALENT:
+            for child in m.prefixes(len(prefix) + 1):
+                if child.letters[: len(prefix)] == prefix.letters:
+                    n.children.append(node(child))
+        return n
+
+    return node(FiniteWord())
+
+
+def _ref_find_decisive(algorithm, m, inputs, depth, tails=DEFAULT_TAILS):
+    univalent = (Valency.ZERO_VALENT, Valency.ONE_VALENT)
+    decisive, inconclusive = [], []
+    frontier = [FiniteWord()]
+    for level in range(depth + 1):
+        next_frontier = []
+        for prefix in frontier:
+            if _ref_valency(algorithm, m, prefix, inputs, depth - level,
+                            tails) is not Valency.BIVALENT:
+                continue
+            children = [
+                w for w in m.prefixes(level + 1)
+                if w.letters[:level] == prefix.letters
+            ]
+            vals = [
+                _ref_valency(algorithm, m, w, inputs,
+                             max(depth - level - 1, 0), tails)
+                for w in children
+            ]
+            if all(v in univalent for v in vals):
+                decisive.append(prefix)
+            elif any(v is Valency.UNDETERMINED for v in vals):
+                inconclusive.append(prefix)
+            if level < depth:
+                next_frontier.extend(
+                    w for w, v in zip(children, vals)
+                    if v is Valency.BIVALENT)
+        frontier = next_frontier
+    return DecisiveReport(decisive, inconclusive)
+
+
+def _differential_cases():
+    cases = [(FAIR, "LW LB ( OK )^w"), (PAIR, "LB ( LW )^w"),
+             ("C1", "LB OK ( LB OK LW LB LW OK LW LB )^w"),
+             ("S1", "( LB LW )^w"), ("TW", "( LB )^w")]
+    rng = random.Random(41)
+    while len(cases) < 15:
+        lassos = [random_gamma_lasso(rng) for _ in range(rng.randint(1, 4))]
+        text = "GAMMA^w \\ { %s }" % " , ".join(map(str, lassos))
+        if oracle.classify(adv.load(text)).solvable:
+            cases.append((text, str(lassos[0])))
+    return cases
+
+
+@pytest.mark.parametrize("text,w", _differential_cases())
+def test_walk_matches_reenumeration(text, w):
+    a = adv.load(text)
+    m = _Memo(a)
+    for algo in (IndexGuardAlgorithm(parse_lasso(w)), OwnInputAlgorithm()):
+        for inputs in INPUT_VECTORS:
+            for depth in range(4):
+                # the root of the tree is valency(algo, a, "", inputs, depth)
+                assert explore(algo, a, inputs, depth).to_dict() == \
+                    _ref_explore(algo, m, inputs, depth).to_dict()
+                assert find_decisive(algo, a, inputs, depth).to_json() == \
+                    _ref_find_decisive(algo, m, inputs, depth).to_json()
+
+
+def test_walk_matches_reenumeration_with_odd_tails():
+    """Duplicate tails, a tail with a stem, and a short round budget."""
+    tails = DEFAULT_TAILS + DEFAULT_TAILS[:1] + (parse_lasso("LW ( OK )^w"),)
+    for text, w in ((FAIR, "LW LB ( OK )^w"), ("C1", "( LB )^w")):
+        a = adv.load(text)
+        m = _Memo(a)
+        algo = IndexGuardAlgorithm(parse_lasso(w))
+        for prefix in sorted(a.prefixes(1), key=str):
+            for inputs in INPUT_VECTORS:
+                for kw in ({"tails": tails}, {"max_rounds": 3}):
+                    assert valency(algo, a, prefix, inputs, 2, **kw) is \
+                        _ref_valency(algo, m, prefix, inputs, 2, **kw)
+        for depth in range(3):
+            assert explore(algo, a, (0, 1), depth, tails).to_dict() == \
+                _ref_explore(algo, m, (0, 1), depth, tails).to_dict()
+            assert find_decisive(algo, a, (0, 1), depth, tails).to_json() == \
+                _ref_find_decisive(algo, m, (0, 1), depth, tails).to_json()
+
+
+def test_valency_error_order(builtins):
+    """Prefix too long, then not a prefix, then too deep a search."""
+    algo = OwnInputAlgorithm()
+    r1 = builtins["R1"]
+    with pytest.raises(adv.ResourceBoundError):
+        valency(algo, builtins["S0"], parse_word("LB " * 13), (0, 1), 0)
+    with pytest.raises(ValueError):
+        valency(algo, builtins["S0"], parse_word("LB"), (0, 1), 20)
+    with pytest.raises(adv.ResourceBoundError):
+        valency(algo, r1, parse_word("LB LB"), (0, 1), 11)
+    with pytest.raises(adv.ResourceBoundError):
+        explore(algo, r1, (0, 1), 13)

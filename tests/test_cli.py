@@ -1,14 +1,15 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
 
 from twogen import cli
 
-SCHEMA_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "schemas", "twogen-v1.schema.json"
-)
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+SCHEMA_PATH = os.path.join(ROOT, "schemas", "twogen-v1.schema.json")
 with open(SCHEMA_PATH) as fh:
     SCHEMA = json.load(fh)
 
@@ -228,3 +229,28 @@ def test_topo_components_malformed_document(capsys, tmp_path, doc):
     rc, _, err = run(capsys, "topo", "components", "--in", str(path))
     assert rc == 1
     assert err.startswith("domain:")
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    text = "(" * 2000 + "OK" + ")" * 2000
+    rc, _, err = run(capsys, "adv", "check", text)
+    assert rc == 1
+    assert err.startswith("parse:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["adv", "witness", "C1"],
+    ["adv", "check", "OK* . {LW}^w | LB . {OK,LB}^w | OK LW* . {OK,LB}^w"],
+])
+def test_output_independent_of_hash_seed(argv):
+    """Witness lassos do not depend on the order of hashed states."""
+    outs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+                   PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-m", "twogen.cli", *argv], env=env,
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        outs.add(proc.stdout)
+    assert len(outs) == 1, outs
