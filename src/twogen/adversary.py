@@ -11,11 +11,11 @@ per "track", and the automaton's acceptance condition is a positive
 Boolean combination of atoms "the maximum color seen infinitely often
 on track t is even".  Single-track automata are ordinary parity
 automata; products (union/intersection) simply concatenate tracks, and
-complement dualizes the formula, shifting colors of negated atoms by
-one.  A difference ``GAMMA^w \\ {l1..lk}`` is not built as a product: it
-compiles to a single co-Buchi track, so its complement's acceptance
-stays one atom.  Membership of a lasso and emptiness (with a lasso
-witness) are decided exactly on this representation.
+complement dualizes the formula and raises every color by one.  A
+difference ``GAMMA^w \\ {l1..lk}`` is not built as a product: it compiles
+to a single co-Buchi track, so its complement's acceptance stays one
+atom.  Membership of a lasso and emptiness (with a lasso witness) are
+decided exactly on this representation.
 """
 
 from __future__ import annotations
@@ -128,8 +128,9 @@ class AdversaryAutomaton:
     source: object = None
 
     def __post_init__(self):
-        for st, row in self.transitions.items():
-            assert set(row) == set(self.alphabet), "automaton not complete"
+        for row in self.transitions.values():
+            if set(row) != set(self.alphabet):
+                raise AssertionError("automaton not complete")
 
     @property
     def states(self):
@@ -197,17 +198,17 @@ class AdversaryAutomaton:
     def has_nonempty_residual(self, state) -> bool:
         return self.witness_from(state) is not None
 
-    def extensions(self, prefix: FiniteWord, depth: int, bound: int = 12):
+    def extensions(self, prefix: FiniteWord, depth: int):
         """Yields ``(word, state)`` for ``prefix`` and for each extension
         of it by at most ``depth`` letters that an accepted infinite
         word still extends, depth first with children in ``str`` order;
         ``state`` is the one the automaton reaches on ``word``.  Yields
         nothing when no accepted word extends ``prefix``, and raises
-        ResourceBoundError when words could grow longer than ``bound``."""
+        ResourceBoundError when words could grow longer than 12."""
         limit = len(prefix) + depth
-        if limit > bound:
+        if limit > 12:
             raise ResourceBoundError(
-                "prefix enumeration depth %d exceeds bound %d" % (limit, bound)
+                "prefix enumeration depth %d exceeds bound 12" % limit
             )
         live: dict = {}
 
@@ -233,9 +234,9 @@ class AdversaryAutomaton:
                     if alive(nxt):
                         todo.append((FiniteWord(word.letters + (a,)), nxt))
 
-    def prefixes(self, r: int, bound: int = 12) -> set[FiniteWord]:
+    def prefixes(self, r: int) -> set[FiniteWord]:
         """All length-r words extendable to an accepted infinite word."""
-        walk = self.extensions(FiniteWord(), r, bound)
+        walk = self.extensions(FiniteWord(), r)
         return {w for w, _ in walk if len(w) == r}
 
     # -- helpers ----------------------------------------------------------
@@ -585,7 +586,7 @@ BUILTIN_NAMES = ("S0", "TW", "TB", "C1", "S1", "R1", "S2")
 
 
 # ---------------------------------------------------------------------------
-# finite regex -> DFA (Thompson + subset construction)
+# finite regex -> NFA (Thompson)
 
 
 def _regex_nfa(rx, counter):
@@ -618,45 +619,6 @@ def _regex_nfa(rx, counter):
         trans = t2 + [(s, None, s2)] + [(f, None, s) for f in f2]
         return s, {s}, trans
     raise TypeError(rx)
-
-
-def regex_to_dfa(rx, alphabet):
-    """(initial, transitions {state: {letter: state}}, finals) over
-    frozenset states; complete over ``alphabet``."""
-    counter = itertools.count()
-    start, finals, trans = _regex_nfa(rx, counter)
-    eps: dict = {}
-    by_letter: dict = {}
-    for (src, a, dst) in trans:
-        if a is None:
-            eps.setdefault(src, set()).add(dst)
-        else:
-            by_letter.setdefault((src, a), set()).add(dst)
-
-    def closure(states):
-        out = set(states)
-        todo = list(states)
-        while todo:
-            st = todo.pop()
-            for nxt in eps.get(st, ()):
-                if nxt not in out:
-                    out.add(nxt)
-                    todo.append(nxt)
-        return frozenset(out)
-
-    def step(cur, a):
-        tgt = set()
-        for st in cur:
-            tgt |= by_letter.get((st, a), set())
-        return closure(tgt), None
-
-    init = closure({start})
-    dfa_trans = {
-        st: {a: nxt for a, (nxt, _) in row.items()}
-        for st, row in _explore(init, alphabet, step).items()
-    }
-    dfa_finals = {st for st in dfa_trans if st & finals}
-    return init, dfa_trans, dfa_finals
 
 
 # ---------------------------------------------------------------------------
@@ -786,22 +748,44 @@ def _compile_concat(e: Concat, alphabet) -> AdversaryAutomaton:
 def _compile_prefixed_oblivious(rx, letters, alphabet) -> AdversaryAutomaton:
     """Deterministic co-Buchi automaton for ``L(rx) . letters^w``.
 
-    Tracks the regex DFA state plus a flag: "some prefix since the last
-    out-of-set letter was in L(rx)".  A word belongs to the language
-    iff from some point on every letter is in the set and the flag is
-    up, i.e. the complement of that condition happens finitely often.
+    Tracks the epsilon-closed set of regex NFA states (the subset
+    construction, run only as far as the product reaches) plus a flag:
+    "some prefix since the last out-of-set letter was in L(rx)".  A word
+    belongs to the language iff from some point on every letter is in
+    the set and the flag is up, i.e. the complement of that condition
+    happens finitely often.
     """
-    init, dfa_trans, finals = regex_to_dfa(rx, alphabet)
+    start, finals, edges = _regex_nfa(rx, itertools.count())
+    eps: dict = {}
+    by_letter: dict = {}
+    for (src, a, dst) in edges:
+        if a is None:
+            eps.setdefault(src, set()).add(dst)
+        else:
+            by_letter.setdefault((src, a), set()).add(dst)
+
+    def closure(states):
+        out = set(states)
+        todo = list(states)
+        while todo:
+            for nxt in eps.get(todo.pop(), ()):
+                if nxt not in out:
+                    out.add(nxt)
+                    todo.append(nxt)
+        return frozenset(out)
 
     def step(st, a):
         q, g = st
-        q2 = dfa_trans[q][a]
-        g2 = (g and a in letters) or q2 in finals
+        q2 = closure(
+            set().union(*(by_letter.get((n, a), ()) for n in q))
+        )
+        g2 = (g and a in letters) or bool(q2 & finals)
         return (q2, g2), ((0 if a in letters and g2 else 1),)
 
-    start = (init, init in finals)
-    trans = _explore(start, alphabet, step)
-    return AdversaryAutomaton(alphabet, start, trans, 1, Atom(0), None)
+    init = closure({start})
+    init_state = (init, bool(init & finals))
+    trans = _explore(init_state, alphabet, step)
+    return AdversaryAutomaton(alphabet, init_state, trans, 1, Atom(0), None)
 
 
 # ---------------------------------------------------------------------------
@@ -809,41 +793,30 @@ def _compile_prefixed_oblivious(rx, letters, alphabet) -> AdversaryAutomaton:
 
 
 def complement(a: AdversaryAutomaton) -> AdversaryAutomaton:
-    """Language complement within a's full alphabet."""
-
-    def negate(f, trans):
-        if isinstance(f, Atom):
-            return Atom(f.track), _shift_colors(trans, f.track)
-        if isinstance(f, And):
-            parts = []
-            for p in f.parts:
-                np, trans = negate(p, trans)
-                parts.append(np)
-            return Or(tuple(parts)), trans
-        if isinstance(f, Or):
-            parts = []
-            for p in f.parts:
-                np, trans = negate(p, trans)
-                parts.append(np)
-            return And(tuple(parts)), trans
-        raise TypeError(f)
-
-    acc, trans = negate(a.acceptance, a.transitions)
+    """Language complement within a's full alphabet.  Raising every
+    color by one flips the parity of every track's maximum, i.e. negates
+    every atom, so the formula dualizes (And <-> Or)."""
+    trans = {
+        st: {
+            x: (nxt, tuple(c + 1 for c in colors))
+            for x, (nxt, colors) in row.items()
+        }
+        for st, row in a.transitions.items()
+    }
     return AdversaryAutomaton(
-        a.alphabet, a.initial, trans, a.num_tracks, acc, None
+        a.alphabet, a.initial, trans, a.num_tracks, _dual(a.acceptance),
+        None,
     )
 
 
-def _shift_colors(transitions, track):
-    return {
-        st: {
-            a: (nxt, tuple(
-                c + 1 if t == track else c for t, c in enumerate(colors)
-            ))
-            for a, (nxt, colors) in row.items()
-        }
-        for st, row in transitions.items()
-    }
+def _dual(f):
+    if isinstance(f, Atom):
+        return f
+    if isinstance(f, And):
+        return Or(tuple(_dual(p) for p in f.parts))
+    if isinstance(f, Or):
+        return And(tuple(_dual(p) for p in f.parts))
+    raise TypeError(f)
 
 
 def _product(a, b, combine):
@@ -905,15 +878,32 @@ def fairness_automaton() -> AdversaryAutomaton:
 # DSL parser
 
 
-class _DslParser:
-    """Recursive descent over the adversary DSL.
+_LETTER_TOKENS = tuple(a.value for a in Letter)
+#: every token a finite regex may contain
+_REGEX_TOKENS = frozenset(_LETTER_TOKENS + ("|", "*", "(", ")"))
 
-    adversary := union
-    union     := term { "|" term }
-    term      := name | omega | "(" adversary ")" | prefix "." omega | diff
-    omega     := set "^w"
-    set       := "{" letter { "," letter } "}" | letter
+
+class _DslParser:
+    """Recursive descent over the adversary DSL; it never backtracks.
+
+    adversary := term { "|" term }
+    term      := diff | lasso | regex "." tail | tail
+    tail      := set "^w" | "(" adversary ")" [ "^w" ] | name
+    set       := "{" letter { "," letter } "}" | "(" letter ")" | letter
+    lasso     := letter* "(" letter+ ")" "^w"
     diff      := ("GAMMA" | "G2") "^w" "\\" "{" lasso { "," lasso } "}"
+    regex     := rconcat { "|" rconcat }
+    rconcat   := ratom { ratom }
+    ratom     := ( letter | "(" regex ")" ) { "*" }
+    name      := "S0" | "TW" | "TB" | "C1" | "S1" | "R1" | "S2"
+    letter    := "OK" | "LW" | "LB" | "LL"
+
+    ``( X )^w`` requires X to be a set power; ``( LB )^w`` is the set
+    power ``LB^w``, not a lasso.  A GAMMA difference excludes only
+    lassos without LL.  A term is picked by lookahead: a lasso when its
+    tokens are ahead, a regex prefix when its first atom (a letter, or a
+    group holding regex tokens only) is not followed by "^w", else a
+    tail.
     """
 
     def __init__(self, text: str):
@@ -947,8 +937,9 @@ class _DslParser:
                 i = j
         return out
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def peek(self, ahead: int = 0):
+        i = self.pos + ahead
+        return self.toks[i] if i < len(self.toks) else None
 
     def take(self, expected=None):
         tok = self.peek()
@@ -976,126 +967,80 @@ class _DslParser:
         return parts[0] if len(parts) == 1 else Union(tuple(parts))
 
     def term(self):
-        tok = self.peek()
-        if tok in ("GAMMA", "G2"):
+        if self.peek() in ("GAMMA", "G2"):
             return self.diff()
-        if tok == "(":
-            # "( LB )^w" sugar for the single-letter omega power
-            nxt = self.toks[self.pos + 1 : self.pos + 4]
-            if (
-                len(nxt) == 3
-                and nxt[0] in ("OK", "LW", "LB", "LL")
-                and nxt[1] == ")"
-                and nxt[2] == "^w"
-            ):
-                self.pos += 4
-                return OmegaPower(frozenset({Letter(nxt[0])}))
-            # a multi-letter "( ... )^w" is a cycle-only lasso word
-            save = self.pos
-            try:
-                return LassoExpr(self.lasso())
-            except ParseError:
-                self.pos = save
-            # either a parenthesized adversary or a regex prefix; try
-            # the adversary reading first, fall back to regex prefix
-            try:
-                self.take("(")
-                inner = self.union()
-                self.take(")")
-                if self.peek() == "^w":
-                    self.take("^w")
-                    if isinstance(inner, OmegaPower):
-                        return inner
-                    raise ParseError("'^w' after a non-set expression")
-                if self.peek() in (".", "*"):
-                    raise ParseError("regex prefix")
-                return inner
-            except ParseError:
-                self.pos = save
-                return self.prefixed()
-        if tok == "{":
-            save = self.pos
-            letters = self.letter_set()
-            if self.peek() == "^w":
-                self.take("^w")
-                return OmegaPower(letters)
-            self.pos = save
-            raise ParseError("expected '^w' after letter set")
-        if tok in BUILTIN_NAMES:
-            self.take()
-            if self.peek() in (".", "*"):
-                raise ParseError("built-in name inside a regex")
-            return Named(tok)
-        # single letter: LETTER^w, a lasso word, or a regex prefix
-        if tok in ("OK", "LW", "LB", "LL"):
-            save = self.pos
-            self.take()
-            if self.peek() == "^w":
-                self.take("^w")
-                return OmegaPower(frozenset({Letter(tok)}))
-            self.pos = save
-            try:
-                return LassoExpr(self.lasso())
-            except ParseError:
-                self.pos = save
-            return self.prefixed()
-        raise ParseError("unexpected token %r" % tok)
+        if self._lasso_ahead():
+            return LassoExpr(self.lasso())
+        if self._regex_ahead():
+            rx = self.regex()
+            self.take(".")
+            return Concat(rx, self.tail())
+        return self.tail()
 
-    def prefixed(self):
-        rx = self.regex()
-        self.take(".")
-        tail = self.omega_tail()
-        return Concat(rx, tail)
+    def _lasso_ahead(self) -> bool:
+        """``letter* "(" letter+ ")" "^w"`` is ahead, and is not the
+        ``( letter )^w`` form of a set."""
+        stem = cycle = 0
+        while self.peek(stem) in _LETTER_TOKENS:
+            stem += 1
+        while self.peek(stem + 1 + cycle) in _LETTER_TOKENS:
+            cycle += 1
+        end = stem + 1 + cycle
+        return (
+            self.peek(stem) == "(" and cycle > 0 and (stem, cycle) != (0, 1)
+            and self.peek(end) == ")" and self.peek(end + 1) == "^w"
+        )
 
-    def omega_tail(self):
-        if self.peek() == "(":
-            nxt = self.toks[self.pos + 1 : self.pos + 4]
-            if (
-                len(nxt) == 3
-                and nxt[0] in ("OK", "LW", "LB", "LL")
-                and nxt[1] == ")"
-                and nxt[2] == "^w"
-            ):
-                self.pos += 4
-                return OmegaPower(frozenset({Letter(nxt[0])}))
+    def _regex_ahead(self) -> bool:
+        """A letter, or a group of regex tokens only, is ahead and no
+        "^w" follows it."""
+        if self.peek() not in _LETTER_TOKENS and self.peek() != "(":
+            return False
+        depth = 0
+        for n, tok in enumerate(itertools.islice(self.toks, self.pos, None)):
+            if tok not in _REGEX_TOKENS:
+                return False
+            depth += (tok == "(") - (tok == ")")
+            if depth == 0:
+                return self.peek(n + 1) != "^w"
+        return False
+
+    def tail(self):
+        if self.peek() in BUILTIN_NAMES:
+            return Named(self.take())
+        if self.peek() == "(" and not (
+            self.peek(1) in _LETTER_TOKENS and self.peek(2) == ")"
+        ):
             self.take("(")
             inner = self.union()
             self.take(")")
-            if self.peek() == "^w":
-                self.take("^w")
-                if isinstance(inner, OmegaPower):
-                    return inner
+            if self.peek() != "^w":
+                return inner
+            if not isinstance(inner, OmegaPower):
                 raise ParseError("'^w' after a non-set expression")
+            self.take("^w")
             return inner
-        tok = self.peek()
-        if tok == "{":
-            letters = self.letter_set()
-            self.take("^w")
-            return OmegaPower(letters)
-        if tok in ("OK", "LW", "LB", "LL"):
-            self.take()
-            self.take("^w")
-            return OmegaPower(frozenset({Letter(tok)}))
-        if tok in BUILTIN_NAMES:
-            self.take()
-            return Named(tok)
-        raise ParseError("expected an omega expression after '.'")
+        letters = self.letter_set()
+        self.take("^w")
+        return OmegaPower(letters)
 
     def letter_set(self) -> frozenset:
-        self.take("{")
+        opening = self.peek()
+        if opening not in ("{", "("):
+            return frozenset({self.letter()})
+        self.take()
         letters = {self.letter()}
-        while self.peek() == ",":
+        while opening == "{" and self.peek() == ",":
             self.take(",")
             letters.add(self.letter())
-        self.take("}")
+        self.take("}" if opening == "{" else ")")
         return frozenset(letters)
 
     def letter(self) -> Letter:
         tok = self.take()
-        try:
-            return Letter(tok)
-        except ValueError:
-            raise ParseError("unknown letter %r" % tok) from None
+        if tok not in _LETTER_TOKENS:
+            raise ParseError("unknown letter %r" % tok)
+        return Letter(tok)
 
     def diff(self):
         kind = self.take()
@@ -1115,24 +1060,19 @@ class _DslParser:
 
     def lasso(self) -> LassoWord:
         stem: list[Letter] = []
-        while self.peek() not in ("(",):
+        while self.peek() != "(":
             stem.append(self.letter())
         self.take("(")
         cycle: list[Letter] = []
-        while self.peek() != ")^w" and self.peek() != ")":
+        while self.peek() != ")":
             cycle.append(self.letter())
-        # the lexer splits ")^w" into ")" "^w"
         self.take(")")
         self.take("^w")
         if not cycle:
             raise ParseError("lasso cycle must be non-empty")
         return LassoWord.of(stem, cycle)
 
-    # regex over letters with *, |, concatenation, parentheses
     def regex(self):
-        return self.regex_union()
-
-    def regex_union(self):
         parts = [self.regex_concat()]
         while self.peek() == "|":
             self.take("|")
@@ -1142,19 +1082,12 @@ class _DslParser:
     def regex_concat(self):
         parts = []
         while True:
-            tok = self.peek()
-            if tok in ("OK", "LW", "LB", "LL"):
-                self.take()
-                atom = RegexLetter(Letter(tok))
-            elif tok == "(":
-                save = self.pos
+            if self.peek() in _LETTER_TOKENS:
+                atom = RegexLetter(self.letter())
+            elif self.peek() == "(":
                 self.take("(")
-                inner = self.regex_union()
-                if self.peek() != ")":
-                    self.pos = save
-                    break
+                atom = self.regex()
                 self.take(")")
-                atom = inner
             else:
                 break
             while self.peek() == "*":

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import adversary as adv
@@ -27,17 +26,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_RESOURCE = 2
 EXIT_VIOLATIONS = 3
-
-
-@dataclass
-class Config:
-    verify_depth: int = 4
-    topology_depth: int = 8
-    tails: tuple = protocol.DEFAULT_TAILS
-
-
-def _load_adversary(text: str):
-    return adv.load(text)
 
 
 def _parse_inputs(text: str) -> tuple:
@@ -97,7 +85,7 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_adv(args) -> int:
-    a = _load_adversary(args.dsl)
+    a = adv.load(args.dsl)
     if args.action == "check":
         v = oracle.classify(a)
         if args.format == "text":
@@ -117,8 +105,8 @@ def _cmd_adv(args) -> int:
     raise ValueError("unknown adv action %r" % args.action)
 
 
-def _cmd_sim(args, cfg: Config) -> int:
-    a = _load_adversary(args.adversary)
+def _cmd_sim(args) -> int:
+    a = adv.load(args.adversary)
     algo = _pick_algorithm(args, a)
     if args.action == "run":
         scenario = parse_lasso(args.scenario)
@@ -130,38 +118,37 @@ def _cmd_sim(args, cfg: Config) -> int:
         print(t.to_json())
         return EXIT_OK
     if args.action == "verify":
-        depth = args.depth if args.depth is not None else cfg.verify_depth
-        rep = protocol.verify(algo, a, depth=depth, tails=cfg.tails)
+        depth = args.depth if args.depth is not None else 4
+        rep = protocol.verify(algo, a, depth=depth)
         print(rep.to_json())
         return EXIT_OK if rep.ok else EXIT_VIOLATIONS
     raise ValueError("unknown sim action %r" % args.action)
 
 
-def _cmd_bivalency(args, cfg: Config) -> int:
-    a = _load_adversary(args.adversary)
+def _cmd_bivalency(args) -> int:
+    a = adv.load(args.adversary)
     algo = _pick_algorithm(args, a)
-    tree = biv.explore(algo, a, _parse_inputs(args.inputs), args.depth,
-                       cfg.tails)
+    tree = biv.explore(algo, a, _parse_inputs(args.inputs), args.depth)
     print(json.dumps(tree.to_dict()))
     return EXIT_OK
 
 
-def _topo_object(args, cfg: Config):
+def _topo_object(args):
     if getattr(args, "infile", None):
         with open(args.infile) as fh:
             return topo.complex_from_json(fh.read())
-    a = _load_adversary(args.adversary)
+    a = adv.load(args.adversary)
     v = oracle.classify(a)
     if not v.solvable:
         raise ValueError(
             "adversary is an obstruction: no gap point to subdivide at"
         )
     z = topo.gap_point(v)
-    depth = getattr(args, "rounds", None) or cfg.topology_depth
+    depth = args.rounds if args.rounds is not None else 8
     return topo.build_terminating_subdivision(a, z, depth=depth)
 
 
-def _cmd_topo(args, cfg: Config) -> int:
+def _cmd_topo(args) -> int:
     if args.action == "contrex":
         phi = topo.contrex(args.depth)
         print(json.dumps({
@@ -172,7 +159,7 @@ def _cmd_topo(args, cfg: Config) -> int:
         }))
         return EXIT_OK
     if args.action == "subdivide":
-        obj = _topo_object(args, cfg)
+        obj = _topo_object(args)
         fmt = "svg" if args.out.endswith(".svg") else "json"
         doc = topo.export(obj, fmt)
         with open(args.out, "w") as fh:
@@ -180,7 +167,7 @@ def _cmd_topo(args, cfg: Config) -> int:
         print(json.dumps({"out": args.out, "format": fmt}))
         return EXIT_OK
     if args.action == "components":
-        obj = _topo_object(args, cfg)
+        obj = _topo_object(args)
         c = obj.stable_complex() if isinstance(
             obj, topo.TerminatingSubdivision
         ) else obj
@@ -249,7 +236,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    cfg = Config()
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -262,13 +248,13 @@ def main(argv=None) -> int:
         if args.command == "sim":
             if args.action == "run" and not args.scenario:
                 raise ParseError("sim run needs --scenario")
-            return _cmd_sim(args, cfg)
+            return _cmd_sim(args)
         if args.command == "bivalency":
-            return _cmd_bivalency(args, cfg)
+            return _cmd_bivalency(args)
         if args.command == "topo":
             if args.action == "subdivide" and not args.out:
                 raise ParseError("topo subdivide needs --out")
-            return _cmd_topo(args, cfg)
+            return _cmd_topo(args)
         raise ValueError("unknown command %r" % args.command)
     except ResourceBoundError as e:
         print("resource: %s" % e, file=sys.stderr)

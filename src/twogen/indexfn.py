@@ -161,14 +161,18 @@ def index_successor_case(v: FiniteWord, v2: FiniteWord) -> Diff1Case | None:
     u2, a2 = v2[:-1], v2[-1]
     if u.letters == u2.letters:
         order = CHILD_ORDER[ind(u) % 2]
-        assert order.index(a2) == order.index(a) + 1
+        if order.index(a2) != order.index(a) + 1:
+            raise AssertionError
         return (Diff1Case.EVEN_SAME_PREFIX if iv % 2 == 0
                 else Diff1Case.ODD_SAME_PREFIX)
-    assert a is a2 and ind(u2) == ind(u) + 1
+    if a is not a2 or ind(u2) != ind(u) + 1:
+        raise AssertionError
     if iv % 2 == 0:
-        assert a is Letter.LW
+        if a is not Letter.LW:
+            raise AssertionError
         return Diff1Case.EVEN_SAME_LAST_LW
-    assert a is Letter.LB
+    if a is not Letter.LB:
+        raise AssertionError
     return Diff1Case.ODD_SAME_LAST_LB
 
 

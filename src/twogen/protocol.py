@@ -89,12 +89,14 @@ class IndexGuardAlgorithm(Algorithm):
         target = self.target_index(s.round)
         if abs(s.ind - target) <= 2:
             return s
-        assert s.ind != target
+        if s.ind == target:
+            raise AssertionError
         if s.id is WHITE:
             value = s.init if s.ind < target else s.initother
         else:
             value = s.init if s.ind > target else s.initother
-        assert value is not None, "decided on an absent initother"
+        if value is None:
+            raise AssertionError("decided on an absent initother")
         return replace(s, decided=value, halted=True)
 
 
@@ -268,16 +270,16 @@ def completions(a: AdversaryAutomaton, depth: int,
 
 
 def verify(algorithm: Algorithm, a: AdversaryAutomaton, depth: int = 4,
-           tails: Iterable[LassoWord] = DEFAULT_TAILS,
-           max_rounds: Optional[int] = None) -> Report:
+           tails: Iterable[LassoWord] = DEFAULT_TAILS) -> Report:
     """Checks Agreement, Validity and Termination over every scenario
     obtained by completing the adversary's depth-prefixes with the
-    given tails, across all four input vectors."""
+    given tails, across all four input vectors, each run for at most
+    depth + 40 rounds."""
     if depth > 10:
         raise ResourceBoundError(
             "verification depth %d exceeds bound 10" % depth
         )
-    budget = max_rounds if max_rounds is not None else depth + 40
+    budget = depth + 40
     checked = 0
     violations = []
     for scenario in completions(a, depth, tails):

@@ -326,24 +326,18 @@ class TerminatingSubdivision:
                         % (self.z, lasso)
                     )
 
-    def stable_complex(self, max_level: Optional[int] = None) -> Complex:
-        top = max_level if max_level is not None else self._depth
+    def stable_complex(self) -> Complex:
         edges = []
         for k in sorted(self.levels):
-            if k > top:
-                break
             edges.extend(self.levels[k])
         return Complex(tuple(edges), accumulation_points=(self.z,))
 
-    def stable_edges(self, max_level: Optional[int] = None):
-        return self.stable_complex(max_level).edges
-
     def admissible(self, depth: int,
-                   tails: Iterable[LassoWord] = DEFAULT_TAILS,
-                   horizon: int = 48) -> bool:
+                   tails: Iterable[LassoWord] = DEFAULT_TAILS) -> bool:
         """Finite-depth admissibility: every scenario obtained by
         completing a depth-prefix of the adversary with a contained
-        tail has a stable prefix (found within the horizon)."""
+        tail has a stable prefix of length at most 48."""
+        horizon = 48
         self.materialize(horizon)
         stable = set()
         for k in self.words:
@@ -359,6 +353,14 @@ class TerminatingSubdivision:
 
 def build_terminating_subdivision(a: AdversaryAutomaton, z,
                                   depth: int = 6) -> TerminatingSubdivision:
+    """Levels 1..depth around the gap point z; depth is at most 64, the
+    simulator's default round budget."""
+    if depth < 0:
+        raise ValueError("subdivision depth %d is negative" % depth)
+    if depth > 64:
+        raise ResourceBoundError(
+            "subdivision depth %d exceeds bound 64" % depth
+        )
     z = Fraction(z)
     if not 0 <= z <= 1:
         raise ValueError("gap point must lie in [0, 1]")
@@ -384,13 +386,9 @@ class Eta:
         return self.radius[v]
 
 
-def eta_of(ts: TerminatingSubdivision,
-           max_level: Optional[int] = None) -> Eta:
+def eta_of(ts: TerminatingSubdivision) -> Eta:
     radius: dict = {}
-    top = max_level if max_level is not None else ts._depth
     for k in sorted(ts.levels):
-        if k > top:
-            break
         r = Fraction(1, 3 ** (k + 1))
         for e in ts.levels[k]:
             for v in (e.a, e.b):
@@ -487,7 +485,8 @@ class GeometricAlgorithm(Algorithm):
             return s
         side = self.delta(y.position.value)
         value = s.init if side is s.id else s.initother
-        assert value is not None, "decision map points at an unseen input"
+        if value is None:
+            raise AssertionError("decision map points at an unseen input")
         return replace(s, decided=value, halted=True)
 
 

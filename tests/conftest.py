@@ -26,3 +26,99 @@ def random_gamma_lasso(rng: random.Random, max_stem=3, max_cycle=2):
         rng.choice(GAMMA) for _ in range(rng.randint(1, max_cycle))
     )
     return LassoWord.of(stem, cycle)
+
+
+DSL_SYMBOLS = adv.BUILTIN_NAMES + (
+    "GAMMA", "G2", "^w", "{", "}", "(", ")", "|", ",", ".", "*", "\\", "NOPE",
+)
+
+
+class DslTexts:
+    """Seeded adversary DSL inputs of three kinds: terms built from the
+    grammar, the same with one or two tokens deleted, inserted, replaced
+    or swapped, and random token strings."""
+
+    def __init__(self, rng: random.Random, letters=("OK", "LW", "LB", "LL")):
+        self.rng = rng
+        self.letter_tokens = letters
+        self.tokens = letters + DSL_SYMBOLS
+
+    def text(self, kind: int) -> str:
+        if kind == 0:
+            toks = self.adversary(0)
+        elif kind == 1:
+            toks = self.mutate(self.adversary(0))
+        else:
+            toks = [self.rng.choice(self.tokens)
+                    for _ in range(self.rng.randint(1, 10))]
+        return " ".join(toks)
+
+    def letters(self, lo, hi):
+        return [self.rng.choice(self.letter_tokens)
+                for _ in range(self.rng.randint(lo, hi))]
+
+    def joined(self, parts, sep):
+        return [t for i, p in enumerate(parts) for t in [sep][:i] + p]
+
+    def adversary(self, d):
+        terms = [self.term(d) for _ in range(self.rng.randint(1, 3 - (d > 0)))]
+        return self.joined(terms, "|")
+
+    def term(self, d):
+        kind = self.rng.randrange(4)
+        if kind == 0:
+            return [self.rng.choice(("GAMMA", "G2")), "^w", "\\", "{",
+                    *self.joined([self.lasso() for _ in range(
+                        self.rng.randint(1, 2))], ","), "}"]
+        if kind == 1:
+            return self.lasso()
+        if kind == 2:
+            return self.regex(d) + ["."] + self.tail(d)
+        return self.tail(d)
+
+    def tail(self, d):
+        kind = self.rng.randrange(4 if d < 2 else 2)
+        if kind == 0:
+            return self.letter_set() + ["^w"]
+        if kind == 1:
+            return [self.rng.choice(adv.BUILTIN_NAMES)]
+        return ["(", *self.adversary(d + 1), ")"] + ["^w"][:kind - 2]
+
+    def letter_set(self):
+        kind = self.rng.randrange(3)
+        if kind == 0:
+            return ["{", *self.joined([[a] for a in self.letters(1, 3)],
+                                      ","), "}"]
+        if kind == 1:
+            return ["(", *self.letters(1, 1), ")"]
+        return self.letters(1, 1)
+
+    def lasso(self):
+        return self.letters(0, 2) + ["(", *self.letters(1, 2), ")", "^w"]
+
+    def regex(self, d):
+        concats = []
+        for _ in range(1 + (self.rng.random() < 0.25)):
+            atoms = []
+            for _ in range(self.rng.randint(1, 2)):
+                if d < 2 and self.rng.random() < 0.3:
+                    atoms += ["(", *self.regex(d + 1), ")"]
+                else:
+                    atoms += self.letters(1, 1)
+                atoms += ["*"][:self.rng.random() < 0.3]
+            concats.append(atoms)
+        return self.joined(concats, "|")
+
+    def mutate(self, toks):
+        for _ in range(self.rng.randint(1, 2)):
+            i = self.rng.randrange(len(toks) + 1)
+            op = self.rng.randrange(4)
+            if op == 0:
+                del toks[i:i + 1]
+            elif op == 1:
+                toks.insert(i, self.rng.choice(self.tokens))
+            elif op == 2:
+                toks[i:i + 1] = [self.rng.choice(self.tokens)]
+            else:
+                toks[i:i + 2] = toks[i:i + 2][::-1]
+        return toks

@@ -1,11 +1,13 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+from conftest import DslTexts
 from twogen import cli
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -254,3 +256,40 @@ def test_output_independent_of_hash_seed(argv):
         )
         outs.add(proc.stdout)
     assert len(outs) == 1, outs
+
+
+@pytest.mark.parametrize("rounds, code, tag, edges", [
+    ("0", 0, "", 0),
+    ("-3", 1, "domain:", None),
+    ("65", 2, "resource:", None),
+])
+def test_topo_subdivide_rounds(capsys, tmp_path, rounds, code, tag, edges):
+    """--rounds is taken as given: 0 is an empty complex, a negative
+    depth is a domain error, more than 64 levels a resource bound."""
+    out_json = str(tmp_path / "ts.json")
+    rc, _, err = run(
+        capsys, "topo", "subdivide", "--rounds", rounds,
+        "--adversary", "GAMMA^w \\ { LW LB ( OK )^w }", "--out", out_json,
+    )
+    assert rc == code
+    assert err.startswith(tag)
+    if edges is not None:
+        with open(out_json) as fh:
+            doc = check_schema(fh.read())
+        assert (doc["depth"], len(doc["edges"])) == (0, edges)
+
+
+def test_adv_commands_on_generated_inputs(capsys):
+    """Generated DSL inputs end in a documented exit code, never in an
+    exception."""
+    texts = DslTexts(random.Random(4), letters=("OK", "LW", "LB"))
+    codes = set()
+    for i in range(500):
+        text = texts.text(i % 3)
+        for argv in (["adv", "check", text],
+                     ["adv", "lowerbound", text, "--rmax", "4"]):
+            rc = cli.main(argv)
+            assert rc in (0, 1, 2, 3), argv
+            codes.add(rc)
+        capsys.readouterr()
+    assert {0, 1} <= codes

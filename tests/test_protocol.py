@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -139,3 +142,33 @@ def test_completions_stay_inside(builtins):
 def test_verify_depth_cap(builtins):
     with pytest.raises(ResourceBoundError):
         verify(OwnInputAlgorithm(), builtins["S0"], depth=11)
+
+
+def test_invariant_checks_survive_optimized_mode():
+    """The runtime invariants raise AssertionError under ``python -O``
+    too, which strips assert statements."""
+    code = """
+from twogen.adversary import AdversaryAutomaton, Atom
+from twogen.indexfn import WHITE
+from twogen.protocol import IndexGuardAlgorithm, ProcessState
+from twogen.words import GAMMA, parse_lasso
+assert False, "assert statements are stripped"
+try:
+    AdversaryAutomaton(GAMMA, 0, {0: {}}, 1, Atom(0))
+except AssertionError as e:
+    print("incomplete:", e)
+algo = IndexGuardAlgorithm(parse_lasso("( OK )^w"))
+try:
+    algo.maybe_halt(ProcessState(WHITE, 0, ind=5))
+except AssertionError as e:
+    print("initother:", e)
+"""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), check=True, timeout=60,
+    )
+    assert proc.stdout.splitlines() == [
+        "incomplete: automaton not complete",
+        "initother: decided on an absent initother",
+    ]
