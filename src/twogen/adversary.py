@@ -20,8 +20,10 @@ decided exactly on this representation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
@@ -173,56 +175,67 @@ class AdversaryAutomaton:
 
     def is_empty(self) -> Optional[LassoWord]:
         """None if the language is empty, else a witness lasso."""
-        return self.witness_from(self.initial)
-
-    def witness_from(self, start) -> Optional[LassoWord]:
-        """A lasso accepted from ``start``, or None."""
-        reachable = self._reachable(start)
-        edges = [
-            (st, a, *self.transitions[st][a])
-            for st in reachable
-            for a in self.alphabet
-            if self.transitions[st][a][0] in reachable
-        ]
+        edges = self._edges(self._reachable(self.initial))
         for required in _dnf(self.acceptance):
-            walk = _good_cycle(edges, required)
-            if walk is not None:
-                anchor = walk[0][0]
-                stem = _letter_path(self._edge_map(edges), start, anchor)
+            for scc_edges in _good_sccs(edges, required):
+                walk = _closed_walk(scc_edges)
+                stem = _letter_path(
+                    self._edge_map(edges), self.initial, walk[0][0]
+                )
                 loop = [a for (_, a) in walk]
                 return LassoWord(
                     FiniteWord(tuple(stem)), FiniteWord(tuple(loop))
                 )
         return None
 
+    @functools.cached_property
+    def live(self) -> frozenset:
+        """The states from which some accepted word starts: those that
+        reach a good cycle, found in one pass over all states."""
+        edges = self._edges(self.transitions)
+        good = {
+            src
+            for required in _dnf(self.acceptance)
+            for scc_edges in _good_sccs(edges, required)
+            for (src, _, _, _) in scc_edges
+        }
+        preds: dict = {}
+        for (src, _, dst, _) in edges:
+            preds.setdefault(dst, []).append(src)
+        todo = list(good)
+        while todo:
+            for src in preds.get(todo.pop(), ()):
+                if src not in good:
+                    good.add(src)
+                    todo.append(src)
+        return frozenset(good)
+
     def has_nonempty_residual(self, state) -> bool:
-        return self.witness_from(state) is not None
+        """Whether some accepted word starts at ``state``."""
+        return state in self.live
 
     def extensions(self, prefix: FiniteWord, depth: int):
         """Yields ``(word, state)`` for ``prefix`` and for each extension
         of it by at most ``depth`` letters that an accepted infinite
         word still extends, depth first with children in ``str`` order;
         ``state`` is the one the automaton reaches on ``word``.  Yields
-        nothing when no accepted word extends ``prefix``, and raises
-        ResourceBoundError when words could grow longer than 12."""
+        nothing when no accepted word extends ``prefix``; raises
+        ValueError for a negative depth and ResourceBoundError when
+        words could grow longer than 12."""
+        if depth < 0:
+            raise ValueError("extension depth %d is negative" % depth)
         limit = len(prefix) + depth
         if limit > 12:
             raise ResourceBoundError(
                 "prefix enumeration depth %d exceeds bound 12" % limit
             )
-        live: dict = {}
-
-        def alive(state) -> bool:
-            if state not in live:
-                live[state] = self.has_nonempty_residual(state)
-            return live[state]
-
+        live = self.live
         state = self.initial
         for a in prefix:
             if a not in self.alphabet:
                 return
             state, _ = self.step(state, a)
-        todo = [(prefix, state)] if alive(state) else []
+        todo = [(prefix, state)] if state in live else []
         backwards = sorted(self.alphabet, key=str, reverse=True)
         while todo:
             word, state = todo.pop()
@@ -231,7 +244,7 @@ class AdversaryAutomaton:
                 row = self.transitions[state]
                 for a in backwards:  # pushed last, popped first
                     nxt = row[a][0]
-                    if alive(nxt):
+                    if nxt in live:
                         todo.append((FiniteWord(word.letters + (a,)), nxt))
 
     def prefixes(self, r: int) -> set[FiniteWord]:
@@ -254,6 +267,15 @@ class AdversaryAutomaton:
                     seen[nxt] = None
                     todo.append(nxt)
         return seen
+
+    def _edges(self, states) -> list:
+        """``(src, letter, dst, colors)`` for every transition out of
+        ``states``, in their order."""
+        return [
+            (st, a, *self.transitions[st][a])
+            for st in states
+            for a in self.alphabet
+        ]
 
     @staticmethod
     def _edge_map(edges):
@@ -343,15 +365,22 @@ def _letter_path(edge_map, src, dst) -> list:
     raise AssertionError("no path between states of one component")
 
 
-def _good_cycle(edges, required: frozenset[int]):
-    """A closed walk whose per-track max color is even for every
-    required track, or None.  SCC decomposition with iterated removal
-    of forced-odd maximal colors."""
+def _good_sccs(edges, required: frozenset[int]):
+    """Yields the edge sets of the sub-SCCs of ``edges`` whose per-track
+    max color is even on every required track, depth first.  Each SCC
+    is filtered recursively: a good cycle must avoid the maximal edges
+    of every track whose maximum is odd, since using one would make that
+    track's max on the cycle odd."""
     for scc_edges in _edge_sccs(edges):
-        result = _good_cycle_in_scc(scc_edges, required)
-        if result is not None:
-            return result
-    return None
+        maxima = {t: max(e[3][t] for e in scc_edges) for t in required}
+        odd = [t for t, m in maxima.items() if m % 2 == 1]
+        if not odd:
+            yield scc_edges
+            continue
+        pruned = [
+            e for e in scc_edges if all(e[3][t] < maxima[t] for t in odd)
+        ]
+        yield from _good_sccs(pruned, required)
 
 
 def _edge_sccs(edges):
@@ -410,26 +439,6 @@ def _edge_sccs(edges):
         if comp_of[src] == comp_of[dst]:
             groups.setdefault(comp_of[src], []).append(e)
     return list(groups.values())
-
-
-def _good_cycle_in_scc(scc_edges, required: frozenset[int]):
-    """Recursive color filtering inside one SCC's edge set."""
-    if not scc_edges:
-        return None
-    maxima = {t: max(e[3][t] for e in scc_edges) for t in required}
-    odd = [t for t, m in maxima.items() if m % 2 == 1]
-    if not odd:
-        return _closed_walk(scc_edges)
-    # a suitable cycle must avoid the maximal odd-colored edges, since
-    # using one would make that track's max on the cycle odd
-    pruned = [
-        e for e in scc_edges if all(e[3][t] < maxima[t] for t in odd)
-    ]
-    for sub in _edge_sccs(pruned):
-        found = _good_cycle_in_scc(sub, required)
-        if found is not None:
-            return found
-    return None
 
 
 def _closed_walk(scc_edges):
@@ -881,6 +890,8 @@ def fairness_automaton() -> AdversaryAutomaton:
 _LETTER_TOKENS = tuple(a.value for a in Letter)
 #: every token a finite regex may contain
 _REGEX_TOKENS = frozenset(_LETTER_TOKENS + ("|", "*", "(", ")"))
+#: one token (a symbol or a word), whitespace, or any other character
+_TOKEN = re.compile(r"(\^w|[{}()|,.*\\]|\w+)|\s+|(.)")
 
 
 class _DslParser:
@@ -913,28 +924,14 @@ class _DslParser:
     @staticmethod
     def _lex(text: str) -> list[str]:
         out = []
-        i = 0
-        symbols = ("^w", "{", "}", "(", ")", "|", ",", ".", "*", "\\")
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            for sym in symbols:
-                if text.startswith(sym, i):
-                    out.append(sym)
-                    i += len(sym)
-                    break
-            else:
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                if j == i:
-                    raise ParseError(
-                        "unexpected character %r at %d" % (ch, i)
-                    )
-                out.append(text[i:j])
-                i = j
+        for m in _TOKEN.finditer(text):
+            tok, bad = m.groups()
+            if bad is not None:
+                raise ParseError(
+                    "unexpected character %r at %d" % (bad, m.start())
+                )
+            if tok is not None:
+                out.append(tok)
         return out
 
     def peek(self, ahead: int = 0):

@@ -168,23 +168,14 @@ def special_pair_product(c: AdversaryAutomaton) -> AdversaryAutomaton:
             return sink, sink_colors
         (q1, q2, d, p) = state
         a, a2 = pair
-        if d == 0:
-            if a is not a2:
-                s = 1 if p == 0 else -1
-                if s * (a2.mu - a.mu) != 1:
-                    return sink, sink_colors
-                d = 1
-        else:
-            # d == +1: stays only when both read the letter that moves
-            # the even-side word outward (LW at even lower parity, LB
-            # at odd)
-            keep = Letter.LW if p == 0 else Letter.LB
-            if not (a is keep and a2 is keep):
-                return sink, sink_colors
+        moved = _pair_step(d, p, a, a2)
+        if moved is None:
+            return sink, sink_colors
+        d, p = moved
         n1, c1 = c.transitions[q1][a]
         n2, c2 = c.transitions[q2][a2]
         sep = 0 if d == 1 else 1
-        return (n1, n2, d, (p + a.mu + 1) % 2), c1 + c2 + (sep,)
+        return (n1, n2, d, p), c1 + c2 + (sep,)
 
     trans = adv._explore(init, pair_alphabet, step)
     n = c.num_tracks
@@ -198,6 +189,25 @@ def special_pair_product(c: AdversaryAutomaton) -> AdversaryAutomaton:
     return AdversaryAutomaton(
         pair_alphabet, init, trans, 2 * n + 1, acc, None
     )
+
+
+def _pair_step(d: int, p: int, a: Letter, a2: Letter):
+    """The pair machine's index bookkeeping on reading ``(a, a2)``: the
+    next clipped difference d and parity p, or None for the sink.  The
+    automaton components never affect either."""
+    if d == 0:
+        if a is not a2:
+            s = 1 if p == 0 else -1
+            if s * (a2.mu - a.mu) != 1:
+                return None
+            d = 1
+    else:
+        # d == +1: stays only when both read the letter that moves the
+        # even-side word outward (LW at even lower parity, LB at odd)
+        keep = Letter.LW if p == 0 else Letter.LB
+        if not (a is keep and a2 is keep):
+            return None
+    return d, (p + a.mu + 1) % 2
 
 
 def _sink_colors(c: AdversaryAutomaton):
@@ -218,14 +228,18 @@ def pair_machine_difference(c: AdversaryAutomaton, v: FiniteWord,
                             v2: FiniteWord) -> Optional[int]:
     """Clipped difference tracked by the pair machine after reading
     (v, v2) letterwise; None when the machine is in the reject sink.
-    Exposed for validation against brute-force index arithmetic."""
-    machine = special_pair_product(c)
-    state = machine.initial
+    The components run on ``c`` never affect it, so ``c`` only has to
+    be over GAMMA.  Exposed for validation against brute-force index
+    arithmetic."""
+    if c.alphabet != GAMMA:
+        raise ValueError("pair machine requires a GAMMA automaton")
+    d, p = 0, 0
     for a, a2 in zip(v.letters, v2.letters):
-        state, _ = machine.step(state, (a, a2))
-    if state == "sink":
-        return None
-    return state[2]
+        moved = _pair_step(d, p, a, a2)
+        if moved is None:
+            return None
+        d, p = moved
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +249,28 @@ def pair_machine_difference(c: AdversaryAutomaton, v: FiniteWord,
 def round_lower_bound(l: AdversaryAutomaton, rmax: int = 8) -> int:
     """Largest r <= rmax with every length-r word of GAMMA^w a prefix
     of l; consensus on l then needs more than r rounds.  0 when even
-    r = 1 fails."""
+    r = 1 fails.
+
+    Pref_r(l) = GAMMA^r iff every state reached by a length-r word is
+    live.  The layers of states reached in exactly r steps are each a
+    function of the previous one, so once a layer repeats, every later
+    layer is one already found live and the answer is rmax."""
     if l.alphabet != GAMMA:
         raise ValueError("round bound requires a GAMMA automaton")
-    best = 0
+    if rmax < 1:
+        raise ValueError("rmax %d is below 1" % rmax)
+    layer = frozenset([l.initial])
+    seen = {layer}
     for r in range(1, rmax + 1):
-        if len(l.prefixes(r)) == 3**r:
-            best = r
-        else:
-            break
-    return best
+        layer = frozenset(
+            l.transitions[q][a][0] for q in layer for a in GAMMA
+        )
+        if not layer <= l.live:
+            return r - 1
+        if layer in seen:
+            return rmax
+        seen.add(layer)
+    return rmax
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ class TerminatingSubdivision:
         for w, state in self._frontier:
             for letter in GAMMA:
                 nxt, _ = a.step(state, letter)
-                if not a.has_nonempty_residual(nxt):
+                if nxt not in a.live:
                     continue
                 child = w + FiniteWord.of(letter)
                 lo = Fraction(ind(child), 3**k)
@@ -364,7 +364,7 @@ def build_terminating_subdivision(a: AdversaryAutomaton, z,
     z = Fraction(z)
     if not 0 <= z <= 1:
         raise ValueError("gap point must lie in [0, 1]")
-    if not a.has_nonempty_residual(a.initial):
+    if a.initial not in a.live:
         raise ValueError("empty adversary has no subdivision")
     ts = TerminatingSubdivision(a, z)
     ts.levels[0] = ()
@@ -548,6 +548,8 @@ def contrex(depth: int = 6) -> Complex:
     level 1 contributes [0,1/3] and [2/3,1]; level r >= 2 contributes
     the two cells ending at 2/3 - 1/3^r, creeping up to 2/3 from the
     left without ever reaching it."""
+    if depth < 1:
+        raise ValueError("contrex depth %d is below 1" % depth)
     edges = [
         word_to_edge(FiniteWord.of(Letter.LB), level=1),
         word_to_edge(FiniteWord.of(Letter.LW), level=1),

@@ -122,3 +122,23 @@ class DslTexts:
             else:
                 toks[i:i + 2] = toks[i:i + 2][::-1]
         return toks
+
+
+def random_automata(seed: int, n: int):
+    """``n`` seeded automata: differences of 1-6 random GAMMA lassos
+    alternating with adversaries built from the DSL grammar over OK, LW
+    and LB (unions, regex prefixes, lassos, built-in names)."""
+    rng = random.Random(seed)
+    texts = DslTexts(rng, letters=("OK", "LW", "LB"))
+    out = []
+    while len(out) < n:
+        if len(out) % 2 == 0:
+            lassos = tuple(
+                random_gamma_lasso(rng) for _ in range(rng.randint(1, 6)))
+            out.append(adv.compile_expr(adv.DifferenceFromFull(GAMMA, lassos)))
+            continue
+        try:
+            out.append(adv.load(texts.text(0)))
+        except ValueError:  # a ParseError or CompileError
+            pass
+    return out

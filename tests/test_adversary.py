@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from conftest import random_gamma_lasso
+from conftest import random_automata, random_gamma_lasso
 from twogen import adversary as adv
 from twogen import oracle
 from twogen.adversary import CompileError, ResourceBoundError
@@ -171,6 +172,40 @@ def test_prefix_monotone(builtins):
 def test_prefix_resource_bound(builtins):
     with pytest.raises(ResourceBoundError):
         builtins["R1"].prefixes(13)
+
+
+def _live_cases(builtins):
+    for a in list(builtins.values()) + random_automata(41, 120):
+        comp = adv.complement(a)
+        yield from (a, comp)
+        if a.alphabet == GAMMA:
+            yield adv.intersect(comp, adv.fairness_automaton())
+            yield oracle.special_pair_product(comp)
+            yield oracle.special_pair_product(a)
+
+
+def test_live_states_match_per_state_emptiness(builtins):
+    """``live`` is the set of states from which emptiness finds a
+    witness, on built-ins, random differences and unions, their
+    complements, fairness products and special-pair products."""
+    n = 0
+    for a in _live_cases(builtins):
+        want = {
+            q for q in a.transitions
+            if dataclasses.replace(a, initial=q).is_empty() is not None
+        }
+        assert a.live == want, a.source
+        assert all(a.has_nonempty_residual(q) == (q in want)
+                   for q in a.transitions)
+        n += 1
+    assert n > 500
+
+
+def test_negative_extension_depth(builtins):
+    with pytest.raises(ValueError):
+        list(builtins["R1"].extensions(FiniteWord(), -1))
+    with pytest.raises(ValueError):
+        builtins["C1"].prefixes(-2)
 
 
 def test_fairness_automaton():

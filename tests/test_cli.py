@@ -80,6 +80,26 @@ def test_adv_lowerbound(capsys):
     assert check_schema(out)["rounds"] == 1
 
 
+def test_adv_lowerbound_past_twelve_rounds(capsys):
+    rc, out, _ = run(capsys, "adv", "lowerbound", "R1", "--rmax", "13")
+    assert rc == 0
+    assert check_schema(out) == {"rounds": 13, "rmax": 13}
+
+
+@pytest.mark.parametrize("argv", [
+    ["adv", "lowerbound", "R1", "--rmax", "0"],
+    ["adv", "lowerbound", "C1", "--rmax", "-1"],
+    ["topo", "contrex", "--depth", "0"],
+    ["topo", "contrex", "--depth", "-2"],
+    ["sim", "verify", "--adversary", "C1", "--depth", "-1"],
+    ["bivalency", "explore", "--adversary", "C1", "--depth", "-1"],
+])
+def test_bad_depths_are_domain_errors(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("domain:")
+
+
 def test_sim_run(capsys):
     rc, out, _ = run(
         capsys, "sim", "run", "--adversary", "C1",

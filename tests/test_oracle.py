@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_words, random_gamma_lasso
+from conftest import all_words, random_automata, random_gamma_lasso
 from twogen import adversary as adv
 from twogen import oracle
 from twogen.indexfn import ind, ind_limit, is_special_pair
@@ -105,6 +105,49 @@ def test_round_lower_bounds(builtins, name, bound):
 
 def test_round_lower_bound_full(builtins):
     assert round_lower_bound(builtins["R1"], rmax=5) == 5
+    # no depth bound: the layer walk stops at the first repeated layer
+    assert round_lower_bound(builtins["R1"], rmax=13) == 13
+    assert round_lower_bound(builtins["R1"], rmax=10**6) == 10**6
+
+
+@pytest.mark.parametrize("rmax", [0, -1])
+def test_round_lower_bound_rejects_rmax_below_one(builtins, rmax):
+    with pytest.raises(ValueError):
+        round_lower_bound(builtins["R1"], rmax=rmax)
+
+
+def _bound_cases(builtins):
+    """Built-ins, random differences and DSL adversaries, unions of
+    "any k letters, then a tail set" terms, and complements."""
+    rng = random.Random(47)
+    out = [builtins[n] for n in adv.BUILTIN_NAMES if n != "S2"]
+    out += random_automata(43, 24)
+    for _ in range(60):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.randint(1, 7)
+            tail = rng.sample(("OK", "LW", "LB"), rng.randint(1, 2))
+            terms.append("%s . {%s}^w" % (
+                " ".join(["(OK|LW|LB)"] * k), ",".join(tail)))
+        out.append(adv.load(" | ".join(terms)))
+    out += [adv.complement(a) for a in out[:40]]
+    return [a for a in out if a.alphabet == GAMMA]
+
+
+def test_round_lower_bound_matches_prefix_enumeration(builtins):
+    """The layer walk against counting prefixes word by word."""
+    seen = set()
+    for a in _bound_cases(builtins):
+        enumerated = 0
+        for r in range(1, 9):
+            if len(a.prefixes(r)) != 3**r:
+                break
+            enumerated = r
+        for rmax in range(1, 9):
+            assert round_lower_bound(a, rmax) == min(enumerated, rmax), (
+                a.source, rmax)
+        seen.add(enumerated)
+    assert seen == set(range(9)), seen
 
 
 def test_pair_machine_matches_brute_force(builtins):

@@ -7,9 +7,9 @@ import random
 import pytest
 
 from conftest import DslTexts
-from dsl_reference import reference_parse
+from dsl_reference import ReferenceParser, reference_parse
 from twogen.adversary import (Concat, LassoExpr, OmegaPower, RegexUnion,
-                              parse_adversary)
+                              _DslParser, parse_adversary)
 from twogen.words import ParseError
 
 
@@ -69,3 +69,18 @@ def test_term_readings():
                 "(" * 2000 + "OK" + ")" * 2000):
         with pytest.raises(ParseError):
             parse_adversary(bad)
+
+
+def test_lexer_matches_reference_on_every_character():
+    """Each code point below U+3000, alone, doubled and between
+    letters, lexes to the same tokens or the same error message."""
+    def lexed(lex, text):
+        try:
+            return lex(text)
+        except ParseError as e:
+            return str(e)
+
+    for cp in range(0x3000):
+        for text in (chr(cp), chr(cp) * 2, "OK%sLW" % chr(cp)):
+            assert lexed(_DslParser._lex, text) == lexed(
+                ReferenceParser._lex, text), hex(cp)
