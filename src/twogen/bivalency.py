@@ -8,10 +8,11 @@ off with a tail set, so an Undetermined verdict only signals bound
 exhaustion, never a theorem.
 
 One depth-first walk over the live extensions of a prefix
-(``AdversaryAutomaton.extensions``) simulates each completion once and
-collects, for every word it passes, the decisions reached below that
-word.  ``valency`` reads the root of this map; ``explore`` builds its
-tree from the whole map, and ``find_decisive`` walks that tree.
+(``protocol._walk``) runs each distinct completion once, from the
+configuration of the word it completes, and collects, for every word
+it passes, the decisions reached below that word.  ``valency`` reads
+the root of this map; ``explore`` builds its tree from the whole map,
+and ``find_decisive`` walks that tree.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .adversary import AdversaryAutomaton
-from .protocol import Algorithm, DEFAULT_TAILS, simulate
+from .protocol import Algorithm, DEFAULT_TAILS, _resume, _walk
 from .words import FiniteWord, LassoWord
 
 
@@ -51,18 +52,21 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
         raise ValueError(
             "prefix %r is not a prefix of the adversary" % str(prefix))
     below: dict = {}
-    runs: dict = {}  # each distinct scenario is simulated once
-    for word, _ in a.extensions(prefix, depth):
+    runs: dict = {}  # each distinct scenario is run once
+    for word, configs in _walk(algorithm, a, prefix, depth, (inputs,),
+                               budget):
         found = below[word] = set()
         for tail in tails:
             lasso = LassoWord(word + tail.stem, tail.cycle)
             if lasso not in runs:
                 runs[lasso] = set()
                 if a.contains(lasso):
-                    t = simulate(algorithm, lasso, inputs, budget)
+                    white, black = _resume(algorithm, configs[0], lasso,
+                                           inputs, len(word), budget)
                     # an agreement violation makes valency meaningless;
                     # both values surface it as bivalence of the prefix
-                    runs[lasso] = (set(t.decisions) if t.both_halted()
+                    runs[lasso] = ({white.decided, black.decided}
+                                   if white.halted and black.halted
                                    else {None})
             found |= runs[lasso]
     # the walk is depth first, so every word comes after its parent
@@ -89,8 +93,8 @@ def valency(algorithm: Algorithm, a: AdversaryAutomaton,
     """Valency of ``prefix`` for the given inputs, over completions of
     the prefix inside the adversary bounded by ``depth``."""
     budget = max_rounds if max_rounds is not None else len(prefix) + depth + 40
-    below = _decisions_below(algorithm, a, prefix, inputs, depth, tails,
-                             budget)
+    below = _decisions_below(algorithm, a, prefix, inputs, depth,
+                             tuple(tails), budget)
     return _valency_of(below[prefix])
 
 
@@ -113,7 +117,7 @@ def explore(algorithm: Algorithm, a: AdversaryAutomaton, inputs: tuple,
             ) -> ExplorationNode:
     """Valency tree over Pref(a) up to ``depth`` letters."""
     below = _decisions_below(algorithm, a, FiniteWord(), inputs, depth,
-                             tails, depth + 40)
+                             tuple(tails), depth + 40)
     letters = sorted(a.alphabet, key=str)
 
     def node(prefix: FiniteWord) -> ExplorationNode:
@@ -147,6 +151,7 @@ def find_decisive(algorithm: Algorithm, a: AdversaryAutomaton,
     """Breadth-first search for decisive prefixes: bivalent words all
     of whose one-letter extensions inside the adversary are univalent.
     Candidates with an Undetermined child are reported separately."""
+    tails = tuple(tails)
     decisive = []
     inconclusive = []
     level = [explore(algorithm, a, inputs, depth, tails)]

@@ -15,6 +15,8 @@ sides.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
@@ -76,14 +78,15 @@ class IndexGuardAlgorithm(Algorithm):
         if not w.is_gamma():
             raise ValueError("the forbidden scenario must avoid LL")
         self.w = w
-
+        self._targets = [0]  # ind(w|_r) at index r
 
     def target_index(self, r: int) -> int:
-        # incremental per round in the simulator; direct here
-        i = 0
-        for k in range(r):
-            i = ind_step(i, self.w.letter_at(k))
-        return i
+        """ind(w|_r), read from a list extended on demand."""
+        targets = self._targets
+        while len(targets) <= r:
+            targets.append(ind_step(targets[-1],
+                                    self.w.letter_at(len(targets) - 1)))
+        return targets[r]
 
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         target = self.target_index(s.round)
@@ -178,21 +181,35 @@ def _delivered(letter: Letter, sender: ProcessId) -> bool:
     return sender is not BLACK  # LB drops black's message
 
 
-def simulate(algorithm: Algorithm, scenario: LassoWord,
-             inputs: tuple, max_rounds: int = 64) -> Transcript:
-    """Runs both processes under the scenario until both halt or the
-    round budget runs out (reported, not raised)."""
-    white = algorithm.start(WHITE, inputs[0])
-    black = algorithm.start(BLACK, inputs[1])
-    t = Transcript(scenario, tuple(inputs))
-    for r in range(max_rounds):
-        if not white.halted:
-            white = algorithm.maybe_halt(white)
-        if not black.halted:
-            black = algorithm.maybe_halt(black)
+def _start(algorithm: Algorithm, inputs: tuple) -> tuple:
+    """The configuration (white, black) before the first round."""
+    return (algorithm.start(WHITE, inputs[0]),
+            algorithm.start(BLACK, inputs[1]))
+
+
+def _halt_checks(algorithm: Algorithm, config: tuple) -> tuple:
+    """``config`` after the halt checks at the top of a round."""
+    white, black = config
+    if not white.halted:
+        white = algorithm.maybe_halt(white)
+    if not black.halted:
+        black = algorithm.maybe_halt(black)
+    return white, black
+
+
+def _run(algorithm: Algorithm, config: tuple, letters: Iterable[Letter],
+         rounds: Optional[list] = None) -> tuple:
+    """Plays one round per letter from ``config``, whose round's halt
+    checks are done, and returns the configuration after the last
+    exchange.  Every later round starts with its halt checks, and the
+    run ends once both processes have halted.  Exchanged rounds are
+    appended to ``rounds`` if given."""
+    white, black = config
+    for i, letter in enumerate(letters):
+        if i:
+            white, black = _halt_checks(algorithm, (white, black))
         if white.halted and black.halted:
             break
-        letter = scenario.letter_at(r)
         msg_w = Message(white.init, white.ind) if not white.halted else None
         msg_b = Message(black.init, black.ind) if not black.halted else None
         to_black = msg_w if _delivered(letter, WHITE) else None
@@ -201,10 +218,65 @@ def simulate(algorithm: Algorithm, scenario: LassoWord,
             white = algorithm.receive(white, to_white)
         if not black.halted:
             black = algorithm.receive(black, to_black)
-        t.rounds.append((letter, white, black))
-    else:
-        t.exhausted = not (white.halted and black.halted)
-    t.white, t.black = white, black
+        if rounds is not None:
+            rounds.append((letter, white, black))
+    return white, black
+
+
+def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
+          depth: int, vectors: tuple, budget: int):
+    """Yields ``(word, configs)`` along ``a.extensions(prefix, depth)``,
+    with per input vector the configuration at the top of round
+    ``len(word)`` after its halt checks, one round on from the
+    parent's: runs sharing a prefix share its rounds.  Each is None
+    where ``len(word) >= budget``, as those halt checks would lie past
+    the budget.  Only the current word's ancestors are kept."""
+
+    def step(config, letter):
+        return _halt_checks(algorithm, _run(algorithm, config, (letter,)))
+
+    path = []  # path[k]: configs after len(prefix) + k rounds
+    for word, _ in a.extensions(prefix, depth):
+        k = len(word) - len(prefix)
+        del path[k:]
+        if len(word) >= budget:
+            configs = [None] * len(vectors)
+        elif k:
+            configs = [step(c, word.letters[-1]) for c in path[-1]]
+        else:
+            configs = [
+                functools.reduce(step, word.letters, _halt_checks(
+                    algorithm, _start(algorithm, inputs)))
+                for inputs in vectors]
+        path.append(configs)
+        yield word, configs
+
+
+def _resume(algorithm: Algorithm, config: Optional[tuple],
+            scenario: LassoWord, inputs: tuple, start: int,
+            budget: int) -> tuple:
+    """Where ``simulate(algorithm, scenario, inputs, budget)`` ends,
+    from ``_walk``'s configuration after ``start`` letters of
+    ``scenario``, or from round 0 if it has none."""
+    if config is None:
+        t = simulate(algorithm, scenario, inputs, budget)
+        return t.white, t.black
+    letters = itertools.islice(scenario.letters(), start, budget)
+    return _run(algorithm, config, letters)
+
+
+def simulate(algorithm: Algorithm, scenario: LassoWord,
+             inputs: tuple, max_rounds: int = 64) -> Transcript:
+    """Runs both processes under the scenario until both halt or the
+    round budget runs out (reported, not raised)."""
+    t = Transcript(scenario, tuple(inputs))
+    config = _start(algorithm, inputs)
+    if max_rounds > 0:  # the first round's halt checks, if it is budgeted
+        config = _halt_checks(algorithm, config)
+    t.white, t.black = _run(algorithm, config,
+                            itertools.islice(scenario.letters(), max_rounds),
+                            t.rounds)
+    t.exhausted = not t.both_halted()
     return t
 
 
@@ -258,6 +330,7 @@ def completions(a: AdversaryAutomaton, depth: int,
                 tails: Iterable[LassoWord] = DEFAULT_TAILS):
     """All lassos prefix.tail with prefix in Pref_depth(a) that remain
     inside the adversary, deduplicated canonically."""
+    tails = tuple(tails)
     seen = set()
     for prefix in sorted(a.prefixes(depth), key=str):
         for tail in tails:
@@ -273,34 +346,47 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton, depth: int = 4,
            tails: Iterable[LassoWord] = DEFAULT_TAILS) -> Report:
     """Checks Agreement, Validity and Termination over every scenario
     obtained by completing the adversary's depth-prefixes with the
-    given tails, across all four input vectors, each run for at most
-    depth + 40 rounds."""
+    given tails (the scenarios of ``completions``, in its order),
+    across all four input vectors, each run for at most depth + 40
+    rounds; each run resumes from its prefix's configuration."""
     if depth > 10:
         raise ResourceBoundError(
             "verification depth %d exceeds bound 10" % depth
         )
+    tails = tuple(tails)
     budget = depth + 40
     checked = 0
     violations = []
-    for scenario in completions(a, depth, tails):
-        for inputs in INPUT_VECTORS:
-            checked += 1
-            t = simulate(algorithm, scenario, inputs, budget)
-            dw, db = t.decisions
-            if not t.both_halted():
-                violations.append(Violation(
-                    "termination", scenario, inputs,
-                    "undecided after %d rounds" % budget,
-                ))
+    for word, configs in _walk(algorithm, a, FiniteWord(), depth,
+                               INPUT_VECTORS, budget):
+        n = len(word)
+        if n < depth:
+            continue
+        # prefixes all have length depth, so only a repeated tail can
+        # repeat a scenario
+        for scenario in dict.fromkeys(
+                LassoWord(word + tail.stem, tail.cycle) for tail in tails):
+            if not a.contains(scenario):
                 continue
-            if dw != db:
-                violations.append(Violation(
-                    "agreement", scenario, inputs,
-                    "white decided %s, black decided %s" % (dw, db),
-                ))
-            if inputs[0] == inputs[1] and dw != inputs[0]:
-                violations.append(Violation(
-                    "validity", scenario, inputs,
-                    "unanimous %d but white decided %s" % (inputs[0], dw),
-                ))
+            for inputs, config in zip(INPUT_VECTORS, configs):
+                checked += 1
+                white, black = _resume(algorithm, config, scenario,
+                                       inputs, n, budget)
+                dw, db = white.decided, black.decided
+                if not (white.halted and black.halted):
+                    violations.append(Violation(
+                        "termination", scenario, inputs,
+                        "undecided after %d rounds" % budget,
+                    ))
+                    continue
+                if dw != db:
+                    violations.append(Violation(
+                        "agreement", scenario, inputs,
+                        "white decided %s, black decided %s" % (dw, db),
+                    ))
+                if inputs[0] == inputs[1] and dw != inputs[0]:
+                    violations.append(Violation(
+                        "validity", scenario, inputs,
+                        "unanimous %d but white decided %s" % (inputs[0], dw),
+                    ))
     return Report(checked, violations)

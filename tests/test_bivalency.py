@@ -261,17 +261,25 @@ def test_walk_matches_reenumeration(text, w):
 
 
 def test_walk_matches_reenumeration_with_odd_tails():
-    """Duplicate tails, a tail with a stem, and a short round budget."""
+    """Duplicate tails, a tail with a stem, and round budgets that end
+    before, at and after the words the walk passes."""
     tails = DEFAULT_TAILS + DEFAULT_TAILS[:1] + (parse_lasso("LW ( OK )^w"),)
+    depth = 2
     for text, w in ((FAIR, "LW LB ( OK )^w"), ("C1", "( LB )^w")):
         a = adv.load(text)
         m = _Memo(a)
+        for algo in (IndexGuardAlgorithm(parse_lasso(w)), OwnInputAlgorithm()):
+            for prefix in [p for n in range(3)
+                           for p in sorted(a.prefixes(n), key=str)]:
+                n = len(prefix)
+                kws = [{"tails": tails}] + [
+                    {"max_rounds": r} for r in (0, 1, n, n + 1, n + depth)]
+                for inputs in INPUT_VECTORS:
+                    for kw in kws:
+                        assert valency(algo, a, prefix, inputs, depth, **kw) \
+                            is _ref_valency(algo, m, prefix, inputs, depth,
+                                            **kw), (prefix, inputs, kw)
         algo = IndexGuardAlgorithm(parse_lasso(w))
-        for prefix in sorted(a.prefixes(1), key=str):
-            for inputs in INPUT_VECTORS:
-                for kw in ({"tails": tails}, {"max_rounds": 3}):
-                    assert valency(algo, a, prefix, inputs, 2, **kw) is \
-                        _ref_valency(algo, m, prefix, inputs, 2, **kw)
         for depth in range(3):
             assert explore(algo, a, (0, 1), depth, tails).to_dict() == \
                 _ref_explore(algo, m, (0, 1), depth, tails).to_dict()
@@ -291,3 +299,28 @@ def test_valency_error_order(builtins):
         valency(algo, r1, parse_word("LB LB"), (0, 1), 11)
     with pytest.raises(adv.ResourceBoundError):
         explore(algo, r1, (0, 1), 13)
+
+
+def test_budget_ends_before_a_halt_at_its_last_round(builtins):
+    """Own-input halts at the top of round 1, past a one-round budget."""
+    algo = OwnInputAlgorithm()
+    for prefix in (FiniteWord(), parse_word("OK"), parse_word("OK LW")):
+        assert valency(algo, builtins["C1"], prefix, (0, 0), 2,
+                       max_rounds=1) is Valency.UNDETERMINED
+        assert valency(algo, builtins["C1"], prefix, (0, 0), 2,
+                       max_rounds=2) is Valency.ZERO_VALENT
+
+
+def test_generator_tails_are_not_used_up():
+    """find_decisive looks past the tree's last level, where the
+    prefixes of the excluded word are still bivalent."""
+    a, algo = _setup(FAIR, "LW LB ( OK )^w")
+    for inputs in ((0, 1), (1, 1)):
+        assert valency(algo, a, FiniteWord(), inputs, 3,
+                       iter(DEFAULT_TAILS)) is \
+            valency(algo, a, FiniteWord(), inputs, 3)
+        assert explore(algo, a, inputs, 3, iter(DEFAULT_TAILS)).to_dict() \
+            == explore(algo, a, inputs, 3).to_dict()
+        assert find_decisive(algo, a, inputs, 3,
+                             iter(DEFAULT_TAILS)).to_json() == \
+            find_decisive(algo, a, inputs, 3).to_json()

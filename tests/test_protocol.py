@@ -1,19 +1,23 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from conftest import all_words
+from conftest import all_words, random_gamma_lasso
 from twogen import adversary as adv
+from twogen import topology as topo
 from twogen.adversary import ResourceBoundError
-from twogen.indexfn import BLACK, WHITE, ind
+from twogen.indexfn import BLACK, WHITE, ind, ind_limit
 from twogen.oracle import classify, select_forbidden_scenario
-from twogen.protocol import (DEFAULT_TAILS, IndexGuardAlgorithm, Message,
-                             OwnInputAlgorithm, _delivered, completions,
-                             simulate, verify)
+from twogen.protocol import (DEFAULT_TAILS, INPUT_VECTORS,
+                             IndexGuardAlgorithm, Message,
+                             OwnInputAlgorithm, Report, Violation,
+                             _delivered, completions, simulate, verify)
 from twogen.words import FiniteWord, GAMMA, LassoWord, Letter, parse_lasso
 
 
@@ -172,3 +176,158 @@ except AssertionError as e:
         "incomplete: automaton not complete",
         "initother: decided on an absent initother",
     ]
+
+
+def test_simulate_checks_no_halt_after_its_last_round():
+    """Own-input halts at the top of round 1, so one round is not enough."""
+    t = simulate(OwnInputAlgorithm(), L("( OK )^w"), (0, 1), max_rounds=1)
+    assert not t.white.halted and not t.black.halted
+    assert t.exhausted and len(t.rounds) == 1
+    t = simulate(OwnInputAlgorithm(), L("( OK )^w"), (0, 1), max_rounds=2)
+    assert t.both_halted() and not t.exhausted and len(t.rounds) == 1
+
+
+def test_target_index_in_any_order():
+    w = L("LW LB ( OK LW LB )^w")
+    algo = IndexGuardAlgorithm(w)
+    for r in (7, 0, 30, 3, 31, 12, 0):
+        assert algo.target_index(r) == ind(w.prefix(r))
+
+
+def test_generator_tails_are_not_used_up(builtins):
+    c1 = builtins["C1"]
+    listed = list(completions(c1, 3))
+    assert len(listed) == 9
+    assert list(completions(c1, 3, iter(DEFAULT_TAILS))) == listed
+    algo = OwnInputAlgorithm()
+    want = verify(algo, c1, 3)
+    assert want.checked == 36
+    assert verify(algo, c1, 3, iter(DEFAULT_TAILS)).to_json() == \
+        want.to_json()
+
+
+# -- reference: verify as one simulation per scenario from round 0 -------
+
+
+def _ref_verify(algorithm, a, depth, tails=DEFAULT_TAILS):
+    budget = depth + 40
+    checked = 0
+    violations = []
+    for scenario in completions(a, depth, tails):
+        for inputs in INPUT_VECTORS:
+            checked += 1
+            t = simulate(algorithm, scenario, inputs, budget)
+            dw, db = t.decisions
+            if not t.both_halted():
+                violations.append(Violation(
+                    "termination", scenario, inputs,
+                    "undecided after %d rounds" % budget,
+                ))
+                continue
+            if dw != db:
+                violations.append(Violation(
+                    "agreement", scenario, inputs,
+                    "white decided %s, black decided %s" % (dw, db),
+                ))
+            if inputs[0] == inputs[1] and dw != inputs[0]:
+                violations.append(Violation(
+                    "validity", scenario, inputs,
+                    "unanimous %d but white decided %s" % (inputs[0], dw),
+                ))
+    return Report(checked, violations)
+
+
+def _assert_verify_matches(algo, a, depths, tails=DEFAULT_TAILS,
+                           ref_algo=None):
+    kinds = set()
+    for depth in depths:
+        got = verify(algo, a, depth, tails)
+        want = _ref_verify(ref_algo or algo, a, depth, tails)
+        assert got.to_json() == want.to_json(), depth
+        assert got.violations == want.violations, depth
+        kinds |= {v.kind for v in got.violations}
+    return kinds
+
+
+class _OwnInputAt(OwnInputAlgorithm):
+    """Decides its own input at the top of round ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def maybe_halt(self, s):
+        if s.round >= self.r:
+            return replace(s, decided=s.init, halted=True)
+        return s
+
+
+def test_verify_budget_ends_before_a_halt_at_its_last_round(builtins):
+    """verify runs depth + 40 rounds: a halt at the top of the next one
+    comes too late."""
+    for depth in range(3):
+        budget = depth + 40
+        late = verify(_OwnInputAt(budget), builtins["C1"], depth)
+        assert late.checked and {v.kind for v in late.violations} == \
+            {"termination"}
+        assert len(late.violations) == late.checked
+        in_time = verify(_OwnInputAt(budget - 1), builtins["C1"], depth)
+        assert {v.kind for v in in_time.violations} == {"agreement"}
+        for algo in (_OwnInputAt(budget), _OwnInputAt(budget - 1)):
+            _assert_verify_matches(algo, builtins["C1"], (depth,))
+
+
+def _verify_cases():
+    cases = list(adv.BUILTIN_NAMES)
+    rng = random.Random(7)
+    while len(cases) < len(adv.BUILTIN_NAMES) + 20:
+        lassos = [random_gamma_lasso(rng) for _ in range(rng.randint(1, 4))]
+        text = "GAMMA^w \\ { %s }" % " , ".join(map(str, lassos))
+        if text not in cases:
+            cases.append(text)
+    return cases
+
+
+@pytest.mark.parametrize("case", enumerate(_verify_cases()),
+                         ids=lambda case: case[1])
+def test_verify_matches_one_simulation_per_scenario(case):
+    """The walk gives the report, violations in order, of simulating
+    every scenario from round 0: with the oracle's w, with a w inside
+    the adversary (termination violations) and with own-input
+    (agreement violations), at depths 0-3.  One of the algorithms, in
+    turn, also goes to depth 4, and on every third case to 5 and 6 (5
+    alone for S2, whose four letters give as many words at 5 as three
+    at 6)."""
+    i, text = case
+    a = adv.load(text)
+    algos = [IndexGuardAlgorithm(L("( OK )^w")), OwnInputAlgorithm()]
+    if set(a.alphabet) == set(GAMMA) and classify(a).solvable:
+        algos.append(IndexGuardAlgorithm(
+            select_forbidden_scenario(classify(a))))
+    deep = (4,) if i % 3 else (4, 5, 6) if len(a.alphabet) == 3 else (4, 5)
+    kinds = set()
+    for j, algo in enumerate(algos):
+        depths = (*range(4), *deep) if j == i // 3 % len(algos) else range(4)
+        kinds |= _assert_verify_matches(algo, a, depths)
+    if text in ("C1", "S1", "TW"):
+        assert {"termination", "agreement"} <= kinds
+
+
+def test_verify_matches_with_odd_tails_and_aeta():
+    tails = DEFAULT_TAILS + DEFAULT_TAILS[:1] + (L("LW ( OK )^w"),)
+    for text, w in (("C1", "LB OK ( LB OK LW LB LW OK LW LB )^w"),
+                    ("TW", "( LB )^w")):
+        _assert_verify_matches(IndexGuardAlgorithm(L(w)), adv.load(text),
+                               range(4), tails)
+    # the geometric algorithm materializes deeper levels as runs reach
+    # them, in a different order for the walk and for the reference
+    for w in ("LW LB ( OK )^w", "OK LB ( LW OK )^w"):
+        a = adv.load("GAMMA^w \\ { %s }" % w)
+        z = ind_limit(L(w))
+
+        def geometric():
+            ts = topo.build_terminating_subdivision(a, z, depth=4)
+            return topo.GeometricAlgorithm(ts, topo.eta_of(ts),
+                                           topo.side_decision_map(z))
+
+        _assert_verify_matches(geometric(), a, range(4),
+                               ref_algo=geometric())
