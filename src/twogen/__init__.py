@@ -25,7 +25,7 @@ from .bivalency import Valency, explore, find_decisive, valency
 from .topology import (Complex, GeometricAlgorithm,
                        TerminatingSubdivision, abstract_components,
                        build_terminating_subdivision,
-                       chromatic_subdivision, contrex, export,
+                       chromatic_subdivision, contrex, export, index_fiber,
                        limit_connectivity, protocol_complex,
                        realization_components, word_to_edge)
 

@@ -145,10 +145,14 @@ class AdversaryAutomaton:
 
     def contains(self, l: LassoWord) -> bool:
         """Membership of an ultimately periodic word."""
+        return self.accepts_from(self.initial, l)
+
+    def accepts_from(self, state, l: LassoWord) -> bool:
+        """Whether the run on ``l`` from ``state`` is accepting: for the
+        state reached on a word u, membership of u.l."""
         for a in itertools.chain(l.stem, l.cycle):
             if a not in self.alphabet:
                 raise ValueError("letter %s not in automaton alphabet" % (a,))
-        state = self.initial
         for a in l.stem:
             state, _ = self.step(state, a)
         # iterate the cycle until the state at cycle start repeats

@@ -53,14 +53,14 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
             "prefix %r is not a prefix of the adversary" % str(prefix))
     below: dict = {}
     runs: dict = {}  # each distinct scenario is run once
-    for word, configs in _walk(algorithm, a, prefix, depth, (inputs,),
-                               budget):
+    for word, state, configs in _walk(algorithm, a, prefix, depth,
+                                      (inputs,), budget):
         found = below[word] = set()
         for tail in tails:
             lasso = LassoWord(word + tail.stem, tail.cycle)
             if lasso not in runs:
                 runs[lasso] = set()
-                if a.contains(lasso):
+                if a.accepts_from(state, tail):
                     white, black = _resume(algorithm, configs[0], lasso,
                                            inputs, len(word), budget)
                     # an agreement violation makes valency meaningless;

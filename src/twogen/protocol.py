@@ -225,8 +225,8 @@ def _run(algorithm: Algorithm, config: tuple, letters: Iterable[Letter],
 
 def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
           depth: int, vectors: tuple, budget: int):
-    """Yields ``(word, configs)`` along ``a.extensions(prefix, depth)``,
-    with per input vector the configuration at the top of round
+    """Yields ``(word, state, configs)`` along ``a.extensions(prefix,
+    depth)``, with per input vector the configuration at the top of round
     ``len(word)`` after its halt checks, one round on from the
     parent's: runs sharing a prefix share its rounds.  Each is None
     where ``len(word) >= budget``, as those halt checks would lie past
@@ -236,7 +236,7 @@ def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
         return _halt_checks(algorithm, _run(algorithm, config, (letter,)))
 
     path = []  # path[k]: configs after len(prefix) + k rounds
-    for word, _ in a.extensions(prefix, depth):
+    for word, state in a.extensions(prefix, depth):
         k = len(word) - len(prefix)
         del path[k:]
         if len(word) >= budget:
@@ -249,7 +249,7 @@ def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
                     algorithm, _start(algorithm, inputs)))
                 for inputs in vectors]
         path.append(configs)
-        yield word, configs
+        yield word, state, configs
 
 
 def _resume(algorithm: Algorithm, config: Optional[tuple],
@@ -357,17 +357,17 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton, depth: int = 4,
     budget = depth + 40
     checked = 0
     violations = []
-    for word, configs in _walk(algorithm, a, FiniteWord(), depth,
-                               INPUT_VECTORS, budget):
+    for word, state, configs in _walk(algorithm, a, FiniteWord(), depth,
+                                      INPUT_VECTORS, budget):
         n = len(word)
         if n < depth:
             continue
         # prefixes all have length depth, so only a repeated tail can
         # repeat a scenario
-        for scenario in dict.fromkeys(
-                LassoWord(word + tail.stem, tail.cycle) for tail in tails):
-            if not a.contains(scenario):
+        for tail in dict.fromkeys(tails):
+            if not a.accepts_from(state, tail):
                 continue
+            scenario = LassoWord(word + tail.stem, tail.cycle)
             for inputs, config in zip(INPUT_VECTORS, configs):
                 checked += 1
                 white, black = _resume(algorithm, config, scenario,

@@ -17,15 +17,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .adversary import AdversaryAutomaton, ResourceBoundError
+from . import adversary as adv
+from .adversary import AdversaryAutomaton, Atom, ResourceBoundError
 from .indexfn import (BLACK, WHITE, ProcessId, TernaryRational, ind,
-                      ind_limit)
+                      ind_limit, ind_step)
 from .oracle import (CornerWitness, FairWitness, SpecialPairWitness,
                      Verdict, classify)
-from .protocol import (Algorithm, DEFAULT_TAILS, ProcessState, Transcript,
-                       completions, simulate)
+from .protocol import Algorithm, ProcessState, Transcript, simulate
 from .words import FiniteWord, GAMMA, LassoWord, Letter
 
 UNIT = "unit"
@@ -269,6 +269,62 @@ def realization_components(k: Complex, closure_depth: int = 12) -> int:
 # terminating subdivisions
 
 
+#: bound on the preperiod plus the period of an index fiber's z in base 3
+FIBER_DIGITS = 65536
+
+
+def _ternary_digits(z: Fraction) -> tuple:
+    """The base-3 digits of z's fractional part through its first
+    period, and the place where that period starts; ResourceBoundError
+    when there are more than FIBER_DIGITS of them."""
+    q, loop = z.denominator, 0
+    while q % 3 == 0 and loop < FIBER_DIGITS:
+        q, loop = q // 3, loop + 1
+    period, power = 1, 3 % q
+    while power != 1 % q and loop + period <= FIBER_DIGITS:
+        power, period = 3 * power % q, period + 1
+    if loop + period > FIBER_DIGITS:
+        raise ResourceBoundError(
+            "gap point repeats in base 3 only after more than %d digits"
+            % FIBER_DIGITS)
+    digits, x = [], z.numerator % z.denominator
+    for _ in range(loop + period):
+        digit, x = divmod(3 * x, z.denominator)
+        digits.append(digit)
+    return digits, loop
+
+
+def index_fiber(z) -> AdversaryAutomaton:
+    """Safety automaton for the GAMMA scenarios with limit index z.
+
+    z lies in the cell of w|_r iff e = ind(w|_r) - floor(z 3^r) is 0,
+    or -1 where z 3^r is an integer.  A state is (e, par, pos): par is
+    floor(z 3^r) mod 2 and pos the place of the fractional part of
+    z 3^r in z's ternary digits; the pair machine's index arithmetic
+    steps all three.  Any other e sinks, on odd edges.
+    """
+    z = Fraction(z)
+    if not 0 <= z <= 1:
+        raise ValueError("gap point must lie in [0, 1]")
+    digits, loop = _ternary_digits(z)
+    exact = loop if digits[loop:] == [0] else None  # where z 3^r is integral
+
+    def step(st, a):
+        if st == "sink":
+            return "sink", (1,)
+        e, par, pos = st
+        digit = digits[pos]
+        pos = pos + 1 if pos + 1 < len(digits) else loop
+        e = ind_step(par + e, a) - 3 * par - digit
+        if e == 0 or (e == -1 and pos == exact):
+            return (e, (par + digit) % 2, pos), (0,)
+        return "sink", (1,)
+
+    init = (0, 0, 0) if z < 1 else (-1, 1, 0)
+    return AdversaryAutomaton(GAMMA, init, adv._explore(init, GAMMA, step),
+                              1, Atom(0))
+
+
 @dataclass
 class TerminatingSubdivision:
     """Stable edges appearing level by level around a gap point z.
@@ -280,6 +336,7 @@ class TerminatingSubdivision:
 
     adversary: AdversaryAutomaton
     z: Fraction
+    fiber: AdversaryAutomaton
     levels: dict = field(default_factory=dict)
     words: dict = field(default_factory=dict)
     _frontier: list = field(default_factory=list)
@@ -292,39 +349,26 @@ class TerminatingSubdivision:
 
     def _grow(self):
         k = self._depth + 1
-        a = self.adversary
+        a, fiber = self.adversary, self.fiber
         stable_words = []
         frontier = []
-        for w, state in self._frontier:
+        for w, state, fst in self._frontier:
             for letter in GAMMA:
                 nxt, _ = a.step(state, letter)
                 if nxt not in a.live:
                     continue
                 child = w + FiniteWord.of(letter)
-                lo = Fraction(ind(child), 3**k)
-                hi = lo + Fraction(1, 3**k)
-                if lo <= self.z <= hi:
-                    frontier.append((child, nxt))
-                else:
+                fnxt, _ = fiber.step(fst, letter)
+                if fnxt == "sink":
                     stable_words.append(child)
+                else:
+                    frontier.append((child, nxt, fnxt))
         self.words[k] = tuple(sorted(stable_words, key=str))
         self.levels[k] = tuple(
             word_to_edge(w, level=k) for w in self.words[k]
         )
         self._frontier = frontier
         self._depth = k
-        self._check_gap()
-
-    def _check_gap(self):
-        for w, _ in self._frontier:
-            for tail in DEFAULT_TAILS:
-                lasso = LassoWord(w + tail.stem, tail.cycle)
-                if self.adversary.contains(lasso) and \
-                        ind_limit(lasso) == self.z:
-                    raise ValueError(
-                        "%s is not a gap point: it is the limit of %s"
-                        % (self.z, lasso)
-                    )
 
     def stable_complex(self) -> Complex:
         edges = []
@@ -332,29 +376,11 @@ class TerminatingSubdivision:
             edges.extend(self.levels[k])
         return Complex(tuple(edges), accumulation_points=(self.z,))
 
-    def admissible(self, depth: int,
-                   tails: Iterable[LassoWord] = DEFAULT_TAILS) -> bool:
-        """Finite-depth admissibility: every scenario obtained by
-        completing a depth-prefix of the adversary with a contained
-        tail has a stable prefix of length at most 48."""
-        horizon = 48
-        self.materialize(horizon)
-        stable = set()
-        for k in self.words:
-            stable.update(w.letters for w in self.words[k])
-        for lasso in completions(self.adversary, depth, tails):
-            if not any(
-                lasso.prefix(n).letters in stable
-                for n in range(1, horizon + 1)
-            ):
-                return False
-        return True
-
 
 def build_terminating_subdivision(a: AdversaryAutomaton, z,
                                   depth: int = 6) -> TerminatingSubdivision:
-    """Levels 1..depth around the gap point z; depth is at most 64, the
-    simulator's default round budget."""
+    """Levels 1..depth around the gap point z, whose fiber in ``a`` must
+    be empty; depth is at most 64, the simulator's default round budget."""
     if depth < 0:
         raise ValueError("subdivision depth %d is negative" % depth)
     if depth > 64:
@@ -362,15 +388,18 @@ def build_terminating_subdivision(a: AdversaryAutomaton, z,
             "subdivision depth %d exceeds bound 64" % depth
         )
     z = Fraction(z)
-    if not 0 <= z <= 1:
-        raise ValueError("gap point must lie in [0, 1]")
+    fiber = index_fiber(z)
     if a.initial not in a.live:
         raise ValueError("empty adversary has no subdivision")
-    ts = TerminatingSubdivision(a, z)
+    witness = adv.intersect(a, fiber).is_empty()
+    if witness is not None:
+        raise ValueError(
+            "%s is not a gap point: it is the limit of %s" % (z, witness)
+        )
+    ts = TerminatingSubdivision(a, z, fiber)
     ts.levels[0] = ()
     ts.words[0] = ()
-    ts._frontier = [(FiniteWord(), a.initial)]
-    ts._check_gap()
+    ts._frontier = [(FiniteWord(), a.initial, fiber.initial)]
     ts.materialize(depth)
     return ts
 
@@ -520,15 +549,19 @@ class Connectivity:
 def limit_connectivity(a: AdversaryAutomaton) -> Connectivity:
     """Connectivity of the limit realization of the adversary complex.
 
-    Restatement of the solvability verdict: the realization is
-    disconnected exactly when consensus is solvable, the gap being the
-    limit point the excluded scenarios vacate.  This is a reduction to
-    classify, not an independent geometric computation.
+    The realization is disconnected exactly when consensus is solvable
+    (classify's verdict), at the limit point the excluded scenarios
+    vacate.  That point is checked to be a gap: its index fiber in the
+    adversary must be empty, else this raises AssertionError.
     """
     v = classify(a)
     if not v.solvable:
         return Connectivity(True, None, "no limit point is vacated")
     z = gap_point(v)
+    reached = adv.intersect(a, index_fiber(z)).is_empty()
+    if reached is not None:
+        raise AssertionError(
+            "oracle's gap point %s is the limit of %s" % (z, reached))
     if isinstance(v.witness, CornerWitness):
         reason = "corner gluing broken at %s" % z
     elif isinstance(v.witness, FairWitness):

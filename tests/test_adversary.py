@@ -117,6 +117,22 @@ def test_intersect_union_membership_random(builtins):
         assert uni.contains(l) == (tw.contains(l) or tb.contains(l))
 
 
+def test_accepts_from_reads_the_tail_only():
+    """From the state reached on u, accepts_from(t) is membership of
+    u.t, the lasso contains reads from the initial state."""
+    rng = random.Random(17)
+    for a in random_automata(17, 20):
+        for _ in range(20):
+            u = FiniteWord(tuple(rng.choice(GAMMA)
+                                 for _ in range(rng.randint(0, 5))))
+            t = random_gamma_lasso(rng)
+            state = a.initial
+            for letter in u:
+                state, _ = a.step(state, letter)
+            assert a.accepts_from(state, t) == \
+                a.contains(LassoWord(u + t.stem, t.cycle)), (u, t)
+
+
 def test_intersection_tw_tb_is_s0(builtins):
     inter = adv.intersect(builtins["TW"], builtins["TB"])
     assert inter.contains(L("( OK )^w"))

@@ -10,7 +10,7 @@ from twogen import topology as topo
 from twogen.adversary import ResourceBoundError
 from twogen.indexfn import BLACK, WHITE, ind, ind_limit
 from twogen.oracle import classify
-from twogen.protocol import verify
+from twogen.protocol import completions, verify
 from twogen.words import FiniteWord, GAMMA, LassoWord, Letter, parse_lasso, \
     parse_word
 
@@ -117,8 +117,15 @@ def test_terminating_subdivision_both_sides(fair_setup):
 
 
 def test_admissibility(fair_setup):
-    _, _, ts = fair_setup
-    assert ts.admissible(4)
+    """Every scenario completing a depth-4 prefix of the adversary has a
+    stable prefix: the subdivision terminates on it."""
+    a, _, ts = fair_setup
+    stable = {w for level in ts.words.values() for w in level}
+    scenarios = list(completions(a, 4))
+    assert scenarios
+    for lasso in scenarios:
+        assert any(lasso.prefix(n) in stable
+                   for n in range(1, ts._depth + 1)), lasso
 
 
 def test_not_a_gap_point(builtins):
@@ -126,6 +133,84 @@ def test_not_a_gap_point(builtins):
         topo.build_terminating_subdivision(
             builtins["R1"], Fraction(1, 3), depth=4
         )
+
+
+@pytest.mark.parametrize("z", [Fraction(2, 5), Fraction(1, 7)])
+def test_limit_of_a_periodic_scenario_is_not_a_gap(builtins, z):
+    """2/5 and 1/7 are limits of (OK LW)^w and (LB OK LW)^w, which no
+    frontier word followed by a constant tail reaches."""
+    with pytest.raises(ValueError, match="not a gap point") as info:
+        topo.build_terminating_subdivision(builtins["R1"], z, depth=10)
+    witness = parse_lasso(str(info.value).split("limit of ")[1])
+    assert builtins["R1"].contains(witness)
+    assert ind_limit(witness) == z
+
+
+def test_index_fiber_matches_limit():
+    rng = random.Random(8)
+    for _ in range(300):
+        lasso = random_gamma_lasso(rng, 4, 4)
+        z = ind_limit(lasso)
+        fiber = topo.index_fiber(z)
+        assert fiber.contains(lasso)
+        assert ind_limit(fiber.is_empty()) == z
+        other = random_gamma_lasso(rng, 4, 4)
+        assert fiber.contains(other) == (ind_limit(other) == z), other
+
+
+def test_index_fiber_bounds():
+    # 1/100003 repeats with period 100,002 in base 3
+    with pytest.raises(ResourceBoundError):
+        topo.index_fiber(Fraction(1, 100003))
+    with pytest.raises(ResourceBoundError):
+        topo.build_terminating_subdivision(
+            adv.load(FAIR_ADV), Fraction(1, 100003))
+    for z in (Fraction(-1, 3), Fraction(4, 3)):
+        with pytest.raises(ValueError):
+            topo.index_fiber(z)
+        with pytest.raises(ValueError):
+            topo.build_terminating_subdivision(adv.load(FAIR_ADV), z)
+
+
+def _cell_test_levels(a, z, depth):
+    """Stable words per level found the direct way: a live child is
+    stable when its cell [ind, ind + 1]/3^k does not contain z."""
+    frontier = [(FiniteWord(), a.initial)]
+    levels = {}
+    for k in range(1, depth + 1):
+        stable, deeper = [], []
+        for w, state in frontier:
+            for letter in GAMMA:
+                nxt, _ = a.step(state, letter)
+                if nxt not in a.live:
+                    continue
+                child = w + FiniteWord.of(letter)
+                lo = Fraction(ind(child), 3**k)
+                if lo <= z <= lo + Fraction(1, 3**k):
+                    deeper.append((child, nxt))
+                else:
+                    stable.append(child)
+        levels[k] = tuple(sorted(stable, key=str))
+        frontier = deeper
+    return levels
+
+
+def test_fiber_levels_match_cell_test():
+    rng = random.Random(14)
+    points = 0
+    while points < 120:
+        lassos = tuple(random_gamma_lasso(rng, 4, 3)
+                       for _ in range(rng.randint(1, 3)))
+        a = adv.compile_expr(adv.DifferenceFromFull(GAMMA, lassos))
+        v = classify(a)
+        if not v.solvable:
+            continue
+        points += 1
+        z = topo.gap_point(v)
+        depth = rng.randint(1, 14)
+        ts = topo.build_terminating_subdivision(a, z, depth)
+        want = _cell_test_levels(a, z, depth)
+        assert {k: ts.words[k] for k in want} == want, (lassos, z)
 
 
 def test_eta_bounds(fair_setup):
@@ -218,6 +303,15 @@ def test_connectivity_matches_classify_random():
         a = adv.compile_expr(adv.DifferenceFromFull(GAMMA, lassos))
         conn = topo.limit_connectivity(a)
         assert conn.connected == (not classify(a).solvable), lassos
+
+
+def test_connectivity_checks_the_gap(monkeypatch):
+    a = adv.load(FAIR_ADV)
+    assert topo.limit_connectivity(a).gap == ind_limit(parse_lasso(FAIR_W))
+    # (OK)^w, which the adversary keeps, has limit 1/2
+    monkeypatch.setattr(topo, "gap_point", lambda v: Fraction(1, 2))
+    with pytest.raises(AssertionError, match="limit of"):
+        topo.limit_connectivity(a)
 
 
 def test_pair_removal_connectivity():
