@@ -56,9 +56,8 @@ print("  realization components:", topo.realization_components(phi, 6))
 print()
 print("The geometric algorithm halts once its position is provably")
 print("on one side of z, and verifies clean:")
-eta = topo.eta_of(ts)
 delta = topo.side_decision_map(z)
-rep = verify(topo.GeometricAlgorithm(ts, eta, delta), a, depth=4)
+rep = verify(topo.GeometricAlgorithm(ts, delta), a, depth=4)
 print("  ok=%s checks=%d" % (rep.ok, rep.checked))
 
 out = os.path.join(tempfile.gettempdir(), "stable_complex.svg")

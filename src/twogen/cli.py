@@ -56,9 +56,7 @@ def _pick_algorithm(args, a) -> protocol.Algorithm:
     if name == "aeta":
         z = ind_limit(w)
         ts = topo.build_terminating_subdivision(a, z, depth=8)
-        return topo.GeometricAlgorithm(
-            ts, topo.eta_of(ts), topo.side_decision_map(z)
-        )
+        return topo.GeometricAlgorithm(ts, topo.side_decision_map(z))
     raise ValueError("unknown algorithm %r" % name)
 
 

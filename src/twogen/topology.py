@@ -5,8 +5,9 @@ edges [ind(w)/3^r, (ind(w)+1)/3^r] of the r-fold chromatic subdivision
 of a colored segment, and a whole adversary becomes a subcomplex of
 the subdivided input square.  On top of that sit terminating
 subdivisions: level-indexed families of "stable" edges marking where a
-geometric decision algorithm may halt, together with the radius map
-eta and the Finished predicate it uses.
+geometric decision algorithm may halt, each keeping the radius map eta
+over its whole infinite complex, and the Finished predicate that reads
+it.
 
 Everything is exact rational arithmetic; connectivity and
 ball-inclusion answers are claims about real geometry, so no floats.
@@ -155,8 +156,6 @@ def chromatic_subdivision(c: Complex) -> Complex:
     return Complex(tuple(edges), c.gluing, c.accumulation_points)
 
 
-
-
 def _other(c: ProcessId) -> ProcessId:
     return BLACK if c is WHITE else WHITE
 
@@ -166,11 +165,16 @@ def word_to_edge(w: FiniteWord, segment: str = UNIT,
     """The cell [ind(w)/3^r, (ind(w)+1)/3^r] carried by the word."""
     if not w.is_gamma():
         raise ValueError("embedding is defined on GAMMA words only")
-    r = len(w)
-    k = ind(w)
+    return _cell(ind(w), len(w), segment, level)
+
+
+def _cell(k: int, r: int, segment: str = UNIT,
+          level: Optional[int] = None) -> ComplexEdge:
+    """The cell [k/3^r, (k+1)/3^r], at level r unless told otherwise."""
+    lo, hi = TernaryRational(k, r), TernaryRational(k + 1, r)
     return ComplexEdge(
-        vertex_at(Fraction(k, 3**r), segment),
-        vertex_at(Fraction(k + 1, 3**r), segment),
+        ColoredVertex(lo, position_color(lo), segment),
+        ColoredVertex(hi, position_color(hi), segment),
         level if level is not None else r,
     )
 
@@ -278,8 +282,13 @@ def _ternary_digits(z: Fraction) -> tuple:
     period, and the place where that period starts; ResourceBoundError
     when there are more than FIBER_DIGITS of them."""
     q, loop = z.denominator, 0
-    while q % 3 == 0 and loop < FIBER_DIGITS:
-        q, loop = q // 3, loop + 1
+    # the multiplicity of 3 in q: square 3 while it divides q, then descend
+    powers = [3]
+    while q % powers[-1] == 0:
+        powers.append(powers[-1] ** 2)
+    for i in reversed(range(len(powers) - 1)):
+        if q % powers[i] == 0:
+            q, loop = q // powers[i], loop + 2**i
     period, power = 1, 3 % q
     while power != 1 % q and loop + period <= FIBER_DIGITS:
         power, period = 3 * power % q, period + 1
@@ -332,6 +341,9 @@ class TerminatingSubdivision:
     Level k holds the cells of length-k adversary prefixes whose
     interval has just separated from z (their parent interval still
     contained it).  The word view is an antichain by construction.
+    ``_radius`` maps each stable vertex to the exponent j of its halting
+    radius 3^-j, where j - 1 is the deepest level materialized so far
+    at which the vertex bounds a stable edge.
     """
 
     adversary: AdversaryAutomaton
@@ -339,6 +351,8 @@ class TerminatingSubdivision:
     fiber: AdversaryAutomaton
     levels: dict = field(default_factory=dict)
     words: dict = field(default_factory=dict)
+    _radius: dict = field(default_factory=dict)
+    # (word, index, adversary state, fiber state) of the cells around z
     _frontier: list = field(default_factory=list)
     _depth: int = 0
 
@@ -350,25 +364,39 @@ class TerminatingSubdivision:
     def _grow(self):
         k = self._depth + 1
         a, fiber = self.adversary, self.fiber
-        stable_words = []
+        stable = []
         frontier = []
-        for w, state, fst in self._frontier:
+        for w, i, state, fst in self._frontier:
             for letter in GAMMA:
                 nxt, _ = a.step(state, letter)
                 if nxt not in a.live:
                     continue
-                child = w + FiniteWord.of(letter)
+                child = (w + FiniteWord.of(letter), ind_step(i, letter))
                 fnxt, _ = fiber.step(fst, letter)
                 if fnxt == "sink":
-                    stable_words.append(child)
+                    stable.append(child)
                 else:
-                    frontier.append((child, nxt, fnxt))
-        self.words[k] = tuple(sorted(stable_words, key=str))
-        self.levels[k] = tuple(
-            word_to_edge(w, level=k) for w in self.words[k]
-        )
+                    frontier.append((*child, nxt, fnxt))
+        stable.sort(key=lambda child: str(child[0]))
+        self.words[k] = tuple(w for w, _ in stable)
+        self.levels[k] = tuple(_cell(i, k) for _, i in stable)
+        for e in self.levels[k]:
+            self._radius[e.a] = self._radius[e.b] = k + 1
         self._frontier = frontier
         self._depth = k
+
+    def radii(self, r: int) -> dict:
+        """The radius map, grown until no cell around z ends on the
+        level-r grid but at z: deeper stable edges lie in those cells,
+        so the radii of levels up to r are those of the infinite
+        complex.  The wait, a run of 0 or 2 digits of z, is shorter
+        than the preperiod plus period that FIBER_DIGITS bounds."""
+        self.materialize(r)
+        while any(k % 3 ** (self._depth - r) == 0
+                  and Fraction(k, 3**self._depth) != self.z
+                  for _, i, _, _ in self._frontier for k in (i, i + 1)):
+            self.materialize(self._depth + 1)
+        return self._radius
 
     def stable_complex(self) -> Complex:
         edges = []
@@ -399,81 +427,58 @@ def build_terminating_subdivision(a: AdversaryAutomaton, z,
     ts = TerminatingSubdivision(a, z, fiber)
     ts.levels[0] = ()
     ts.words[0] = ()
-    ts._frontier = [(FiniteWord(), a.initial, fiber.initial)]
+    ts._frontier = [(FiniteWord(), 0, a.initial, fiber.initial)]
     ts.materialize(depth)
     return ts
 
 
-@dataclass
-class Eta:
-    """Halting radius per stable vertex: min 1/3^(r+1) over the levels
-    r at which the vertex bounds a stable edge."""
-
-    radius: dict
-
-    def __getitem__(self, v: ColoredVertex) -> Fraction:
-        return self.radius[v]
+def eta_of(ts: TerminatingSubdivision) -> dict:
+    """Halting radius 1/3^j per stable vertex, over the whole stable
+    complex for every vertex of the levels materialized at the call."""
+    return {v: Fraction(1, 3**j) for v, j in ts.radii(ts._depth).items()}
 
 
-def eta_of(ts: TerminatingSubdivision) -> Eta:
-    radius: dict = {}
-    for k in sorted(ts.levels):
-        r = Fraction(1, 3 ** (k + 1))
-        for e in ts.levels[k]:
-            for v in (e.a, e.b):
-                radius[v] = min(radius.get(v, r), r)
-    return Eta(radius)
-
-
-def finished_witness(r: int, x, ts: TerminatingSubdivision,
-                     eta: Eta) -> Optional[ColoredVertex]:
+def finished_witness(r: int, x,
+                     ts: TerminatingSubdivision) -> Optional[ColoredVertex]:
     """A level-r subdivision point y inside the stable realization
     whose open eta-ball contains the closed ball around x of radius
     1/3^r, if any.
 
-    Eta at a stable vertex comes from the radius map; in the interior
-    of a stable edge it is the min of the edge's endpoint radii.  Only
-    the candidates nearest to x in each edge can win, so the search
-    stays finite at any level.
+    Eta at a stable vertex is its radius over the whole stable complex;
+    in the interior of a stable edge it is the min of the edge's
+    endpoint radii.  Only the candidates nearest to x in each edge can
+    win, so the search stays finite at any level.  Lengths are counted
+    in units of 1/(q 3^r), q the denominator of x, so every test is an
+    integer comparison.
     """
-    if ts._depth < r:
-        raise ResourceBoundError(
-            "subdivision materialized to level %d < %d" % (ts._depth, r)
-        )
+    radius = ts.radii(r)
     x = Fraction(x)
-    ball = Fraction(1, 3**r)
-    pow3 = 3**r
-    kx = (x.numerator * pow3) // x.denominator
+    q, pow3 = x.denominator, 3**r
+    xr = x.numerator * pow3
+    kx = xr // q
     best = None
     best_key = None
-    for k in sorted(ts.levels):
-        if k > r:
-            break
+    # an end of a level-k edge has j > k, and j < r is needed to win
+    for k in range(1, r - 1):
         for e in ts.levels[k]:
-            lo, hi = e.interval
-            klo = -((-lo.numerator * pow3) // lo.denominator)
-            khi = (hi.numerator * pow3) // hi.denominator
-            if klo > khi:
-                continue
-            h_edge = min(eta.radius[e.a], eta.radius[e.b])
+            ja, jb = radius[e.a], radius[e.b]
+            lo, hi = e.a.position, e.b.position
+            klo = lo.numerator * 3 ** (r - lo.exponent)
+            khi = hi.numerator * 3 ** (r - hi.exponent)
             for kc in {max(klo, min(khi, kx)),
                        max(klo, min(khi, kx + 1))}:
-                y = Fraction(kc, pow3)
-                if y == e.a.position.value:
-                    h = eta.radius[e.a]
-                elif y == e.b.position.value:
-                    h = eta.radius[e.b]
-                else:
-                    h = h_edge
-                if abs(x - y) + ball < h:
-                    key = (abs(x - y), y)
+                j = ja if kc == klo else jb if kc == khi else max(ja, jb)
+                dist = abs(xr - kc * q)
+                # |x - y| + 1/3^r < 1/3^j
+                if (dist + q) * 3**j < q * pow3:
+                    key = (dist, kc)
                     if best_key is None or key < best_key:
-                        best, best_key = y, key
-    return vertex_at(best) if best is not None else None
+                        best, best_key = kc, key
+    return vertex_at(Fraction(best, pow3)) if best is not None else None
 
 
-def finished(r: int, x, ts: TerminatingSubdivision, eta: Eta) -> bool:
-    return finished_witness(r, x, ts, eta) is not None
+def finished(r: int, x, ts: TerminatingSubdivision) -> bool:
+    return finished_witness(r, x, ts) is not None
 
 
 def side_decision_map(z) -> Callable:
@@ -495,21 +500,15 @@ class GeometricAlgorithm(Algorithm):
 
     name = "aeta"
 
-    def __init__(self, ts: TerminatingSubdivision, eta: Eta,
-                 delta: Callable):
+    def __init__(self, ts: TerminatingSubdivision, delta: Callable):
         self.ts = ts
-        self.eta = eta
         self.delta = delta
 
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         r = s.round
         if r == 0:
             return s
-        if self.ts._depth < r:
-            self.ts.materialize(r)
-            self.eta = eta_of(self.ts)
-        x = Fraction(s.ind, 3**r)
-        y = finished_witness(r, x, self.ts, self.eta)
+        y = finished_witness(r, Fraction(s.ind, 3**r), self.ts)
         if y is None:
             return s
         side = self.delta(y.position.value)
@@ -519,10 +518,10 @@ class GeometricAlgorithm(Algorithm):
         return replace(s, decided=value, halted=True)
 
 
-def alg_eta_simulate(ts: TerminatingSubdivision, eta: Eta,
-                     delta: Callable, scenario: LassoWord, inputs: tuple,
+def alg_eta_simulate(ts: TerminatingSubdivision, delta: Callable,
+                     scenario: LassoWord, inputs: tuple,
                      max_rounds: int = 64) -> Transcript:
-    algo = GeometricAlgorithm(ts, eta, delta)
+    algo = GeometricAlgorithm(ts, delta)
     return simulate(algo, scenario, inputs, max_rounds)
 
 

@@ -259,12 +259,11 @@ def test_criterion_13_geometric_algorithm(report):
         a = adv.load(FAIR_ADV)
         z = topo.gap_point(classify(a))
         ts = topo.build_terminating_subdivision(a, z, depth=10)
-        eta = topo.eta_of(ts)
         delta = topo.side_decision_map(z)
-        rep = verify(topo.GeometricAlgorithm(ts, eta, delta), a, depth=4)
+        rep = verify(topo.GeometricAlgorithm(ts, delta), a, depth=4)
         assert rep.ok, rep.violations[:3]
         for tail in ("( OK )^w", "( LW )^w", "( LB )^w"):
             for bit in (0, 1):
                 t = topo.alg_eta_simulate(
-                    ts, eta, delta, parse_lasso(tail), (bit, bit))
+                    ts, delta, parse_lasso(tail), (bit, bit))
                 assert t.both_halted() and t.decisions == (bit, bit)

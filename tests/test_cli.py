@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -145,6 +146,30 @@ def test_sim_verify_aeta(capsys):
     )
     assert rc == 0
     assert check_schema(out)["ok"] is True
+
+
+def _aeta_verify(capsys, w):
+    return run(capsys, "sim", "verify", "--adversary", "GAMMA^w \\ { %s }" % w,
+               "--algorithm", "aeta", "--w", w, "--depth", "3")
+
+
+def test_sim_verify_aeta_long_run_gap(capsys):
+    """The halting radius at 1/3 comes from level 12, past the eight
+    levels the CLI builds, and the runs on LB LW LB ( OK )^w need it."""
+    rc, out, _ = _aeta_verify(capsys, "LB" + " LW" * 10 + " ( OK )^w")
+    assert rc == 0
+    assert check_schema(out)["ok"] is True
+
+
+def test_sim_verify_aeta_very_long_run(capsys):
+    """A run of 200 LW letters puts the radius at 1/3 near 3^-200: no
+    run decides wrongly, though some outlast the round budget."""
+    start = time.perf_counter()
+    rc, out, _ = _aeta_verify(capsys, "LB" + " LW" * 200 + " ( OK )^w")
+    assert time.perf_counter() - start < 10
+    doc = check_schema(out)
+    assert rc == (0 if doc["ok"] else 3)
+    assert {v["kind"] for v in doc["violations"]} <= {"termination"}
 
 
 def test_bivalency_explore(capsys):

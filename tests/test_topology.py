@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,15 @@ def test_index_fiber_bounds():
             topo.build_terminating_subdivision(adv.load(FAIR_ADV), z)
 
 
+def test_index_fiber_bound_on_a_power_of_three():
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError):
+        topo.index_fiber(Fraction(1, 3**70000))
+    assert time.perf_counter() - start < 0.5
+    z = Fraction(1, 3**60)
+    assert ind_limit(topo.index_fiber(z).is_empty()) == z
+
+
 def _cell_test_levels(a, z, depth):
     """Stable words per level found the direct way: a live child is
     stable when its cell [ind, ind + 1]/3^k does not contain z."""
@@ -232,7 +242,7 @@ def test_eta_soundness(fair_setup):
     intervals = [
         e.interval for level in ts.levels.values() for e in level
     ]
-    for y, h in eta.radius.items():
+    for y, h in eta.items():
         side = delta(y.position.value)
         for lo, hi in intervals:
             # clip the eta-ball to this interval and check both ends
@@ -245,18 +255,123 @@ def test_eta_soundness(fair_setup):
 
 def test_finished_examples(fair_setup):
     _, z, ts = fair_setup
-    eta = topo.eta_of(ts)
-    assert not topo.finished(1, Fraction(1, 2), ts, eta)
+    assert not topo.finished(1, Fraction(1, 2), ts)
     # deep inside a level-1 stable cell, a round-3 ball fits
-    assert topo.finished(3, Fraction(1, 6), ts, eta)
+    assert topo.finished(3, Fraction(1, 6), ts)
 
 
-def test_finished_requires_materialization(fair_setup):
-    a, z, _ = fair_setup
+@pytest.mark.parametrize("w", [FAIR_W, "LB" + " LW" * 10 + " ( OK )^w"])
+def test_shallow_subdivision_answers_like_a_deep_one(w):
+    """A subdivision grows as far as a round's radii need, so the depth
+    it was built to changes no answer."""
+    a = adv.load("GAMMA^w \\ { %s }" % w)
+    z = ind_limit(parse_lasso(w))
     shallow = topo.build_terminating_subdivision(a, z, depth=2)
-    eta = topo.eta_of(shallow)
-    with pytest.raises(ResourceBoundError):
-        topo.finished(5, Fraction(1, 6), shallow, eta)
+    deep = topo.build_terminating_subdivision(a, z, depth=30)
+    for r in range(8):
+        for k in range(3**r + 1):
+            x = Fraction(k, 3**r)
+            assert topo.finished_witness(r, x, shallow) == \
+                topo.finished_witness(r, x, deep), (r, x)
+    assert topo.finished(5, Fraction(1, 6), shallow)
+
+
+def _reference_eta(ts):
+    """Halting radii read off the materialized levels with Fractions."""
+    radius = {}
+    for k in sorted(ts.levels):
+        r = Fraction(1, 3 ** (k + 1))
+        for e in ts.levels[k]:
+            for v in (e.a, e.b):
+                radius[v] = min(radius.get(v, r), r)
+    return radius
+
+
+def _reference_finished_witness(r, x, ts, radius):
+    """The Finished search in Fractions, on levels materialized past r."""
+    assert ts._depth >= r
+    x = Fraction(x)
+    ball = Fraction(1, 3**r)
+    pow3 = 3**r
+    kx = (x.numerator * pow3) // x.denominator
+    best = None
+    best_key = None
+    for k in sorted(ts.levels):
+        if k > r:
+            break
+        for e in ts.levels[k]:
+            lo, hi = e.interval
+            klo = -((-lo.numerator * pow3) // lo.denominator)
+            khi = (hi.numerator * pow3) // hi.denominator
+            if klo > khi:
+                continue
+            h_edge = min(radius[e.a], radius[e.b])
+            for kc in {max(klo, min(khi, kx)),
+                       max(klo, min(khi, kx + 1))}:
+                y = Fraction(kc, pow3)
+                if y == e.a.position.value:
+                    h = radius[e.a]
+                elif y == e.b.position.value:
+                    h = radius[e.b]
+                else:
+                    h = h_edge
+                if abs(x - y) + ball < h:
+                    key = (abs(x - y), y)
+                    if best_key is None or key < best_key:
+                        best, best_key = y, key
+    return topo.vertex_at(best) if best is not None else None
+
+
+def _differential_gap_points():
+    """(adversary, gap point) pairs: 1/3 from a removed special pair,
+    60 from seeded differences, and 18 whose scenario ends in a run of
+    nine LB or nine LW letters."""
+    both = adv.load("GAMMA^w \\ { OK ( LW )^w , LB ( LW )^w }")
+    cases = [(both, Fraction(1, 3))]
+    rng = random.Random(90)
+    seen = {Fraction(1, 3)}
+    while len(cases) < 61:
+        lassos = tuple(random_gamma_lasso(rng, 4, 3)
+                       for _ in range(rng.randint(1, 3)))
+        a = adv.compile_expr(adv.DifferenceFromFull(GAMMA, lassos))
+        v = classify(a)
+        if v.solvable and topo.gap_point(v) not in seen:
+            seen.add(topo.gap_point(v))
+            cases.append((a, topo.gap_point(v)))
+    for u in itertools.product(GAMMA, repeat=2):
+        for x in (Letter.LB, Letter.LW):
+            lasso = LassoWord.of(u + (x,) * 9, (Letter.OK,))
+            cases.append((adv.compile_expr(
+                adv.DifferenceFromFull(GAMMA, (lasso,))), ind_limit(lasso)))
+    return cases
+
+
+def test_finished_witness_matches_fraction_reference():
+    """Integer Finished on subdivisions built to depths 0-6 against the
+    Fraction search with radii read off 60 materialized levels."""
+    rng = random.Random(91)
+    cases = _differential_gap_points()
+    queries = 0
+    for a, z in cases:
+        deep = topo.build_terminating_subdivision(a, z, depth=60)
+        radius = _reference_eta(deep)
+        fresh = [topo.build_terminating_subdivision(a, z, depth=d)
+                 for d in range(7)]
+        xs = [(r, Fraction(k, 3**r)) for r in range(7)
+              for k in range(3**r + 1)]
+        xs += [(r, Fraction(rng.randint(0, 3**r), 3**r))
+               for r in range(7, 11) for _ in range(10)]
+        xs += [(r, Fraction(rng.randint(0, 10**6), 10**6 - rng.randint(0, 7)))
+               for r in range(11) for _ in range(3)]
+        rng.shuffle(xs)
+        for i, (r, x) in enumerate(xs):
+            want = _reference_finished_witness(r, x, deep, radius)
+            got = topo.finished_witness(r, x, fresh[i % len(fresh)])
+            assert got == want, (z, r, x)
+        queries += len(xs)
+        # the radii the queries read were final by level 60
+        assert max(ts._depth for ts in fresh) <= 60, z
+    assert len(cases) == 79 and queries > 90000
 
 
 def test_contrex():
@@ -325,21 +440,31 @@ def test_pair_removal_connectivity():
 
 def test_aeta_verify_clean(fair_setup):
     a, z, ts = fair_setup
-    algo = topo.GeometricAlgorithm(
-        ts, topo.eta_of(ts), topo.side_decision_map(z)
-    )
+    algo = topo.GeometricAlgorithm(ts, topo.side_decision_map(z))
     rep = verify(algo, a, depth=4)
     assert rep.ok, rep.violations[:3]
 
 
+def test_aeta_verify_does_not_depend_on_depth():
+    w = "LB" + " LW" * 10 + " ( OK )^w"
+    a = adv.load("GAMMA^w \\ { %s }" % w)
+    z = ind_limit(parse_lasso(w))
+    ts = topo.build_terminating_subdivision(a, z, depth=8)
+    delta = topo.side_decision_map(z)
+    before = verify(topo.GeometricAlgorithm(ts, delta), a, depth=3)
+    ts.materialize(14)
+    after = verify(topo.GeometricAlgorithm(ts, delta), a, depth=3)
+    assert before.to_json() == after.to_json()
+    assert before.ok, before.violations[:3]
+
+
 def test_aeta_validity_unanimous(fair_setup):
     a, z, ts = fair_setup
-    eta = topo.eta_of(ts)
     delta = topo.side_decision_map(z)
     for tail in ("( OK )^w", "( LW )^w", "( LB )^w"):
         for bit in (0, 1):
             t = topo.alg_eta_simulate(
-                ts, eta, delta, parse_lasso(tail), (bit, bit)
+                ts, delta, parse_lasso(tail), (bit, bit)
             )
             assert t.both_halted()
             assert t.decisions == (bit, bit)
