@@ -4,8 +4,9 @@ A partial scenario is i-valent when every enumerated completion makes
 both processes decide i, and bivalent when both values are reachable.
 Everything here is relative to a fixed executable algorithm and a
 bounded unrolling: extensions are enumerated up to a depth and closed
-off with a tail set, so an Undetermined verdict only signals bound
-exhaustion, never a theorem.
+off with the tails ``protocol.DEFAULT_TAILS``, and a run from a prefix
+p searched to a depth d gets len(p) + d + 40 rounds, so an Undetermined
+verdict only signals bound exhaustion, never a theorem.
 
 One depth-first walk over the live extensions of a prefix
 (``protocol._walk``) runs each distinct completion once, from the
@@ -20,7 +21,6 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 from .adversary import AdversaryAutomaton
 from .protocol import Algorithm, DEFAULT_TAILS, _resume, _walk
@@ -38,31 +38,31 @@ class Valency(enum.Enum):
 
 
 def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
-                     prefix: FiniteWord, inputs: tuple, depth: int,
-                     tails: Iterable[LassoWord], budget: int) -> dict:
+                     prefix: FiniteWord, inputs: tuple, depth: int) -> dict:
     """``word -> decisions`` for ``prefix`` and each live extension of it
     by at most ``depth`` letters, in ``str`` order.
 
     A word's set holds the decisions of the runs under every scenario
     ``word'.tail`` inside the adversary with ``word'`` the word itself
     or an extension of it; None stands for a run that did not halt
-    within ``budget`` rounds.
+    within len(prefix) + depth + 40 rounds.
     """
     if next(a.extensions(prefix, 0), None) is None:
         raise ValueError(
             "prefix %r is not a prefix of the adversary" % str(prefix))
+    budget = len(prefix) + depth + 40
     below: dict = {}
-    runs: dict = {}  # each distinct scenario is run once
+    runs: dict = {}  # once per scenario: w OK . OK^w is w . OK^w
     for word, state, configs in _walk(algorithm, a, prefix, depth,
-                                      (inputs,), budget):
+                                      (inputs,)):
         found = below[word] = set()
-        for tail in tails:
-            lasso = LassoWord(word + tail.stem, tail.cycle)
+        for tail in DEFAULT_TAILS:
+            lasso = LassoWord(word, tail.cycle)
             if lasso not in runs:
                 runs[lasso] = set()
                 if a.accepts_from(state, tail):
                     white, black = _resume(algorithm, configs[0], lasso,
-                                           inputs, len(word), budget)
+                                           len(word), budget)
                     # an agreement violation makes valency meaningless;
                     # both values surface it as bivalence of the prefix
                     runs[lasso] = ({white.decided, black.decided}
@@ -87,14 +87,10 @@ def _valency_of(decided: set) -> Valency:
 
 
 def valency(algorithm: Algorithm, a: AdversaryAutomaton,
-            prefix: FiniteWord, inputs: tuple, depth: int,
-            tails: Iterable[LassoWord] = DEFAULT_TAILS,
-            max_rounds: Optional[int] = None) -> Valency:
+            prefix: FiniteWord, inputs: tuple, depth: int) -> Valency:
     """Valency of ``prefix`` for the given inputs, over completions of
     the prefix inside the adversary bounded by ``depth``."""
-    budget = max_rounds if max_rounds is not None else len(prefix) + depth + 40
-    below = _decisions_below(algorithm, a, prefix, inputs, depth,
-                             tuple(tails), budget)
+    below = _decisions_below(algorithm, a, prefix, inputs, depth)
     return _valency_of(below[prefix])
 
 
@@ -113,11 +109,9 @@ class ExplorationNode:
 
 
 def explore(algorithm: Algorithm, a: AdversaryAutomaton, inputs: tuple,
-            depth: int, tails: Iterable[LassoWord] = DEFAULT_TAILS
-            ) -> ExplorationNode:
+            depth: int) -> ExplorationNode:
     """Valency tree over Pref(a) up to ``depth`` letters."""
-    below = _decisions_below(algorithm, a, FiniteWord(), inputs, depth,
-                             tuple(tails), depth + 40)
+    below = _decisions_below(algorithm, a, FiniteWord(), inputs, depth)
     letters = sorted(a.alphabet, key=str)
 
     def node(prefix: FiniteWord) -> ExplorationNode:
@@ -145,16 +139,13 @@ class DecisiveReport:
 
 
 def find_decisive(algorithm: Algorithm, a: AdversaryAutomaton,
-                  inputs: tuple, depth: int,
-                  tails: Iterable[LassoWord] = DEFAULT_TAILS
-                  ) -> DecisiveReport:
+                  inputs: tuple, depth: int) -> DecisiveReport:
     """Breadth-first search for decisive prefixes: bivalent words all
     of whose one-letter extensions inside the adversary are univalent.
     Candidates with an Undetermined child are reported separately."""
-    tails = tuple(tails)
     decisive = []
     inconclusive = []
-    level = [explore(algorithm, a, inputs, depth, tails)]
+    level = [explore(algorithm, a, inputs, depth)]
     while level:
         for n in level:
             if n.valency is not Valency.BIVALENT:
@@ -164,7 +155,7 @@ def find_decisive(algorithm: Algorithm, a: AdversaryAutomaton,
             else:
                 # the tree stops at depth: look one letter further
                 children = list(a.extensions(n.prefix, 1))[1:]
-                child_vals = [valency(algorithm, a, w, inputs, 0, tails)
+                child_vals = [valency(algorithm, a, w, inputs, 0)
                               for w, _ in children]
             if all(cv in (Valency.ZERO_VALENT, Valency.ONE_VALENT)
                    for cv in child_vals):

@@ -31,6 +31,24 @@ class ProcessId(enum.Enum):
 WHITE, BLACK = ProcessId.WHITE, ProcessId.BLACK
 
 
+def split_threes(n: int, cap: int) -> tuple:
+    """``(m, n // 3^m)`` for the largest m <= cap with 3^m dividing n
+    (m = cap for n = 0): 3 is squared while it divides n, and the
+    squares are then divided out from the largest down."""
+    if n % 3:
+        return 0, n
+    if n == 0:
+        return cap, 0
+    powers = [3]  # powers[i] = 3^(2^i)
+    while 2 ** len(powers) <= cap and n % powers[-1] ** 2 == 0:
+        powers.append(powers[-1] ** 2)
+    m = 0
+    for i in reversed(range(len(powers))):
+        if m + 2**i <= cap and n % powers[i] == 0:
+            n, m = n // powers[i], m + 2**i
+    return m, n
+
+
 @dataclass(frozen=True)
 class TernaryRational:
     """The exact rational numerator / 3^exponent, stored reduced."""
@@ -39,12 +57,9 @@ class TernaryRational:
     exponent: int
 
     def __post_init__(self):
-        num, exp = self.numerator, self.exponent
-        while exp > 0 and num % 3 == 0:
-            num //= 3
-            exp -= 1
+        m, num = split_threes(self.numerator, self.exponent)
         object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", exp)
+        object.__setattr__(self, "exponent", self.exponent - m)
 
     @property
     def value(self) -> Fraction:

@@ -40,7 +40,11 @@ class ProcessState:
     ind: int = 0
     round: int = 0
     decided: Optional[int] = None
-    halted: bool = False
+
+    @property
+    def halted(self) -> bool:
+        """A process halts exactly when it decides."""
+        return self.decided is not None
 
 
 class Algorithm:
@@ -59,13 +63,11 @@ class Algorithm:
                 received: Optional[Message]) -> ProcessState:
         """Index/state update after the exchange of one round."""
         if received is None:
-            return replace(s, ind=3 * s.ind, round=s.round + 1)
-        return replace(
-            s,
-            ind=2 * received.ind + s.ind,
-            initother=received.init,
-            round=s.round + 1,
-        )
+            ind, initother = 3 * s.ind, s.initother
+        else:
+            ind, initother = 2 * received.ind + s.ind, received.init
+        return ProcessState(s.id, s.init, initother, ind, s.round + 1,
+                            s.decided)
 
 
 class IndexGuardAlgorithm(Algorithm):
@@ -100,7 +102,7 @@ class IndexGuardAlgorithm(Algorithm):
             value = s.init if s.ind > target else s.initother
         if value is None:
             raise AssertionError("decided on an absent initother")
-        return replace(s, decided=value, halted=True)
+        return replace(s, decided=value)
 
 
 class OwnInputAlgorithm(Algorithm):
@@ -111,7 +113,7 @@ class OwnInputAlgorithm(Algorithm):
 
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         if s.round >= 1:
-            return replace(s, decided=s.init, halted=True)
+            return replace(s, decided=s.init)
         return s
 
 
@@ -224,13 +226,12 @@ def _run(algorithm: Algorithm, config: tuple, letters: Iterable[Letter],
 
 
 def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
-          depth: int, vectors: tuple, budget: int):
+          depth: int, vectors: tuple):
     """Yields ``(word, state, configs)`` along ``a.extensions(prefix,
     depth)``, with per input vector the configuration at the top of round
     ``len(word)`` after its halt checks, one round on from the
-    parent's: runs sharing a prefix share its rounds.  Each is None
-    where ``len(word) >= budget``, as those halt checks would lie past
-    the budget.  Only the current word's ancestors are kept."""
+    parent's: runs sharing a prefix share its rounds.  Only the current
+    word's ancestors are kept."""
 
     def step(config, letter):
         return _halt_checks(algorithm, _run(algorithm, config, (letter,)))
@@ -239,9 +240,7 @@ def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
     for word, state in a.extensions(prefix, depth):
         k = len(word) - len(prefix)
         del path[k:]
-        if len(word) >= budget:
-            configs = [None] * len(vectors)
-        elif k:
+        if k:
             configs = [step(c, word.letters[-1]) for c in path[-1]]
         else:
             configs = [
@@ -252,17 +251,13 @@ def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
         yield word, state, configs
 
 
-def _resume(algorithm: Algorithm, config: Optional[tuple],
-            scenario: LassoWord, inputs: tuple, start: int,
-            budget: int) -> tuple:
-    """Where ``simulate(algorithm, scenario, inputs, budget)`` ends,
-    from ``_walk``'s configuration after ``start`` letters of
-    ``scenario``, or from round 0 if it has none."""
-    if config is None:
-        t = simulate(algorithm, scenario, inputs, budget)
-        return t.white, t.black
-    letters = itertools.islice(scenario.letters(), start, budget)
-    return _run(algorithm, config, letters)
+def _resume(algorithm: Algorithm, config: tuple, scenario: LassoWord,
+            start: int, budget: int) -> tuple:
+    """Where ``simulate(algorithm, scenario, inputs, budget)`` ends, from
+    ``_walk``'s configuration for those inputs after ``start < budget``
+    letters."""
+    return _run(algorithm, config,
+                itertools.islice(scenario.letters(), start, budget))
 
 
 def simulate(algorithm: Algorithm, scenario: LassoWord,
@@ -326,52 +321,45 @@ class Report:
         return json.dumps(doc)
 
 
-def completions(a: AdversaryAutomaton, depth: int,
-                tails: Iterable[LassoWord] = DEFAULT_TAILS):
-    """All lassos prefix.tail with prefix in Pref_depth(a) that remain
-    inside the adversary, deduplicated canonically."""
-    tails = tuple(tails)
-    seen = set()
+def completions(a: AdversaryAutomaton, depth: int):
+    """All lassos prefix.tail with prefix in Pref_depth(a) and tail in
+    DEFAULT_TAILS that remain inside the adversary.  The tails are
+    distinct constant cycles and the prefixes share one length, so no
+    lasso repeats."""
     for prefix in sorted(a.prefixes(depth), key=str):
-        for tail in tails:
-            lasso = LassoWord(prefix + tail.stem, tail.cycle)
-            if lasso in seen:
-                continue
-            seen.add(lasso)
+        for tail in DEFAULT_TAILS:
+            lasso = LassoWord(prefix, tail.cycle)
             if a.contains(lasso):
                 yield lasso
 
 
-def verify(algorithm: Algorithm, a: AdversaryAutomaton, depth: int = 4,
-           tails: Iterable[LassoWord] = DEFAULT_TAILS) -> Report:
+def verify(algorithm: Algorithm, a: AdversaryAutomaton,
+           depth: int = 4) -> Report:
     """Checks Agreement, Validity and Termination over every scenario
-    obtained by completing the adversary's depth-prefixes with the
-    given tails (the scenarios of ``completions``, in its order),
+    obtained by completing the adversary's depth-prefixes with
+    DEFAULT_TAILS (the scenarios of ``completions``, in its order),
     across all four input vectors, each run for at most depth + 40
     rounds; each run resumes from its prefix's configuration."""
     if depth > 10:
         raise ResourceBoundError(
             "verification depth %d exceeds bound 10" % depth
         )
-    tails = tuple(tails)
     budget = depth + 40
     checked = 0
     violations = []
     for word, state, configs in _walk(algorithm, a, FiniteWord(), depth,
-                                      INPUT_VECTORS, budget):
+                                      INPUT_VECTORS):
         n = len(word)
         if n < depth:
             continue
-        # prefixes all have length depth, so only a repeated tail can
-        # repeat a scenario
-        for tail in dict.fromkeys(tails):
+        for tail in DEFAULT_TAILS:
             if not a.accepts_from(state, tail):
                 continue
-            scenario = LassoWord(word + tail.stem, tail.cycle)
+            scenario = LassoWord(word, tail.cycle)
             for inputs, config in zip(INPUT_VECTORS, configs):
                 checked += 1
-                white, black = _resume(algorithm, config, scenario,
-                                       inputs, n, budget)
+                white, black = _resume(algorithm, config, scenario, n,
+                                       budget)
                 dw, db = white.decided, black.decided
                 if not (white.halted and black.halted):
                     violations.append(Violation(

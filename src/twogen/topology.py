@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from . import adversary as adv
 from .adversary import AdversaryAutomaton, Atom, ResourceBoundError
 from .indexfn import (BLACK, WHITE, ProcessId, TernaryRational, ind,
-                      ind_limit, ind_step)
+                      ind_limit, ind_step, split_threes)
 from .oracle import (CornerWitness, FairWitness, SpecialPairWitness,
                      Verdict, classify)
 from .protocol import Algorithm, ProcessState, Transcript, simulate
@@ -46,14 +46,10 @@ def _tr(x) -> TernaryRational:
     if isinstance(x, TernaryRational):
         return x
     f = Fraction(x)
-    e = 0
-    den = f.denominator
-    while den % 3 == 0:
-        den //= 3
-        e += 1
+    e, den = split_threes(f.denominator, f.denominator.bit_length())
     if den != 1:
         raise ValueError("%s is not a ternary rational" % f)
-    return TernaryRational(f.numerator * 1, e)
+    return TernaryRational(f.numerator, e)
 
 
 def position_color(p: TernaryRational) -> ProcessId:
@@ -281,14 +277,7 @@ def _ternary_digits(z: Fraction) -> tuple:
     """The base-3 digits of z's fractional part through its first
     period, and the place where that period starts; ResourceBoundError
     when there are more than FIBER_DIGITS of them."""
-    q, loop = z.denominator, 0
-    # the multiplicity of 3 in q: square 3 while it divides q, then descend
-    powers = [3]
-    while q % powers[-1] == 0:
-        powers.append(powers[-1] ** 2)
-    for i in reversed(range(len(powers) - 1)):
-        if q % powers[i] == 0:
-            q, loop = q // powers[i], loop + 2**i
+    loop, q = split_threes(z.denominator, FIBER_DIGITS + 1)
     period, power = 1, 3 % q
     while power != 1 % q and loop + period <= FIBER_DIGITS:
         power, period = 3 * power % q, period + 1
@@ -340,7 +329,8 @@ class TerminatingSubdivision:
 
     Level k holds the cells of length-k adversary prefixes whose
     interval has just separated from z (their parent interval still
-    contained it).  The word view is an antichain by construction.
+    contained it), in the order the frontier reaches them; their words
+    form an antichain by construction.
     ``_radius`` maps each stable vertex to the exponent j of its halting
     radius 3^-j, where j - 1 is the deepest level materialized so far
     at which the vertex bounds a stable edge.
@@ -350,9 +340,8 @@ class TerminatingSubdivision:
     z: Fraction
     fiber: AdversaryAutomaton
     levels: dict = field(default_factory=dict)
-    words: dict = field(default_factory=dict)
     _radius: dict = field(default_factory=dict)
-    # (word, index, adversary state, fiber state) of the cells around z
+    # (index, adversary state, fiber state) of the cells around z
     _frontier: list = field(default_factory=list)
     _depth: int = 0
 
@@ -366,20 +355,18 @@ class TerminatingSubdivision:
         a, fiber = self.adversary, self.fiber
         stable = []
         frontier = []
-        for w, i, state, fst in self._frontier:
+        for i, state, fst in self._frontier:
             for letter in GAMMA:
                 nxt, _ = a.step(state, letter)
                 if nxt not in a.live:
                     continue
-                child = (w + FiniteWord.of(letter), ind_step(i, letter))
+                child = ind_step(i, letter)
                 fnxt, _ = fiber.step(fst, letter)
                 if fnxt == "sink":
                     stable.append(child)
                 else:
-                    frontier.append((*child, nxt, fnxt))
-        stable.sort(key=lambda child: str(child[0]))
-        self.words[k] = tuple(w for w, _ in stable)
-        self.levels[k] = tuple(_cell(i, k) for _, i in stable)
+                    frontier.append((child, nxt, fnxt))
+        self.levels[k] = tuple(_cell(i, k) for i in stable)
         for e in self.levels[k]:
             self._radius[e.a] = self._radius[e.b] = k + 1
         self._frontier = frontier
@@ -394,7 +381,7 @@ class TerminatingSubdivision:
         self.materialize(r)
         while any(k % 3 ** (self._depth - r) == 0
                   and Fraction(k, 3**self._depth) != self.z
-                  for _, i, _, _ in self._frontier for k in (i, i + 1)):
+                  for i, _, _ in self._frontier for k in (i, i + 1)):
             self.materialize(self._depth + 1)
         return self._radius
 
@@ -426,8 +413,7 @@ def build_terminating_subdivision(a: AdversaryAutomaton, z,
         )
     ts = TerminatingSubdivision(a, z, fiber)
     ts.levels[0] = ()
-    ts.words[0] = ()
-    ts._frontier = [(FiniteWord(), 0, a.initial, fiber.initial)]
+    ts._frontier = [(0, a.initial, fiber.initial)]
     ts.materialize(depth)
     return ts
 
@@ -515,7 +501,7 @@ class GeometricAlgorithm(Algorithm):
         value = s.init if side is s.id else s.initother
         if value is None:
             raise AssertionError("decision map points at an unseen input")
-        return replace(s, decided=value, halted=True)
+        return replace(s, decided=value)
 
 
 def alg_eta_simulate(ts: TerminatingSubdivision, delta: Callable,

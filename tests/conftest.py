@@ -1,9 +1,11 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
 from twogen import adversary as adv
+from twogen.protocol import OwnInputAlgorithm
 from twogen.words import FiniteWord, GAMMA, LassoWord, Letter
 
 
@@ -16,6 +18,18 @@ def all_words(r):
     """Every GAMMA word of length exactly r."""
     for letters in itertools.product(GAMMA, repeat=r):
         yield FiniteWord(letters)
+
+
+class _OwnInputAt(OwnInputAlgorithm):
+    """Decides its own input at the top of round ``r``."""
+
+    def __init__(self, r):
+        self.r = r
+
+    def maybe_halt(self, s):
+        if s.round >= self.r:
+            return replace(s, decided=s.init)
+        return s
 
 
 def random_gamma_lasso(rng: random.Random, max_stem=3, max_cycle=2):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_gamma_lasso
+from conftest import _OwnInputAt, random_gamma_lasso
 from twogen import adversary as adv
 from twogen import oracle
 from twogen.bivalency import (DecisiveReport, ExplorationNode, Valency,
@@ -142,14 +142,14 @@ class _Memo:
         return self.runs[key]
 
 
-def _ref_completions_of(m, prefix, depth, tails):
+def _ref_completions_of(m, prefix, depth):
     n = len(prefix)
     seen = set()
     for extra in range(depth + 1):
         for word in m.prefixes(n + extra):
             if word.letters[:n] != prefix.letters:
                 continue
-            for tail in tails:
+            for tail in DEFAULT_TAILS:
                 lasso = LassoWord(word + tail.stem, tail.cycle)
                 if lasso in seen:
                     continue
@@ -158,22 +158,21 @@ def _ref_completions_of(m, prefix, depth, tails):
                     yield lasso
 
 
-def _ref_valency(algorithm, m, prefix, inputs, depth, tails=DEFAULT_TAILS,
-                 max_rounds=None):
-    key = (algorithm, prefix, inputs, depth, tuple(tails), max_rounds)
+def _ref_valency(algorithm, m, prefix, inputs, depth):
+    key = (algorithm, prefix, inputs, depth)
     if key not in m.valencies:
         m.valencies[key] = _ref_valency_of(algorithm, m, prefix, inputs,
-                                           depth, tails, max_rounds)
+                                           depth)
     return m.valencies[key]
 
 
-def _ref_valency_of(algorithm, m, prefix, inputs, depth, tails, max_rounds):
+def _ref_valency_of(algorithm, m, prefix, inputs, depth):
     if prefix not in m.prefixes(len(prefix)):
         raise ValueError("not a prefix")
-    budget = max_rounds if max_rounds is not None else len(prefix) + depth + 40
+    budget = len(prefix) + depth + 40
     decided = set()
     undecided = False
-    for scenario in _ref_completions_of(m, prefix, depth, tails):
+    for scenario in _ref_completions_of(m, prefix, depth):
         t = m.simulate(algorithm, scenario, inputs, budget)
         if not t.both_halted():
             undecided = True
@@ -188,10 +187,9 @@ def _ref_valency_of(algorithm, m, prefix, inputs, depth, tails, max_rounds):
     return Valency.UNDETERMINED
 
 
-def _ref_explore(algorithm, m, inputs, depth, tails=DEFAULT_TAILS):
+def _ref_explore(algorithm, m, inputs, depth):
     def node(prefix):
-        v = _ref_valency(algorithm, m, prefix, inputs, depth - len(prefix),
-                         tails)
+        v = _ref_valency(algorithm, m, prefix, inputs, depth - len(prefix))
         n = ExplorationNode(prefix, v)
         if len(prefix) < depth and v is Valency.BIVALENT:
             for child in m.prefixes(len(prefix) + 1):
@@ -202,15 +200,15 @@ def _ref_explore(algorithm, m, inputs, depth, tails=DEFAULT_TAILS):
     return node(FiniteWord())
 
 
-def _ref_find_decisive(algorithm, m, inputs, depth, tails=DEFAULT_TAILS):
+def _ref_find_decisive(algorithm, m, inputs, depth):
     univalent = (Valency.ZERO_VALENT, Valency.ONE_VALENT)
     decisive, inconclusive = [], []
     frontier = [FiniteWord()]
     for level in range(depth + 1):
         next_frontier = []
         for prefix in frontier:
-            if _ref_valency(algorithm, m, prefix, inputs, depth - level,
-                            tails) is not Valency.BIVALENT:
+            if _ref_valency(algorithm, m, prefix, inputs,
+                            depth - level) is not Valency.BIVALENT:
                 continue
             children = [
                 w for w in m.prefixes(level + 1)
@@ -218,7 +216,7 @@ def _ref_find_decisive(algorithm, m, inputs, depth, tails=DEFAULT_TAILS):
             ]
             vals = [
                 _ref_valency(algorithm, m, w, inputs,
-                             max(depth - level - 1, 0), tails)
+                             max(depth - level - 1, 0))
                 for w in children
             ]
             if all(v in univalent for v in vals):
@@ -261,9 +259,8 @@ def test_walk_matches_reenumeration(text, w):
 
 
 def test_walk_matches_reenumeration_with_odd_tails():
-    """Duplicate tails, a tail with a stem, and round budgets that end
-    before, at and after the words the walk passes."""
-    tails = DEFAULT_TAILS + DEFAULT_TAILS[:1] + (parse_lasso("LW ( OK )^w"),)
+    """Valency of every prefix up to length 2, not only of the tree's
+    nodes.  (The name predates the fixed tail set.)"""
     depth = 2
     for text, w in ((FAIR, "LW LB ( OK )^w"), ("C1", "( LB )^w")):
         a = adv.load(text)
@@ -271,20 +268,16 @@ def test_walk_matches_reenumeration_with_odd_tails():
         for algo in (IndexGuardAlgorithm(parse_lasso(w)), OwnInputAlgorithm()):
             for prefix in [p for n in range(3)
                            for p in sorted(a.prefixes(n), key=str)]:
-                n = len(prefix)
-                kws = [{"tails": tails}] + [
-                    {"max_rounds": r} for r in (0, 1, n, n + 1, n + depth)]
                 for inputs in INPUT_VECTORS:
-                    for kw in kws:
-                        assert valency(algo, a, prefix, inputs, depth, **kw) \
-                            is _ref_valency(algo, m, prefix, inputs, depth,
-                                            **kw), (prefix, inputs, kw)
+                    assert valency(algo, a, prefix, inputs, depth) is \
+                        _ref_valency(algo, m, prefix, inputs, depth), \
+                        (prefix, inputs)
         algo = IndexGuardAlgorithm(parse_lasso(w))
         for depth in range(3):
-            assert explore(algo, a, (0, 1), depth, tails).to_dict() == \
-                _ref_explore(algo, m, (0, 1), depth, tails).to_dict()
-            assert find_decisive(algo, a, (0, 1), depth, tails).to_json() == \
-                _ref_find_decisive(algo, m, (0, 1), depth, tails).to_json()
+            assert explore(algo, a, (0, 1), depth).to_dict() == \
+                _ref_explore(algo, m, (0, 1), depth).to_dict()
+            assert find_decisive(algo, a, (0, 1), depth).to_json() == \
+                _ref_find_decisive(algo, m, (0, 1), depth).to_json()
 
 
 def test_valency_error_order(builtins):
@@ -302,25 +295,16 @@ def test_valency_error_order(builtins):
 
 
 def test_budget_ends_before_a_halt_at_its_last_round(builtins):
-    """Own-input halts at the top of round 1, past a one-round budget."""
-    algo = OwnInputAlgorithm()
+    """A search to depth 2 from a prefix p runs len(p) + 42 rounds: a
+    halt at the top of the next one comes too late."""
+    c1 = builtins["C1"]
     for prefix in (FiniteWord(), parse_word("OK"), parse_word("OK LW")):
-        assert valency(algo, builtins["C1"], prefix, (0, 0), 2,
-                       max_rounds=1) is Valency.UNDETERMINED
-        assert valency(algo, builtins["C1"], prefix, (0, 0), 2,
-                       max_rounds=2) is Valency.ZERO_VALENT
-
-
-def test_generator_tails_are_not_used_up():
-    """find_decisive looks past the tree's last level, where the
-    prefixes of the excluded word are still bivalent."""
-    a, algo = _setup(FAIR, "LW LB ( OK )^w")
-    for inputs in ((0, 1), (1, 1)):
-        assert valency(algo, a, FiniteWord(), inputs, 3,
-                       iter(DEFAULT_TAILS)) is \
-            valency(algo, a, FiniteWord(), inputs, 3)
-        assert explore(algo, a, inputs, 3, iter(DEFAULT_TAILS)).to_dict() \
-            == explore(algo, a, inputs, 3).to_dict()
-        assert find_decisive(algo, a, inputs, 3,
-                             iter(DEFAULT_TAILS)).to_json() == \
-            find_decisive(algo, a, inputs, 3).to_json()
+        n = len(prefix)
+        assert valency(_OwnInputAt(n + 42), c1, prefix, (0, 0), 2) is \
+            Valency.UNDETERMINED
+        assert valency(_OwnInputAt(n + 41), c1, prefix, (0, 0), 2) is \
+            Valency.ZERO_VALENT
+    assert explore(_OwnInputAt(42), c1, (0, 0), 2).valency is \
+        Valency.UNDETERMINED
+    assert explore(_OwnInputAt(41), c1, (0, 0), 2).valency is \
+        Valency.ZERO_VALENT

@@ -4,18 +4,16 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
-from conftest import all_words, random_gamma_lasso
+from conftest import _OwnInputAt, all_words, random_gamma_lasso
 from twogen import adversary as adv
 from twogen import topology as topo
 from twogen.adversary import ResourceBoundError
 from twogen.indexfn import BLACK, WHITE, ind, ind_limit
 from twogen.oracle import classify, select_forbidden_scenario
-from twogen.protocol import (DEFAULT_TAILS, INPUT_VECTORS,
-                             IndexGuardAlgorithm, Message,
+from twogen.protocol import (INPUT_VECTORS, IndexGuardAlgorithm, Message,
                              OwnInputAlgorithm, Report, Violation,
                              _delivered, completions, simulate, verify)
 from twogen.words import FiniteWord, GAMMA, LassoWord, Letter, parse_lasso
@@ -194,26 +192,20 @@ def test_target_index_in_any_order():
         assert algo.target_index(r) == ind(w.prefix(r))
 
 
-def test_generator_tails_are_not_used_up(builtins):
+def test_c1_depth_3_completion_counts(builtins):
     c1 = builtins["C1"]
-    listed = list(completions(c1, 3))
-    assert len(listed) == 9
-    assert list(completions(c1, 3, iter(DEFAULT_TAILS))) == listed
-    algo = OwnInputAlgorithm()
-    want = verify(algo, c1, 3)
-    assert want.checked == 36
-    assert verify(algo, c1, 3, iter(DEFAULT_TAILS)).to_json() == \
-        want.to_json()
+    assert len(list(completions(c1, 3))) == 9
+    assert verify(OwnInputAlgorithm(), c1, 3).checked == 36
 
 
 # -- reference: verify as one simulation per scenario from round 0 -------
 
 
-def _ref_verify(algorithm, a, depth, tails=DEFAULT_TAILS):
+def _ref_verify(algorithm, a, depth):
     budget = depth + 40
     checked = 0
     violations = []
-    for scenario in completions(a, depth, tails):
+    for scenario in completions(a, depth):
         for inputs in INPUT_VECTORS:
             checked += 1
             t = simulate(algorithm, scenario, inputs, budget)
@@ -237,28 +229,15 @@ def _ref_verify(algorithm, a, depth, tails=DEFAULT_TAILS):
     return Report(checked, violations)
 
 
-def _assert_verify_matches(algo, a, depths, tails=DEFAULT_TAILS,
-                           ref_algo=None):
+def _assert_verify_matches(algo, a, depths, ref_algo=None):
     kinds = set()
     for depth in depths:
-        got = verify(algo, a, depth, tails)
-        want = _ref_verify(ref_algo or algo, a, depth, tails)
+        got = verify(algo, a, depth)
+        want = _ref_verify(ref_algo or algo, a, depth)
         assert got.to_json() == want.to_json(), depth
         assert got.violations == want.violations, depth
         kinds |= {v.kind for v in got.violations}
     return kinds
-
-
-class _OwnInputAt(OwnInputAlgorithm):
-    """Decides its own input at the top of round ``r``."""
-
-    def __init__(self, r):
-        self.r = r
-
-    def maybe_halt(self, s):
-        if s.round >= self.r:
-            return replace(s, decided=s.init, halted=True)
-        return s
 
 
 def test_verify_budget_ends_before_a_halt_at_its_last_round(builtins):
@@ -313,11 +292,8 @@ def test_verify_matches_one_simulation_per_scenario(case):
 
 
 def test_verify_matches_with_odd_tails_and_aeta():
-    tails = DEFAULT_TAILS + DEFAULT_TAILS[:1] + (L("LW ( OK )^w"),)
-    for text, w in (("C1", "LB OK ( LB OK LW LB LW OK LW LB )^w"),
-                    ("TW", "( LB )^w")):
-        _assert_verify_matches(IndexGuardAlgorithm(L(w)), adv.load(text),
-                               range(4), tails)
+    """The geometric algorithm agrees with the reference too.  (The name
+    predates the fixed tail set.)"""
     # the geometric algorithm materializes deeper levels as runs reach
     # them, in a different order for the walk and for the reference
     for w in ("LW LB ( OK )^w", "OK LB ( LW OK )^w"):

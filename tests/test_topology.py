@@ -9,7 +9,8 @@ from conftest import all_words, random_gamma_lasso
 from twogen import adversary as adv
 from twogen import topology as topo
 from twogen.adversary import ResourceBoundError
-from twogen.indexfn import BLACK, WHITE, ind, ind_limit
+from twogen.indexfn import (BLACK, WHITE, TernaryRational, ind, ind_inverse,
+                            ind_limit)
 from twogen.oracle import classify
 from twogen.protocol import completions, verify
 from twogen.words import FiniteWord, GAMMA, LassoWord, Letter, parse_lasso, \
@@ -92,9 +93,17 @@ def test_protocol_complex_counts(builtins):
         topo.protocol_complex(builtins["R1"], 9)
 
 
+def _stable_words(ts):
+    """The words of each level's stable cells, read back from the
+    cells, in ``str`` order."""
+    return {k: tuple(sorted((ind_inverse(k, int(e.interval[0] * 3**k))
+                             for e in edges), key=str))
+            for k, edges in ts.levels.items()}
+
+
 def test_terminating_subdivision_antichain(fair_setup):
     _, _, ts = fair_setup
-    words = [w for level in ts.words.values() for w in level]
+    words = [w for level in _stable_words(ts).values() for w in level]
     assert words
     for w1, w2 in itertools.combinations(words, 2):
         shorter, longer = sorted((w1, w2), key=len)
@@ -121,7 +130,7 @@ def test_admissibility(fair_setup):
     """Every scenario completing a depth-4 prefix of the adversary has a
     stable prefix: the subdivision terminates on it."""
     a, _, ts = fair_setup
-    stable = {w for level in ts.words.values() for w in level}
+    stable = {w for level in _stable_words(ts).values() for w in level}
     scenarios = list(completions(a, 4))
     assert scenarios
     for lasso in scenarios:
@@ -182,6 +191,23 @@ def test_index_fiber_bound_on_a_power_of_three():
     assert ind_limit(topo.index_fiber(z).is_empty()) == z
 
 
+def test_ternary_reduction_on_a_power_of_three():
+    """Large powers of 3 reduce by repeated squaring, not one factor at
+    a time."""
+    start = time.perf_counter()
+    v = topo.vertex_at(Fraction(1, 3**40000))
+    assert time.perf_counter() - start < 0.1
+    assert (v.position.numerator, v.position.exponent) == (1, 40000)
+    start = time.perf_counter()
+    t = TernaryRational(3**40000, 40000)
+    assert time.perf_counter() - start < 0.1
+    assert (t.numerator, t.exponent) == (1, 0)
+    assert TernaryRational(0, 5) == TernaryRational(0, 0)
+    assert TernaryRational(2 * 3**7, 5) == TernaryRational(2 * 9, 0)
+    with pytest.raises(ValueError):
+        topo.vertex_at(Fraction(1, 2 * 3**40000))
+
+
 def _cell_test_levels(a, z, depth):
     """Stable words per level found the direct way: a live child is
     stable when its cell [ind, ind + 1]/3^k does not contain z."""
@@ -220,7 +246,8 @@ def test_fiber_levels_match_cell_test():
         depth = rng.randint(1, 14)
         ts = topo.build_terminating_subdivision(a, z, depth)
         want = _cell_test_levels(a, z, depth)
-        assert {k: ts.words[k] for k in want} == want, (lassos, z)
+        words = _stable_words(ts)
+        assert {k: words[k] for k in want} == want, (lassos, z)
 
 
 def test_eta_bounds(fair_setup):
