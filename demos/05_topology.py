@@ -51,13 +51,12 @@ print("creep up to an accumulation point has two abstract components")
 print("but a connected realization.")
 phi = topo.contrex(6)
 print("  abstract components:   ", topo.abstract_components(phi))
-print("  realization components:", topo.realization_components(phi, 6))
+print("  realization components:", topo.realization_components(phi))
 
 print()
 print("The geometric algorithm halts once its position is provably")
 print("on one side of z, and verifies clean:")
-delta = topo.side_decision_map(z)
-rep = verify(topo.GeometricAlgorithm(ts, delta), a, depth=4)
+rep = verify(topo.GeometricAlgorithm(ts), a, depth=4)
 print("  ok=%s checks=%d" % (rep.ok, rep.checked))
 
 out = os.path.join(tempfile.gettempdir(), "stable_complex.svg")

@@ -2,8 +2,9 @@
 
 Subcommands: index, adv, sim, bivalency, topo.  Machine output is JSON
 on stdout; errors go to stderr as "tag: message".  Exit codes: 0
-success, 1 domain or parse error, 2 resource bound exceeded, 3 the run
-succeeded but a verification report contains violations.
+success, 1 domain or parse error (usage errors, such as a missing or
+ill-typed argument, are parse errors), 2 resource bound exceeded, 3 the
+run succeeded but a verification report contains violations.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import adversary as adv
 from . import bivalency as biv
@@ -20,7 +20,7 @@ from . import protocol
 from . import topology as topo
 from .adversary import CompileError, ResourceBoundError
 from .indexfn import ind, ind_limit, ind_normalized
-from .words import LassoWord, ParseError, parse_lasso, parse_word
+from .words import ParseError, parse_lasso, parse_word
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -54,9 +54,8 @@ def _pick_algorithm(args, a) -> protocol.Algorithm:
     if name == "aw":
         return protocol.IndexGuardAlgorithm(w)
     if name == "aeta":
-        z = ind_limit(w)
-        ts = topo.build_terminating_subdivision(a, z, depth=8)
-        return topo.GeometricAlgorithm(ts, topo.side_decision_map(z))
+        ts = topo.build_terminating_subdivision(a, ind_limit(w), depth=8)
+        return topo.GeometricAlgorithm(ts)
     raise ValueError("unknown algorithm %r" % name)
 
 
@@ -151,9 +150,7 @@ def _cmd_topo(args) -> int:
         phi = topo.contrex(args.depth)
         print(json.dumps({
             "abstract_components": topo.abstract_components(phi),
-            "realization_components": topo.realization_components(
-                phi, args.depth
-            ),
+            "realization_components": topo.realization_components(phi),
         }))
         return EXIT_OK
     if args.action == "subdivide":
@@ -183,8 +180,15 @@ def _cmd_topo(args) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ParseError instead of exiting 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="twogen",
         description="two-process consensus under message adversaries",
     )
@@ -234,9 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "index":
             if args.word is None and not args.limit:
                 raise ParseError("index needs a word or --limit")

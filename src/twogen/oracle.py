@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import adversary as adv
 from .adversary import AdversaryAutomaton, And, Atom
-from .indexfn import ind_limit, is_special_pair
+from .indexfn import is_special_pair
 from .words import FiniteWord, GAMMA, LassoWord, Letter, is_fair
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Optional
 
 from .adversary import AdversaryAutomaton, ResourceBoundError
 from .indexfn import BLACK, WHITE, ProcessId, ind, ind_step
-from .words import FiniteWord, GAMMA, LassoWord, Letter
+from .words import FiniteWord, LassoWord, Letter
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,10 @@ from . import adversary as adv
 from .adversary import AdversaryAutomaton, Atom, ResourceBoundError
 from .indexfn import (BLACK, WHITE, ProcessId, TernaryRational, ind,
                       ind_limit, ind_step, split_threes)
-from .oracle import (CornerWitness, FairWitness, SpecialPairWitness,
-                     Verdict, classify)
-from .protocol import Algorithm, ProcessState, Transcript, simulate
-from .words import FiniteWord, GAMMA, LassoWord, Letter
+from .oracle import (CornerWitness, FairWitness, Verdict, classify,
+                     select_forbidden_scenario)
+from .protocol import Algorithm, ProcessState
+from .words import FiniteWord, GAMMA, Letter
 
 UNIT = "unit"
 
@@ -60,13 +60,15 @@ def position_color(p: TernaryRational) -> ProcessId:
 @dataclass(frozen=True)
 class ColoredVertex:
     position: TernaryRational
-    color: ProcessId
     segment: str = UNIT
+
+    @property
+    def color(self) -> ProcessId:
+        return position_color(self.position)
 
 
 def vertex_at(x, segment: str = UNIT) -> ColoredVertex:
-    p = _tr(x)
-    return ColoredVertex(p, position_color(p), segment)
+    return ColoredVertex(_tr(x), segment)
 
 
 @dataclass(frozen=True)
@@ -144,16 +146,12 @@ def chromatic_subdivision(c: Complex) -> Complex:
         seg = e.a.segment
         p, q = lo.position.value, hi.position.value
         d = q - p
-        m1 = ColoredVertex(_tr(p + d / 3), _other(lo.color), seg)
-        m2 = ColoredVertex(_tr(p + 2 * d / 3), _other(hi.color), seg)
+        m1 = vertex_at(p + d / 3, seg)
+        m2 = vertex_at(p + 2 * d / 3, seg)
         edges.append(ComplexEdge(lo, m1))
         edges.append(ComplexEdge(m1, m2))
         edges.append(ComplexEdge(m2, hi))
     return Complex(tuple(edges), c.gluing, c.accumulation_points)
-
-
-def _other(c: ProcessId) -> ProcessId:
-    return BLACK if c is WHITE else WHITE
 
 
 def word_to_edge(w: FiniteWord, segment: str = UNIT,
@@ -167,10 +165,9 @@ def word_to_edge(w: FiniteWord, segment: str = UNIT,
 def _cell(k: int, r: int, segment: str = UNIT,
           level: Optional[int] = None) -> ComplexEdge:
     """The cell [k/3^r, (k+1)/3^r], at level r unless told otherwise."""
-    lo, hi = TernaryRational(k, r), TernaryRational(k + 1, r)
     return ComplexEdge(
-        ColoredVertex(lo, position_color(lo), segment),
-        ColoredVertex(hi, position_color(hi), segment),
+        ColoredVertex(TernaryRational(k, r), segment),
+        ColoredVertex(TernaryRational(k + 1, r), segment),
         level if level is not None else r,
     )
 
@@ -219,14 +216,15 @@ def abstract_components(k: Complex) -> int:
     return len({find(v) for v in parent})
 
 
-def realization_components(k: Complex, closure_depth: int = 12) -> int:
+def realization_components(k: Complex) -> int:
     """Components of the union of the closed intervals, on one segment.
 
     Declared accumulation points capture the closure of an infinite
     generating family: a component whose endpoint approaches such a
-    point p (within 1/3^(closure_depth-1)) is merged with the component
-    materially containing p -- but only when p lies inside some
-    interval; a bare limit point outside the union separates nothing.
+    point p (within three times the shortest edge of k) is merged with
+    the component materially containing p -- but only when p lies
+    inside some interval; a bare limit point outside the union
+    separates nothing.
     """
     if len(k.segments()) > 1:
         raise ValueError("realization counting works on a single segment")
@@ -239,7 +237,7 @@ def realization_components(k: Complex, closure_depth: int = 12) -> int:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    tol = Fraction(1, 3 ** (closure_depth - 1))
+    tol = 3 * min(hi - lo for lo, hi in intervals)
     parent = list(range(len(merged)))
 
     def find(i):
@@ -331,9 +329,10 @@ class TerminatingSubdivision:
     interval has just separated from z (their parent interval still
     contained it), in the order the frontier reaches them; their words
     form an antichain by construction.
-    ``_radius`` maps each stable vertex to the exponent j of its halting
-    radius 3^-j, where j - 1 is the deepest level materialized so far
-    at which the vertex bounds a stable edge.
+    ``_radius`` maps the reduced (numerator, exponent) position of each
+    stable vertex to the exponent j of its halting radius 3^-j, where
+    j - 1 is the deepest level materialized so far at which the vertex
+    bounds a stable edge.
     """
 
     adversary: AdversaryAutomaton
@@ -368,7 +367,8 @@ class TerminatingSubdivision:
                     frontier.append((child, nxt, fnxt))
         self.levels[k] = tuple(_cell(i, k) for i in stable)
         for e in self.levels[k]:
-            self._radius[e.a] = self._radius[e.b] = k + 1
+            for p in (e.a.position, e.b.position):
+                self._radius[p.numerator, p.exponent] = k + 1
         self._frontier = frontier
         self._depth = k
 
@@ -421,7 +421,11 @@ def build_terminating_subdivision(a: AdversaryAutomaton, z,
 def eta_of(ts: TerminatingSubdivision) -> dict:
     """Halting radius 1/3^j per stable vertex, over the whole stable
     complex for every vertex of the levels materialized at the call."""
-    return {v: Fraction(1, 3**j) for v, j in ts.radii(ts._depth).items()}
+    radius = ts.radii(ts._depth)
+    return {v: Fraction(1, 3**radius[v.position.numerator,
+                                     v.position.exponent])
+            for edges in ts.levels.values() for e in edges
+            for v in (e.a, e.b)}
 
 
 def finished_witness(r: int, x,
@@ -447,8 +451,9 @@ def finished_witness(r: int, x,
     # an end of a level-k edge has j > k, and j < r is needed to win
     for k in range(1, r - 1):
         for e in ts.levels[k]:
-            ja, jb = radius[e.a], radius[e.b]
             lo, hi = e.a.position, e.b.position
+            ja = radius[lo.numerator, lo.exponent]
+            jb = radius[hi.numerator, hi.exponent]
             klo = lo.numerator * 3 ** (r - lo.exponent)
             khi = hi.numerator * 3 ** (r - hi.exponent)
             for kc in {max(klo, min(khi, kx)),
@@ -463,12 +468,8 @@ def finished_witness(r: int, x,
     return vertex_at(Fraction(best, pow3)) if best is not None else None
 
 
-def finished(r: int, x, ts: TerminatingSubdivision) -> bool:
-    return finished_witness(r, x, ts) is not None
-
-
 def side_decision_map(z) -> Callable:
-    """Default decision map: points left of the gap adopt white's
+    """A_eta's decision map: points left of the gap adopt white's
     input, points right of it adopt black's."""
     z = Fraction(z)
 
@@ -481,14 +482,14 @@ def side_decision_map(z) -> Callable:
 class GeometricAlgorithm(Algorithm):
     """Algorithm A_eta: same index updates as the index-guard
     algorithm, halting as soon as Finished(r, ind/3^r) holds, deciding
-    the input of the process the decision map assigns to the witness
-    vertex."""
+    the input of the process that the side decision map of the gap
+    point assigns to the witness vertex."""
 
     name = "aeta"
 
-    def __init__(self, ts: TerminatingSubdivision, delta: Callable):
+    def __init__(self, ts: TerminatingSubdivision):
         self.ts = ts
-        self.delta = delta
+        self.delta = side_decision_map(ts.z)
 
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         r = s.round
@@ -504,24 +505,10 @@ class GeometricAlgorithm(Algorithm):
         return replace(s, decided=value)
 
 
-def alg_eta_simulate(ts: TerminatingSubdivision, delta: Callable,
-                     scenario: LassoWord, inputs: tuple,
-                     max_rounds: int = 64) -> Transcript:
-    algo = GeometricAlgorithm(ts, delta)
-    return simulate(algo, scenario, inputs, max_rounds)
-
-
 def gap_point(v: Verdict) -> Fraction:
-    """Translates a solvability witness into the point the stable
-    complex avoids."""
-    w = v.witness
-    if isinstance(w, FairWitness):
-        return ind_limit(w.scenario)
-    if isinstance(w, SpecialPairWitness):
-        return ind_limit(w.first)
-    if isinstance(w, CornerWitness):
-        return ind_limit(w.scenario)
-    raise ValueError("verdict carries no witness")
+    """The point the stable complex avoids: the limit index of the
+    forbidden scenario that parameterizes the algorithms."""
+    return ind_limit(select_forbidden_scenario(v))
 
 
 @dataclass(frozen=True)
@@ -666,11 +653,11 @@ def _complex_from_doc(doc: dict) -> Complex:
     verts = []
     for d in doc["vertices"]:
         num, den = d["position"].split("/")
-        verts.append(ColoredVertex(
-            _tr(Fraction(int(num), int(den))),
-            ProcessId(d["color"]),
-            d["segment"],
-        ))
+        v = ColoredVertex(_tr(Fraction(int(num), int(den))), d["segment"])
+        if ProcessId(d["color"]) is not v.color:
+            raise ValueError("vertex at %s is colored %s, not %s"
+                             % (v.position, d["color"], v.color.value))
+        verts.append(v)
     edges = tuple(
         ComplexEdge(verts[d["a"]], verts[d["b"]], d.get("level"))
         for d in doc["edges"]

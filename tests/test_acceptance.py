@@ -232,7 +232,7 @@ def test_criterion_11_abstract_vs_geometric_gap(report):
                     "1 realization component"):
         phi = topo.contrex(6)
         assert topo.abstract_components(phi) == 2
-        assert topo.realization_components(phi, 6) == 1
+        assert topo.realization_components(phi) == 1
 
 
 def test_criterion_12_characterization_equivalence(report, builtins):
@@ -259,11 +259,10 @@ def test_criterion_13_geometric_algorithm(report):
         a = adv.load(FAIR_ADV)
         z = topo.gap_point(classify(a))
         ts = topo.build_terminating_subdivision(a, z, depth=10)
-        delta = topo.side_decision_map(z)
-        rep = verify(topo.GeometricAlgorithm(ts, delta), a, depth=4)
+        algo = topo.GeometricAlgorithm(ts)
+        rep = verify(algo, a, depth=4)
         assert rep.ok, rep.violations[:3]
         for tail in ("( OK )^w", "( LW )^w", "( LB )^w"):
             for bit in (0, 1):
-                t = topo.alg_eta_simulate(
-                    ts, delta, parse_lasso(tail), (bit, bit))
+                t = simulate(algo, parse_lasso(tail), (bit, bit))
                 assert t.both_halted() and t.decisions == (bit, bit)

@@ -269,6 +269,8 @@ def test_topo_components_missing_file(capsys, tmp_path):
                                       "segment": 0}], "edges": []},
     {"type": "complex", "vertices": [], "edges": [{"a": 0, "b": 1}]},
     ["not", "an", "object"],
+    {"type": "complex", "vertices": [{"position": "0/1", "color": "BLACK",
+                                      "segment": "unit"}], "edges": []},
 ])
 def test_topo_components_malformed_document(capsys, tmp_path, doc):
     path = tmp_path / "bad.json"
@@ -276,6 +278,18 @@ def test_topo_components_malformed_document(capsys, tmp_path, doc):
     rc, _, err = run(capsys, "topo", "components", "--in", str(path))
     assert rc == 1
     assert err.startswith("domain:")
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["adv", "check"],
+    ["topo", "bogus"],
+    ["sim", "verify", "--adversary", "C1", "--depth", "x"],
+])
+def test_usage_error_is_a_parse_error(capsys, argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1
+    assert err.startswith("parse:")
 
 
 def test_deep_nesting_is_a_parse_error(capsys):

@@ -302,7 +302,7 @@ def test_verify_matches_with_odd_tails_and_aeta():
 
         def geometric():
             ts = topo.build_terminating_subdivision(a, z, depth=4)
-            return topo.GeometricAlgorithm(ts, topo.side_decision_map(z))
+            return topo.GeometricAlgorithm(ts)
 
         _assert_verify_matches(geometric(), a, range(4),
                                ref_algo=geometric())

@@ -1,0 +1,26 @@
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src", "twogen")
+MODULES = sorted(f for f in os.listdir(SRC)
+                 if f.endswith(".py") and f != "__init__.py")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_read(module):
+    """Each name a module imports is read somewhere in it (the package's
+    ``__init__`` re-exports names and is not checked)."""
+    with open(os.path.join(SRC, module)) as fh:
+        tree = ast.parse(fh.read(), module)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0]
+                            for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unread = sorted(imported - read)
+    assert not unread, unread

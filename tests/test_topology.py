@@ -12,7 +12,7 @@ from twogen.adversary import ResourceBoundError
 from twogen.indexfn import (BLACK, WHITE, TernaryRational, ind, ind_inverse,
                             ind_limit)
 from twogen.oracle import classify
-from twogen.protocol import completions, verify
+from twogen.protocol import completions, simulate, verify
 from twogen.words import FiniteWord, GAMMA, LassoWord, Letter, parse_lasso, \
     parse_word
 
@@ -282,9 +282,9 @@ def test_eta_soundness(fair_setup):
 
 def test_finished_examples(fair_setup):
     _, z, ts = fair_setup
-    assert not topo.finished(1, Fraction(1, 2), ts)
+    assert topo.finished_witness(1, Fraction(1, 2), ts) is None
     # deep inside a level-1 stable cell, a round-3 ball fits
-    assert topo.finished(3, Fraction(1, 6), ts)
+    assert topo.finished_witness(3, Fraction(1, 6), ts) is not None
 
 
 @pytest.mark.parametrize("w", [FAIR_W, "LB" + " LW" * 10 + " ( OK )^w"])
@@ -300,7 +300,7 @@ def test_shallow_subdivision_answers_like_a_deep_one(w):
             x = Fraction(k, 3**r)
             assert topo.finished_witness(r, x, shallow) == \
                 topo.finished_witness(r, x, deep), (r, x)
-    assert topo.finished(5, Fraction(1, 6), shallow)
+    assert topo.finished_witness(5, Fraction(1, 6), shallow) is not None
 
 
 def _reference_eta(ts):
@@ -314,38 +314,43 @@ def _reference_eta(ts):
     return radius
 
 
-def _reference_finished_witness(r, x, ts, radius):
-    """The Finished search in Fractions, on levels materialized past r."""
-    assert ts._depth >= r
+def _reference_edges(ts, radius):
+    """The stable edges as (level, lo, hi, eta_a, eta_b, pos_a, pos_b)
+    Fraction tuples, in level order."""
+    return [(k, *e.interval, radius[e.a], radius[e.b],
+             e.a.position.value, e.b.position.value)
+            for k in sorted(ts.levels) for e in ts.levels[k]]
+
+
+def _reference_finished_witness(r, x, edges):
+    """The Finished search in Fractions, on edges of levels
+    materialized past r."""
     x = Fraction(x)
     ball = Fraction(1, 3**r)
     pow3 = 3**r
     kx = (x.numerator * pow3) // x.denominator
     best = None
     best_key = None
-    for k in sorted(ts.levels):
+    for k, lo, hi, eta_a, eta_b, pos_a, pos_b in edges:
         if k > r:
             break
-        for e in ts.levels[k]:
-            lo, hi = e.interval
-            klo = -((-lo.numerator * pow3) // lo.denominator)
-            khi = (hi.numerator * pow3) // hi.denominator
-            if klo > khi:
-                continue
-            h_edge = min(radius[e.a], radius[e.b])
-            for kc in {max(klo, min(khi, kx)),
-                       max(klo, min(khi, kx + 1))}:
-                y = Fraction(kc, pow3)
-                if y == e.a.position.value:
-                    h = radius[e.a]
-                elif y == e.b.position.value:
-                    h = radius[e.b]
-                else:
-                    h = h_edge
-                if abs(x - y) + ball < h:
-                    key = (abs(x - y), y)
-                    if best_key is None or key < best_key:
-                        best, best_key = y, key
+        klo = -((-lo.numerator * pow3) // lo.denominator)
+        khi = (hi.numerator * pow3) // hi.denominator
+        if klo > khi:
+            continue
+        h_edge = min(eta_a, eta_b)
+        for kc in {max(klo, min(khi, kx)), max(klo, min(khi, kx + 1))}:
+            y = Fraction(kc, pow3)
+            if y == pos_a:
+                h = eta_a
+            elif y == pos_b:
+                h = eta_b
+            else:
+                h = h_edge
+            if abs(x - y) + ball < h:
+                key = (abs(x - y), y)
+                if best_key is None or key < best_key:
+                    best, best_key = y, key
     return topo.vertex_at(best) if best is not None else None
 
 
@@ -381,7 +386,7 @@ def test_finished_witness_matches_fraction_reference():
     queries = 0
     for a, z in cases:
         deep = topo.build_terminating_subdivision(a, z, depth=60)
-        radius = _reference_eta(deep)
+        edges = _reference_edges(deep, _reference_eta(deep))
         fresh = [topo.build_terminating_subdivision(a, z, depth=d)
                  for d in range(7)]
         xs = [(r, Fraction(k, 3**r)) for r in range(7)
@@ -391,8 +396,9 @@ def test_finished_witness_matches_fraction_reference():
         xs += [(r, Fraction(rng.randint(0, 10**6), 10**6 - rng.randint(0, 7)))
                for r in range(11) for _ in range(3)]
         rng.shuffle(xs)
+        assert deep._depth >= max(r for r, _ in xs)
         for i, (r, x) in enumerate(xs):
-            want = _reference_finished_witness(r, x, deep, radius)
+            want = _reference_finished_witness(r, x, edges)
             got = topo.finished_witness(r, x, fresh[i % len(fresh)])
             assert got == want, (z, r, x)
         queries += len(xs)
@@ -404,7 +410,15 @@ def test_finished_witness_matches_fraction_reference():
 def test_contrex():
     phi = topo.contrex(6)
     assert topo.abstract_components(phi) == 2
-    assert topo.realization_components(phi, 6) == 1
+    assert topo.realization_components(phi) == 1
+
+
+def test_contrex_document_counts_like_contrex():
+    """Read back from its JSON document, contrex(d) keeps the one
+    realization component that ``topo contrex --depth d`` prints."""
+    for d in range(1, 13):
+        phi = topo.complex_from_json(topo.export(topo.contrex(d)))
+        assert topo.realization_components(phi) == 1, d
 
 
 def test_contrex_level_one_cells():
@@ -466,8 +480,8 @@ def test_pair_removal_connectivity():
 
 
 def test_aeta_verify_clean(fair_setup):
-    a, z, ts = fair_setup
-    algo = topo.GeometricAlgorithm(ts, topo.side_decision_map(z))
+    a, _, ts = fair_setup
+    algo = topo.GeometricAlgorithm(ts)
     rep = verify(algo, a, depth=4)
     assert rep.ok, rep.violations[:3]
 
@@ -477,21 +491,19 @@ def test_aeta_verify_does_not_depend_on_depth():
     a = adv.load("GAMMA^w \\ { %s }" % w)
     z = ind_limit(parse_lasso(w))
     ts = topo.build_terminating_subdivision(a, z, depth=8)
-    delta = topo.side_decision_map(z)
-    before = verify(topo.GeometricAlgorithm(ts, delta), a, depth=3)
+    before = verify(topo.GeometricAlgorithm(ts), a, depth=3)
     ts.materialize(14)
-    after = verify(topo.GeometricAlgorithm(ts, delta), a, depth=3)
+    after = verify(topo.GeometricAlgorithm(ts), a, depth=3)
     assert before.to_json() == after.to_json()
     assert before.ok, before.violations[:3]
 
 
 def test_aeta_validity_unanimous(fair_setup):
-    a, z, ts = fair_setup
-    delta = topo.side_decision_map(z)
+    _, _, ts = fair_setup
     for tail in ("( OK )^w", "( LW )^w", "( LB )^w"):
         for bit in (0, 1):
-            t = topo.alg_eta_simulate(
-                ts, delta, parse_lasso(tail), (bit, bit)
+            t = simulate(
+                topo.GeometricAlgorithm(ts), parse_lasso(tail), (bit, bit)
             )
             assert t.both_halted()
             assert t.decisions == (bit, bit)
