@@ -11,9 +11,11 @@ verdict only signals bound exhaustion, never a theorem.
 One depth-first walk over the live extensions of a prefix
 (``protocol._walk``) runs each distinct completion once, from the
 configuration of the word it completes, and collects, for every word
-it passes, the decisions reached below that word.  ``valency`` reads
-the root of this map; ``explore`` builds its tree from the whole map,
-and ``find_decisive`` walks that tree.
+it passes, the decisions reached below that word.  A run whose
+processes have both halted is not replayed: its decisions are read off
+its configuration.  ``valency`` reads the root of this map;
+``explore`` builds its tree from the whole map, and ``find_decisive``
+walks that tree.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import json
 from dataclasses import dataclass, field
 
 from .adversary import AdversaryAutomaton
-from .protocol import Algorithm, DEFAULT_TAILS, _resume, _walk
+from .protocol import (Algorithm, DEFAULT_TAILS, _accepted_tails, _halted,
+                       _resume, _walk)
 from .words import FiniteWord, LassoWord
 
 
@@ -51,17 +54,23 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
         raise ValueError(
             "prefix %r is not a prefix of the adversary" % str(prefix))
     budget = len(prefix) + depth + 40
+    tails_from = _accepted_tails(a)
     below: dict = {}
     runs: dict = {}  # once per scenario: w OK . OK^w is w . OK^w
-    for word, state, configs in _walk(algorithm, a, prefix, depth,
-                                      (inputs,)):
+    for word, state, (config,) in _walk(algorithm, a, prefix, depth,
+                                        (inputs,)):
         found = below[word] = set()
+        tails = tails_from(state)
+        if _halted(config):  # final under every tail
+            if tails:
+                found |= {config[0].decided, config[1].decided}
+            continue
         for tail in DEFAULT_TAILS:
             lasso = LassoWord(word, tail.cycle)
             if lasso not in runs:
                 runs[lasso] = set()
-                if a.accepts_from(state, tail):
-                    white, black = _resume(algorithm, configs[0], lasso,
+                if tail in tails:
+                    white, black = _resume(algorithm, config, lasso,
                                            len(word), budget)
                     # an agreement violation makes valency meaningless;
                     # both values surface it as bivalence of the prefix

@@ -255,6 +255,9 @@ def main(argv=None) -> int:
         if args.command == "topo":
             if args.action == "subdivide" and not args.out:
                 raise ParseError("topo subdivide needs --out")
+            if (args.action in ("subdivide", "components")
+                    and not (args.adversary or args.infile)):
+                raise ParseError("topo <action> needs --adversary or --in")
             return _cmd_topo(args)
         raise ValueError("unknown command %r" % args.command)
     except ResourceBoundError as e:

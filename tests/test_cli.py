@@ -285,6 +285,8 @@ def test_topo_components_malformed_document(capsys, tmp_path, doc):
     ["adv", "check"],
     ["topo", "bogus"],
     ["sim", "verify", "--adversary", "C1", "--depth", "x"],
+    ["topo", "components"],
+    ["topo", "subdivide", "--out", "x.json"],
 ])
 def test_usage_error_is_a_parse_error(capsys, argv):
     rc, _, err = run(capsys, *argv)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import os
@@ -6,17 +7,20 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import _OwnInputAt, all_words, random_gamma_lasso
 from twogen import adversary as adv
+from twogen import bivalency, protocol
 from twogen import topology as topo
-from twogen.adversary import ResourceBoundError
+from twogen.adversary import AdversaryAutomaton, ResourceBoundError
 from twogen.indexfn import BLACK, WHITE, ind, ind_limit
 from twogen.oracle import classify, select_forbidden_scenario
 from twogen.protocol import (INPUT_VECTORS, IndexGuardAlgorithm, Message,
                              OwnInputAlgorithm, Report, Violation,
                              _delivered, completions, simulate, verify)
-from twogen.words import FiniteWord, GAMMA, LassoWord, Letter, parse_lasso
+from twogen.words import (FiniteWord, G2, GAMMA, LassoWord, Letter,
+                          parse_lasso)
 
 
 def L(text):
@@ -306,3 +310,77 @@ def test_verify_matches_with_odd_tails_and_aeta():
 
         _assert_verify_matches(geometric(), a, range(4),
                                ref_algo=geometric())
+
+
+# -- halted runs are final, so they are not replayed ---------------------
+
+
+@pytest.mark.parametrize("name", ["S1", "C1", "TW"])
+def test_halted_runs_are_not_replayed(builtins, monkeypatch, name):
+    """With the oracle's w every run has halted by round 5: verify
+    counts its completions without resuming one, and verify and explore
+    ask for each state's tails once."""
+    a = builtins[name]
+    algo = IndexGuardAlgorithm(select_forbidden_scenario(classify(a)))
+    checked = 4 * len(list(completions(a, 5)))
+    calls = {"resume": 0, "accepts": 0}
+    resume, accepts = protocol._resume, AdversaryAutomaton.accepts_from
+
+    def counted_resume(*args):
+        calls["resume"] += 1
+        return resume(*args)
+
+    def counted_accepts(self, *args):
+        calls["accepts"] += 1
+        return accepts(self, *args)
+
+    monkeypatch.setattr(protocol, "_resume", counted_resume)
+    monkeypatch.setattr(bivalency, "_resume", counted_resume)
+    monkeypatch.setattr(AdversaryAutomaton, "accepts_from", counted_accepts)
+    rep = verify(algo, a, 5)
+    assert rep.ok and rep.checked == checked
+    assert calls["resume"] == 0
+    assert calls["accepts"] <= 3 * len(a.states)
+    calls["accepts"] = 0
+    bivalency.explore(algo, a, (0, 1), 4)
+    assert calls["accepts"] <= 3 * len(a.states)
+
+
+_GEOMETRIC_W = L("LW LB ( OK )^w")
+
+
+@functools.cache
+def _geometric():
+    a = adv.load("GAMMA^w \\ { %s }" % _GEOMETRIC_W)
+    ts = topo.build_terminating_subdivision(a, ind_limit(_GEOMETRIC_W), 4)
+    return topo.GeometricAlgorithm(ts)
+
+
+def _lassos(letters, max_stem, max_cycle):
+    return st.builds(
+        LassoWord.of,
+        st.lists(st.sampled_from(letters), max_size=max_stem).map(tuple),
+        st.lists(st.sampled_from(letters), min_size=1,
+                 max_size=max_cycle).map(tuple))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_lassos(GAMMA, 3, 2).map(IndexGuardAlgorithm),
+                 st.just(OwnInputAlgorithm()),
+                 st.builds(_geometric)),
+       _lassos(G2, 4, 3), st.sampled_from(INPUT_VECTORS),
+       st.integers(min_value=0, max_value=12))
+def test_a_halted_configuration_is_final(algo, scenario, inputs, rounds):
+    """Once both processes have halted, a round under any letter, halt
+    checks included, leaves the configuration as it is."""
+
+    def step(config, letter):
+        return protocol._halt_checks(algo, protocol._run(
+            algo, config, (letter,)))
+
+    start = protocol._halt_checks(algo, protocol._start(algo, inputs))
+    for config in itertools.accumulate(
+            itertools.islice(scenario.letters(), rounds), step,
+            initial=start):
+        if protocol._halted(config):
+            assert all(step(config, letter) == config for letter in G2)
