@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .adversary import AdversaryAutomaton, ResourceBoundError
@@ -100,7 +100,7 @@ class IndexGuardAlgorithm(Algorithm):
             value = s.init if s.ind > target else s.initother
         if value is None:
             raise AssertionError("decided on an absent initother")
-        return replace(s, decided=value)
+        return ProcessState(s.id, s.init, s.initother, s.ind, s.round, value)
 
 
 class OwnInputAlgorithm(Algorithm):
@@ -108,10 +108,10 @@ class OwnInputAlgorithm(Algorithm):
 
     name = "own-input"
 
-
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         if s.round >= 1:
-            return replace(s, decided=s.init)
+            return ProcessState(s.id, s.init, s.initother, s.ind, s.round,
+                                s.init)
         return s
 
 
@@ -371,8 +371,9 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton,
     obtained by completing the adversary's depth-prefixes with
     DEFAULT_TAILS (the scenarios of ``completions``, in its order),
     across all four input vectors, each run for at most depth + 40
-    rounds; each run resumes from its prefix's configuration, and a
-    prefix whose runs have all halted and decided correctly counts its
+    rounds; a run that has not halted by its prefix's end resumes from
+    its configuration there, a halted one is read off it, and a prefix
+    whose runs have all halted and decided correctly counts its
     completions without running them."""
     if depth > 10:
         raise ResourceBoundError(
@@ -398,8 +399,8 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton,
             scenario = LassoWord(word, tail.cycle)
             for inputs, config in zip(INPUT_VECTORS, configs):
                 checked += 1
-                white, black = _resume(algorithm, config, scenario, n,
-                                       budget)
+                white, black = config if _halted(config) else _resume(
+                    algorithm, config, scenario, n, budget)
                 violations.extend(
                     Violation(kind, scenario, inputs, detail)
                     for kind, detail in _faults(inputs, white, black,

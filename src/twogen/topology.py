@@ -16,7 +16,7 @@ ball-inclusion answers are claims about real geometry, so no floats.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -483,26 +483,35 @@ class GeometricAlgorithm(Algorithm):
     """Algorithm A_eta: same index updates as the index-guard
     algorithm, halting as soon as Finished(r, ind/3^r) holds, deciding
     the input of the process that the side decision map of the gap
-    point assigns to the witness vertex."""
+    point assigns to the witness vertex.
+
+    Finished(r, x) depends on r and x alone (``ts.radii(r)`` makes it
+    independent of how deep the subdivision has grown), so each
+    (round, index) is answered once per instance."""
 
     name = "aeta"
 
     def __init__(self, ts: TerminatingSubdivision):
         self.ts = ts
         self.delta = side_decision_map(ts.z)
+        self._sides = {}  # (r, ind) -> the witness vertex's side, or None
 
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         r = s.round
         if r == 0:
             return s
-        y = finished_witness(r, Fraction(s.ind, 3**r), self.ts)
-        if y is None:
+        key = r, s.ind
+        if key not in self._sides:
+            y = finished_witness(r, Fraction(s.ind, 3**r), self.ts)
+            self._sides[key] = (None if y is None
+                                else self.delta(y.position.value))
+        side = self._sides[key]
+        if side is None:
             return s
-        side = self.delta(y.position.value)
         value = s.init if side is s.id else s.initother
         if value is None:
             raise AssertionError("decision map points at an unseen input")
-        return replace(s, decided=value)
+        return ProcessState(s.id, s.init, s.initother, s.ind, r, value)
 
 
 def gap_point(v: Verdict) -> Fraction:

@@ -346,6 +346,25 @@ def test_halted_runs_are_not_replayed(builtins, monkeypatch, name):
     assert calls["accepts"] <= 3 * len(a.states)
 
 
+@pytest.mark.parametrize("name", ["S1", "C1", "TW"])
+def test_halted_violations_are_not_resumed(builtins, monkeypatch, name):
+    """Own-input has halted by round 1 and disagrees on mixed inputs:
+    verify reads each violating run off its configuration, resuming no
+    halted one, and reports what simulating every scenario does."""
+    a = builtins[name]
+    resumed = []
+    resume = protocol._resume
+
+    def counted_resume(algorithm, config, *args):
+        resumed.append(protocol._halted(config))
+        return resume(algorithm, config, *args)
+
+    monkeypatch.setattr(protocol, "_resume", counted_resume)
+    rep = verify(OwnInputAlgorithm(), a, 5)
+    assert rep.violations and resumed.count(True) == 0
+    assert rep.to_json() == _ref_verify(OwnInputAlgorithm(), a, 5).to_json()
+
+
 _GEOMETRIC_W = L("LW LB ( OK )^w")
 
 

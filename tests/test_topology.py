@@ -1,23 +1,28 @@
+import collections
 import itertools
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import all_words, random_gamma_lasso
 from twogen import adversary as adv
+from twogen import bivalency
 from twogen import topology as topo
 from twogen.adversary import ResourceBoundError
 from twogen.indexfn import (BLACK, WHITE, TernaryRational, ind, ind_inverse,
                             ind_limit)
 from twogen.oracle import classify
-from twogen.protocol import completions, simulate, verify
+from twogen.protocol import (INPUT_VECTORS, ProcessState, completions,
+                             simulate, verify)
 from twogen.words import FiniteWord, GAMMA, LassoWord, Letter, parse_lasso, \
     parse_word
 
 FAIR_W = "LW LB ( OK )^w"
 FAIR_ADV = "GAMMA^w \\ { LW LB ( OK )^w }"
+LONG_W = "LB" + " LW" * 10 + " ( OK )^w"
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +292,7 @@ def test_finished_examples(fair_setup):
     assert topo.finished_witness(3, Fraction(1, 6), ts) is not None
 
 
-@pytest.mark.parametrize("w", [FAIR_W, "LB" + " LW" * 10 + " ( OK )^w"])
+@pytest.mark.parametrize("w", [FAIR_W, LONG_W])
 def test_shallow_subdivision_answers_like_a_deep_one(w):
     """A subdivision grows as far as a round's radii need, so the depth
     it was built to changes no answer."""
@@ -487,7 +492,7 @@ def test_aeta_verify_clean(fair_setup):
 
 
 def test_aeta_verify_does_not_depend_on_depth():
-    w = "LB" + " LW" * 10 + " ( OK )^w"
+    w = LONG_W
     a = adv.load("GAMMA^w \\ { %s }" % w)
     z = ind_limit(parse_lasso(w))
     ts = topo.build_terminating_subdivision(a, z, depth=8)
@@ -507,6 +512,93 @@ def test_aeta_validity_unanimous(fair_setup):
             )
             assert t.both_halted()
             assert t.decisions == (bit, bit)
+
+
+def _gap_subdivision(w, depth):
+    """The adversary without ``w`` and its subdivision around ind(w)."""
+    a = adv.load("GAMMA^w \\ { %s }" % w)
+    z = ind_limit(parse_lasso(w))
+    return a, topo.build_terminating_subdivision(a, z, depth=depth)
+
+
+@pytest.mark.parametrize("w", [FAIR_W, LONG_W])
+def test_aeta_halts_where_finished_says(w):
+    """Every (r, ind) up to round 7, asked in a shuffled order and twice
+    over, halts A_eta exactly where finished_witness on a separately
+    built subdivision holds, deciding by its witness's side: white's
+    input 0 on the white side, black's input 1 on the black side."""
+    _, ts = _gap_subdivision(w, 2)
+    _, fresh = _gap_subdivision(w, 10)
+    delta = topo.side_decision_map(fresh.z)
+    keys = [(r, i) for r in range(1, 8) for i in range(3**r + 1)]
+    want = {}
+    for r, i in keys:
+        y = topo.finished_witness(r, Fraction(i, 3**r), fresh)
+        want[r, i] = (None if y is None
+                      else 0 if delta(y.position.value) is WHITE else 1)
+    assert None in want.values() and {0, 1} <= set(want.values())
+    algo = topo.GeometricAlgorithm(ts)
+    rng = random.Random(5)
+    for _ in range(2):
+        rng.shuffle(keys)
+        for r, i in keys:
+            for s in (ProcessState(WHITE, 0, 1, i, r),
+                      ProcessState(BLACK, 1, 0, i, r)):
+                assert algo.maybe_halt(s).decided == want[r, i], (r, i, s.id)
+
+
+def test_aeta_asks_finished_once_per_round_and_index(monkeypatch):
+    """Verifying A_eta asks finished_witness once per (r, ind)."""
+    a, ts = _gap_subdivision(FAIR_W, 4)
+    asked = collections.Counter()
+    finished = topo.finished_witness
+
+    def counted(r, x, ts):
+        asked[r, x] += 1
+        return finished(r, x, ts)
+
+    monkeypatch.setattr(topo, "finished_witness", counted)
+    assert verify(topo.GeometricAlgorithm(ts), a, 3).ok
+    assert asked and set(asked.values()) == {1}
+
+
+class _UncachedGeometric(topo.GeometricAlgorithm):
+    """A_eta asking finished_witness afresh at every halt check."""
+
+    def maybe_halt(self, s):
+        r = s.round
+        if r == 0:
+            return s
+        y = topo.finished_witness(r, Fraction(s.ind, 3**r), self.ts)
+        if y is None:
+            return s
+        side = self.delta(y.position.value)
+        value = s.init if side is s.id else s.initother
+        if value is None:
+            raise AssertionError("decision map points at an unseen input")
+        return replace(s, decided=value)
+
+
+@pytest.mark.parametrize("w", [FAIR_W, LONG_W])
+def test_aeta_runs_match_an_uncached_aeta(w):
+    """Remembering Finished's answers changes no report, transcript or
+    valency tree."""
+    a, ts = _gap_subdivision(w, 4)
+    _, ref_ts = _gap_subdivision(w, 4)
+    algo, ref = topo.GeometricAlgorithm(ts), _UncachedGeometric(ref_ts)
+    for depth in (2, 3, 4):
+        assert verify(algo, a, depth).to_json() == \
+            verify(ref, a, depth).to_json(), depth
+    for text in ("( OK )^w", "( LW )^w", "( LB )^w", "LW ( LB )^w",
+                 "LB LW LW ( OK )^w", "OK LB ( LW OK )^w"):
+        scenario = parse_lasso(text)
+        assert a.contains(scenario), text
+        for inputs in INPUT_VECTORS:
+            assert simulate(algo, scenario, inputs).to_json() == \
+                simulate(ref, scenario, inputs).to_json(), (text, inputs)
+    for inputs in INPUT_VECTORS:
+        assert bivalency.explore(algo, a, inputs, 3).to_dict() == \
+            bivalency.explore(ref, a, inputs, 3).to_dict(), inputs
 
 
 def test_export_json_roundtrip():
