@@ -11,7 +11,9 @@ derives round lower bounds from prefix inclusion.
 
 from __future__ import annotations
 
+import collections
 import enum
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -104,12 +106,9 @@ def classify(a: AdversaryAutomaton) -> Verdict:
         families.add(Family.F1)
         fair = FairWitness(fair_wit)
 
-    pair = None
-    pair_wit = special_pair_product(comp).is_empty()
-    if pair_wit is not None:
-        w1, w2 = _unzip(pair_wit)
+    pair = _excluded_special_pair(comp)
+    if pair is not None:
         families.add(Family.F2)
-        pair = SpecialPairWitness(w1, w2)
 
     # witness preference: a fair scenario makes the algorithm's
     # analysis uniform, corners are degenerate-but-simple, a special
@@ -152,6 +151,10 @@ def special_pair_product(c: AdversaryAutomaton) -> AdversaryAutomaton:
     accepts when both components are excluded scenarios and d is
     eventually +1 (so w != w'), i.e. (w, w') is a special pair wholly
     outside L.
+
+    ``classify`` does not build this machine: it walks only the
+    machine's diagonal (``_excluded_special_pair``), and tests check
+    that walk against this product.
     """
     if c.alphabet != GAMMA:
         raise ValueError("pair machine requires a GAMMA automaton")
@@ -210,18 +213,53 @@ def _pair_step(d: int, p: int, a: Letter, a2: Letter):
     return d, (p + a.mu + 1) % 2
 
 
+def _excluded_special_pair(
+        comp: AdversaryAutomaton) -> Optional[SpecialPairWitness]:
+    """A special pair wholly inside ``comp`` (the excluded scenarios),
+    or None, found on the pair machine's diagonal.
+
+    While d = 0 both components read the same letter, so those states
+    are (q, q, 0, p); once d = +1 only (keep, keep) is admitted, with
+    keep = LW at parity 0 and LB at parity 1, and the parity never
+    changes again.  Every accepted pair is therefore
+    (u.a.keep^w, u.a2.keep^w): a breadth-first walk over (q, p) with
+    letters in GAMMA order, trying the splits (a, a2) at each state,
+    returns the pair with the length-lexicographically least common
+    prefix u, then the first split in GAMMA x GAMMA order."""
+    keep_tail = {0: CORNER_LW, 1: CORNER_LB}  # keep^w by parity
+    accepts: dict = {}
+
+    def excluded(q, p):
+        if (q, p) not in accepts:
+            accepts[q, p] = comp.accepts_from(q, keep_tail[p])
+        return accepts[q, p]
+
+    start = (comp.initial, 0)
+    paths = {start: ()}
+    queue = collections.deque([start])
+    while queue:
+        q, p = node = queue.popleft()
+        row = comp.transitions[q]
+        for a, a2 in itertools.product(GAMMA, GAMMA):
+            moved = _pair_step(0, p, a, a2) if a is not a2 else None
+            if moved is None:
+                continue
+            keep = moved[1]
+            if excluded(row[a][0], keep) and excluded(row[a2][0], keep):
+                u, tail = paths[node], keep_tail[keep].cycle.letters
+                return SpecialPairWitness(LassoWord.of(u + (a,), tail),
+                                          LassoWord.of(u + (a2,), tail))
+        for a in GAMMA:
+            nxt = (row[a][0], _pair_step(0, p, a, a)[1])
+            if nxt not in paths:
+                paths[nxt] = paths[node] + (a,)
+                queue.append(nxt)
+    return None
+
+
 def _sink_colors(c: AdversaryAutomaton):
     # odd on every track: a run trapped in the sink satisfies nothing
     return tuple(1 for _ in range(2 * c.num_tracks + 1))
-
-
-def _unzip(pair_lasso: LassoWord) -> tuple[LassoWord, LassoWord]:
-    """Splits a lasso over letter pairs into two ordinary lassos."""
-    stem1 = tuple(a for (a, _) in pair_lasso.stem.letters)
-    stem2 = tuple(b for (_, b) in pair_lasso.stem.letters)
-    cyc1 = tuple(a for (a, _) in pair_lasso.cycle.letters)
-    cyc2 = tuple(b for (_, b) in pair_lasso.cycle.letters)
-    return LassoWord.of(stem1, cyc1), LassoWord.of(stem2, cyc2)
 
 
 def pair_machine_difference(c: AdversaryAutomaton, v: FiniteWord,

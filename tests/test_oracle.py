@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,12 @@ from twogen import adversary as adv
 from twogen import oracle
 from twogen.indexfn import ind, ind_limit, is_special_pair
 from twogen.oracle import (CornerWitness, FairWitness, Family,
-                           SpecialPairWitness, check_witness, classify,
-                           pair_machine_difference, round_lower_bound,
-                           select_forbidden_scenario, special_pair_product)
-from twogen.words import (FiniteWord, GAMMA, LassoWord, Letter, is_fair,
-                          parse_lasso)
+                           SpecialPairWitness, Verdict, check_witness,
+                           classify, pair_machine_difference,
+                           round_lower_bound, select_forbidden_scenario,
+                           special_pair_product)
+from twogen.words import (FiniteWord, GAMMA, LETTER_ORDER, LassoWord, Letter,
+                          is_fair, parse_lasso)
 
 
 def L(text):
@@ -227,3 +229,113 @@ def test_random_difference_adversaries_have_valid_witnesses():
         )
         v = classify(a)
         assert check_witness(a, v), lassos
+
+
+# ---------------------------------------------------------------------------
+# F2 on the pair machine's diagonal
+
+
+def _special_pair_groups():
+    """Unfair, non-corner lassos ``u . c^w`` with |u| in 2..4 grouped by
+    stem length and limit index; every group is a whole special pair."""
+    groups = defaultdict(list)
+    for n in (2, 3, 4):
+        for c in (Letter.LW, Letter.LB):
+            for stem in itertools.product(GAMMA, repeat=n):
+                if stem[-1] is not c:
+                    l = LassoWord.of(stem, (c,))
+                    groups[(n, ind_limit(l))].append(l)
+    return [tuple(g) for _, g in sorted(groups.items())]
+
+
+def _multi_pair_differences(n=200, seed=61):
+    """``(excluded lassos, automaton)`` for seeded differences of 2-4
+    whole special pairs plus 0-6 lassos from other groups, one each."""
+    groups = _special_pair_groups()
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        k = rng.randint(2, 4)
+        chosen = rng.sample(groups, k + rng.randint(0, 6))
+        excluded = [l for g in chosen[:k] for l in g]
+        excluded += [rng.choice(g) for g in chosen[k:]]
+        rng.shuffle(excluded)
+        out.append((excluded, adv.compile_expr(
+            adv.DifferenceFromFull(GAMMA, tuple(excluded)))))
+    return out
+
+
+def _least_excluded_pair(excluded):
+    """The special pair among ``excluded`` with the least common prefix
+    u (by length, then letters in LETTER_ORDER), then the least split
+    letters, lower index first; by brute force over all pairs."""
+    best = None
+    for l1, l2 in itertools.combinations(excluded, 2):
+        if not is_special_pair(l1, l2):
+            continue
+        i = 0
+        while l1.letter_at(i) is l2.letter_at(i):
+            i += 1
+        if ind(l1.prefix(i + 1)) > ind(l2.prefix(i + 1)):
+            l1, l2 = l2, l1
+        key = (i, [LETTER_ORDER[x] for x in l1.prefix(i)],
+               LETTER_ORDER[l1.letter_at(i)], LETTER_ORDER[l2.letter_at(i)])
+        if best is None or key < best[0]:
+            best = (key, SpecialPairWitness(l1, l2))
+    return None if best is None else best[1]
+
+
+def test_f2_matches_the_explicit_pair_machine(builtins):
+    """F2 from the diagonal walk against emptiness of the whole product,
+    on random adversaries, built-ins, their complements and multi-pair
+    differences; every pair found is an excluded special pair."""
+    cases = [a for a in random_automata(43, 400) if a.alphabet == GAMMA]
+    for name in adv.BUILTIN_NAMES:
+        if name != "S2":
+            cases += [builtins[name], adv.complement(builtins[name])]
+    cases += [a for _, a in _multi_pair_differences()]
+    found = 0
+    for a in cases:
+        comp = adv.complement(a)
+        want = special_pair_product(comp).is_empty() is not None
+        assert (Family.F2 in classify(a).families) == want, a.source
+        pair = oracle._excluded_special_pair(comp)
+        assert (pair is not None) == want, a.source
+        if pair is not None:
+            found += 1
+            assert is_special_pair(pair.first, pair.second)
+            assert check_witness(a, Verdict(True, frozenset({Family.F2}),
+                                            pair, ""))
+    assert found > 200, found
+
+
+def test_pair_witness_is_the_least_excluded_pair():
+    """The reported pair is the one with the least common prefix, then
+    the least split, checked against brute force over the excluded set
+    without the automata."""
+    for excluded, a in _multi_pair_differences():
+        v = classify(a)
+        assert v.witness == _least_excluded_pair(excluded), excluded
+
+
+def test_pair_witness_literal_case():
+    a = adv.load("GAMMA^w \\ { LW LB ( LW )^w , OK LW ( LB )^w , "
+                 "OK OK ( LB )^w , LW OK ( LW )^w }")
+    v = classify(a)
+    assert v.families == {Family.F2}
+    assert v.witness == SpecialPairWitness(L("OK LW ( LB )^w"),
+                                           L("OK OK ( LB )^w"))
+
+
+def test_classify_builds_no_special_pair_product(builtins, monkeypatch):
+    def product(c):
+        raise AssertionError("special_pair_product called")
+
+    monkeypatch.setattr(oracle, "special_pair_product", product)
+    solvable = {"S0": True, "TW": True, "TB": True, "C1": True, "S1": True,
+                "R1": False}
+    for name, want in solvable.items():
+        assert classify(builtins[name]).solvable is want, name
+    for excluded, a in _multi_pair_differences(20):
+        v = classify(a)
+        assert v.families == {Family.F2} and check_witness(a, v), excluded
