@@ -7,31 +7,31 @@ language minus finitely many lassos) and compiles to deterministic,
 complete automata.
 
 Acceptance bookkeeping: every transition carries a tuple of colors, one
-per "track", and the automaton's acceptance condition is a positive
-Boolean combination of atoms "the maximum color seen infinitely often
-on track t is even".  Single-track automata are ordinary parity
-automata; products (union/intersection) simply concatenate tracks, and
-complement dualizes the formula and raises every color by one.  A
-difference ``GAMMA^w \\ {l1..lk}`` is not built as a product: it compiles
-to a single co-Buchi track, so its complement's acceptance stays one
-atom.  Membership of a lasso and emptiness (with a lasso witness) are
-decided exactly on this representation.
+per "track", and the automaton's acceptance condition is a list of
+clauses, each a set of tracks: a run is accepted when on every track of
+some clause the maximum color seen infinitely often is even.
+Single-track automata are ordinary parity automata with the one clause
+{0}; products (union/intersection) concatenate tracks and combine the
+clause lists, and complement raises every color by one and distributes
+the negated clauses.  A difference ``GAMMA^w \\ {l1..lk}`` is not built
+as a product: it compiles to a single co-Buchi track, so its
+complement's acceptance stays one clause.  Membership of a lasso and
+emptiness (with a lasso witness) are decided exactly on this
+representation.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import re
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Optional
 
 from .words import (
     FiniteWord,
     G2,
     GAMMA,
-    LETTER_ORDER,
     LassoWord,
     Letter,
     ParseError,
@@ -47,51 +47,10 @@ class ResourceBoundError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# acceptance formulas
+# acceptance clauses
 
-
-@dataclass(frozen=True)
-class Atom:
-    """Max color seen infinitely often on this track is even."""
-
-    track: int
-
-
-@dataclass(frozen=True)
-class And:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class Or:
-    parts: tuple
-
-
-def _eval_formula(f, track_even: Sequence[bool]) -> bool:
-    if isinstance(f, Atom):
-        return track_even[f.track]
-    if isinstance(f, And):
-        return all(_eval_formula(p, track_even) for p in f.parts)
-    if isinstance(f, Or):
-        return any(_eval_formula(p, track_even) for p in f.parts)
-    raise TypeError(f)
-
-
-def _dnf(f) -> list[frozenset[int]]:
-    """Disjunctive normal form: a list of required-track sets."""
-    if isinstance(f, Atom):
-        return [frozenset([f.track])]
-    if isinstance(f, Or):
-        out = []
-        for p in f.parts:
-            out.extend(_dnf(p))
-        return out
-    if isinstance(f, And):
-        prod = [frozenset()]
-        for p in f.parts:
-            prod = [a | b for a in prod for b in _dnf(p)]
-        return prod
-    raise TypeError(f)
+#: the acceptance of a one-track automaton: track 0's maximum is even
+ONE_TRACK = (frozenset((0,)),)
 
 
 def _explore(init, alphabet, step) -> dict:
@@ -118,16 +77,17 @@ class AdversaryAutomaton:
     """Deterministic complete automaton over ``alphabet``.
 
     ``transitions[state][letter] = (next_state, colors)`` where colors
-    is a tuple with one entry per track.  ``acceptance`` is a positive
-    formula over track atoms.  States are arbitrary hashables.
+    is a tuple with one entry per track.  ``acceptance`` is a tuple of
+    clauses, each a frozenset of tracks: a run is accepted when some
+    clause's tracks all have an even maximum infinite color.  States are
+    arbitrary hashables.
     """
 
     alphabet: tuple
     initial: Hashable
     transitions: dict
     num_tracks: int
-    acceptance: object
-    source: object = None
+    acceptance: tuple
 
     def __post_init__(self):
         for row in self.transitions.values():
@@ -175,12 +135,18 @@ class AdversaryAutomaton:
                 for t, c in enumerate(colors):
                     if c > maxima[t]:
                         maxima[t] = c
-        return _eval_formula(self.acceptance, [m % 2 == 0 for m in maxima])
+        for clause in self.acceptance:
+            for t in clause:
+                if maxima[t] % 2:
+                    break
+            else:
+                return True
+        return False
 
     def is_empty(self) -> Optional[LassoWord]:
         """None if the language is empty, else a witness lasso."""
         edges = self._edges(self._reachable(self.initial))
-        for required in _dnf(self.acceptance):
+        for required in self.acceptance:
             for scc_edges in _good_sccs(edges, required):
                 walk = _closed_walk(scc_edges)
                 stem = _letter_path(
@@ -199,7 +165,7 @@ class AdversaryAutomaton:
         edges = self._edges(self.transitions)
         good = {
             src
-            for required in _dnf(self.acceptance)
+            for required in self.acceptance
             for scc_edges in _good_sccs(edges, required)
             for (src, _, _, _) in scc_edges
         }
@@ -287,63 +253,6 @@ class AdversaryAutomaton:
         for (src, a, dst, _) in edges:
             out.setdefault(src, []).append((a, dst))
         return out
-
-    def relabel(self) -> "AdversaryAutomaton":
-        """Renumbers states 0..n-1 in BFS order (stable JSON export)."""
-        order = {self.initial: 0}
-        queue = [self.initial]
-        abc = sorted(self.alphabet, key=lambda a: LETTER_ORDER[a])
-        while queue:
-            st = queue.pop(0)
-            for a in abc:
-                nxt, _ = self.transitions[st][a]
-                if nxt not in order:
-                    order[nxt] = len(order)
-                    queue.append(nxt)
-        trans = {
-            order[st]: {
-                a: (order[nxt], colors)
-                for a, (nxt, colors) in row.items()
-            }
-            for st, row in self.transitions.items()
-            if st in order
-        }
-        return AdversaryAutomaton(
-            self.alphabet, 0, trans, self.num_tracks, self.acceptance,
-            self.source,
-        )
-
-    def to_json(self) -> str:
-        auto = self.relabel()
-        abc = sorted(auto.alphabet, key=lambda a: LETTER_ORDER[a])
-        doc = {
-            "alphabet": [a.value for a in abc],
-            "initial": auto.initial,
-            "num_tracks": auto.num_tracks,
-            "states": sorted(auto.transitions),
-            "transitions": [
-                {
-                    "from": st,
-                    "letter": a.value,
-                    "to": auto.transitions[st][a][0],
-                    "colors": list(auto.transitions[st][a][1]),
-                }
-                for st in sorted(auto.transitions)
-                for a in abc
-            ],
-            "acceptance": _formula_json(auto.acceptance),
-        }
-        return json.dumps(doc, sort_keys=False)
-
-
-def _formula_json(f):
-    if isinstance(f, Atom):
-        return {"even": f.track}
-    if isinstance(f, And):
-        return {"and": [_formula_json(p) for p in f.parts]}
-    if isinstance(f, Or):
-        return {"or": [_formula_json(p) for p in f.parts]}
-    raise TypeError(f)
 
 
 def _letter_path(edge_map, src, dst) -> list:
@@ -647,7 +556,7 @@ def _compile(e, alphabet) -> AdversaryAutomaton:
     if isinstance(e, Named):
         return _compile(builtin(e.name), alphabet)
     if isinstance(e, OmegaPower):
-        return _compile_omega_power(e.letters, alphabet, e)
+        return _compile_omega_power(e.letters, alphabet)
     if isinstance(e, Union):
         if not e.parts:
             raise CompileError("empty union")
@@ -655,25 +564,22 @@ def _compile(e, alphabet) -> AdversaryAutomaton:
         out = autos[0]
         for other in autos[1:]:
             out = union(out, other)
-        out.source = e
         return out
     if isinstance(e, Concat):
         return _compile_concat(e, alphabet)
     if isinstance(e, LassoExpr):
-        out = _lasso_singleton(e.word, alphabet)
-        out.source = e
-        return out
+        return _lasso_singleton(e.word, alphabet)
     if isinstance(e, DifferenceFromFull):
         return _compile_difference(e, alphabet)
     raise CompileError("unsupported expression %r" % (e,))
 
 
-def _compile_omega_power(letters, alphabet, source) -> AdversaryAutomaton:
+def _compile_omega_power(letters, alphabet) -> AdversaryAutomaton:
     def step(st, a):
         return ("in", (0,)) if st == "in" and a in letters else ("sink", (1,))
 
     trans = _explore("in", alphabet, step)
-    return AdversaryAutomaton(alphabet, "in", trans, 1, Atom(0), source)
+    return AdversaryAutomaton(alphabet, "in", trans, 1, ONE_TRACK)
 
 
 def _lasso_singleton(l: LassoWord, alphabet) -> AdversaryAutomaton:
@@ -688,7 +594,7 @@ def _lasso_singleton(l: LassoWord, alphabet) -> AdversaryAutomaton:
             a: ((nxt, (0,)) if a == expected else ("sink", (1,)))
             for a in alphabet
         }
-    return AdversaryAutomaton(alphabet, 0, trans, 1, Atom(0), None)
+    return AdversaryAutomaton(alphabet, 0, trans, 1, ONE_TRACK)
 
 
 def _compile_difference(e: DifferenceFromFull, alphabet) -> AdversaryAutomaton:
@@ -720,7 +626,7 @@ def _compile_difference(e: DifferenceFromFull, alphabet) -> AdversaryAutomaton:
 
     init = frozenset((i, 0) for i in range(len(letters))) or "free"
     trans = _explore(init, alphabet, step)
-    return AdversaryAutomaton(alphabet, init, trans, 1, Atom(0), e)
+    return AdversaryAutomaton(alphabet, init, trans, 1, ONE_TRACK)
 
 
 def _flatten_concat(e: Concat):
@@ -754,7 +660,6 @@ def _compile_concat(e: Concat, alphabet) -> AdversaryAutomaton:
     out = autos[0]
     for other in autos[1:]:
         out = union(out, other)
-    out.source = e
     return out
 
 
@@ -798,7 +703,7 @@ def _compile_prefixed_oblivious(rx, letters, alphabet) -> AdversaryAutomaton:
     init = closure({start})
     init_state = (init, bool(init & finals))
     trans = _explore(init_state, alphabet, step)
-    return AdversaryAutomaton(alphabet, init_state, trans, 1, Atom(0), None)
+    return AdversaryAutomaton(alphabet, init_state, trans, 1, ONE_TRACK)
 
 
 # ---------------------------------------------------------------------------
@@ -807,8 +712,10 @@ def _compile_prefixed_oblivious(rx, letters, alphabet) -> AdversaryAutomaton:
 
 def complement(a: AdversaryAutomaton) -> AdversaryAutomaton:
     """Language complement within a's full alphabet.  Raising every
-    color by one flips the parity of every track's maximum, i.e. negates
-    every atom, so the formula dualizes (And <-> Or)."""
+    color by one flips the parity of every track's maximum, so the run
+    is accepted when every clause has a track with an even raised
+    maximum: one clause per choice of a track from each old clause
+    (tracks taken in increasing order, independent of hash order)."""
     trans = {
         st: {
             x: (nxt, tuple(c + 1 for c in colors))
@@ -816,27 +723,18 @@ def complement(a: AdversaryAutomaton) -> AdversaryAutomaton:
         }
         for st, row in a.transitions.items()
     }
-    return AdversaryAutomaton(
-        a.alphabet, a.initial, trans, a.num_tracks, _dual(a.acceptance),
-        None,
+    acc = tuple(
+        frozenset(choice)
+        for choice in itertools.product(*(sorted(c) for c in a.acceptance))
     )
-
-
-def _dual(f):
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, And):
-        return Or(tuple(_dual(p) for p in f.parts))
-    if isinstance(f, Or):
-        return And(tuple(_dual(p) for p in f.parts))
-    raise TypeError(f)
+    return AdversaryAutomaton(a.alphabet, a.initial, trans, a.num_tracks, acc)
 
 
 def _product(a, b, combine):
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
     shift = a.num_tracks
-    acc_b = _shift_formula(b.acceptance, shift)
+    acc_b = tuple(frozenset(t + shift for t in c) for c in b.acceptance)
 
     def step(st, letter):
         na, ca = a.transitions[st[0]][letter]
@@ -847,26 +745,16 @@ def _product(a, b, combine):
     trans = _explore(init, a.alphabet, step)
     return AdversaryAutomaton(
         a.alphabet, init, trans, a.num_tracks + b.num_tracks,
-        combine(a.acceptance, acc_b), None,
+        combine(a.acceptance, acc_b),
     )
 
 
-def _shift_formula(f, shift):
-    if isinstance(f, Atom):
-        return Atom(f.track + shift)
-    if isinstance(f, And):
-        return And(tuple(_shift_formula(p, shift) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_shift_formula(p, shift) for p in f.parts))
-    raise TypeError(f)
-
-
 def intersect(a, b) -> AdversaryAutomaton:
-    return _product(a, b, lambda x, y: And((x, y)))
+    return _product(a, b, lambda x, y: tuple(p | q for p in x for q in y))
 
 
 def union(a, b) -> AdversaryAutomaton:
-    return _product(a, b, lambda x, y: Or((x, y)))
+    return _product(a, b, lambda x, y: x + y)
 
 
 def fairness_automaton() -> AdversaryAutomaton:
@@ -884,7 +772,7 @@ def fairness_automaton() -> AdversaryAutomaton:
             else:
                 row[a] = ("B", (1,) if last == "B" else (2,))
         trans[last] = row
-    return AdversaryAutomaton(GAMMA, "W", trans, 1, Atom(0), None)
+    return AdversaryAutomaton(GAMMA, "W", trans, 1, ONE_TRACK)
 
 
 # ---------------------------------------------------------------------------

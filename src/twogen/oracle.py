@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import adversary as adv
-from .adversary import AdversaryAutomaton, And, Atom
+from .adversary import AdversaryAutomaton
 from .indexfn import is_special_pair
 from .words import FiniteWord, GAMMA, LassoWord, Letter, is_fair
 
@@ -182,16 +182,13 @@ def special_pair_product(c: AdversaryAutomaton) -> AdversaryAutomaton:
 
     trans = adv._explore(init, pair_alphabet, step)
     n = c.num_tracks
-    acc = And(
-        (
-            c.acceptance,
-            adv._shift_formula(c.acceptance, n),
-            Atom(2 * n),
-        )
+    # both components accept and the pair separates: c, c shifted by n, {2n}
+    acc = tuple(
+        x | frozenset(t + n for t in y) | {2 * n}
+        for x in c.acceptance
+        for y in c.acceptance
     )
-    return AdversaryAutomaton(
-        pair_alphabet, init, trans, 2 * n + 1, acc, None
-    )
+    return AdversaryAutomaton(pair_alphabet, init, trans, 2 * n + 1, acc)
 
 
 def _pair_step(d: int, p: int, a: Letter, a2: Letter):

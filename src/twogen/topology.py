@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import adversary as adv
-from .adversary import AdversaryAutomaton, Atom, ResourceBoundError
+from .adversary import ONE_TRACK, AdversaryAutomaton, ResourceBoundError
 from .indexfn import (BLACK, WHITE, ProcessId, TernaryRational, ind,
                       ind_limit, ind_step, split_threes)
 from .oracle import (CornerWitness, FairWitness, Verdict, classify,
@@ -154,21 +154,20 @@ def chromatic_subdivision(c: Complex) -> Complex:
     return Complex(tuple(edges), c.gluing, c.accumulation_points)
 
 
-def word_to_edge(w: FiniteWord, segment: str = UNIT,
-                 level: Optional[int] = None) -> ComplexEdge:
-    """The cell [ind(w)/3^r, (ind(w)+1)/3^r] carried by the word."""
+def word_to_edge(w: FiniteWord, segment: str = UNIT) -> ComplexEdge:
+    """The cell [ind(w)/3^r, (ind(w)+1)/3^r] carried by the word, at
+    level r = len(w)."""
     if not w.is_gamma():
         raise ValueError("embedding is defined on GAMMA words only")
-    return _cell(ind(w), len(w), segment, level)
+    return _cell(ind(w), len(w), segment)
 
 
-def _cell(k: int, r: int, segment: str = UNIT,
-          level: Optional[int] = None) -> ComplexEdge:
-    """The cell [k/3^r, (k+1)/3^r], at level r unless told otherwise."""
+def _cell(k: int, r: int, segment: str = UNIT) -> ComplexEdge:
+    """The cell [k/3^r, (k+1)/3^r], at level r."""
     return ComplexEdge(
         ColoredVertex(TernaryRational(k, r), segment),
         ColoredVertex(TernaryRational(k + 1, r), segment),
-        level if level is not None else r,
+        r,
     )
 
 
@@ -318,7 +317,7 @@ def index_fiber(z) -> AdversaryAutomaton:
 
     init = (0, 0, 0) if z < 1 else (-1, 1, 0)
     return AdversaryAutomaton(GAMMA, init, adv._explore(init, GAMMA, step),
-                              1, Atom(0))
+                              1, ONE_TRACK)
 
 
 @dataclass
@@ -565,8 +564,8 @@ def contrex(depth: int = 6) -> Complex:
     if depth < 1:
         raise ValueError("contrex depth %d is below 1" % depth)
     edges = [
-        word_to_edge(FiniteWord.of(Letter.LB), level=1),
-        word_to_edge(FiniteWord.of(Letter.LW), level=1),
+        word_to_edge(FiniteWord.of(Letter.LB)),
+        word_to_edge(FiniteWord.of(Letter.LW)),
     ]
     for r in range(2, depth + 1):
         left = Fraction(2, 3) - Fraction(1, 3 ** (r - 1))

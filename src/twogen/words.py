@@ -17,7 +17,7 @@ infinite words they denote.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -113,8 +113,6 @@ class LassoWord:
 
     stem: FiniteWord
     cycle: FiniteWord
-    # set by __post_init__ when normalization was needed
-    _canon: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.cycle) == 0:
@@ -128,7 +126,6 @@ class LassoWord:
             stem = stem[:-1]
         object.__setattr__(self, "stem", FiniteWord(stem))
         object.__setattr__(self, "cycle", FiniteWord(cycle))
-        object.__setattr__(self, "_canon", True)
 
     def __str__(self) -> str:
         inner = " ".join(a.value for a in self.cycle)

@@ -210,7 +210,7 @@ def test_live_states_match_per_state_emptiness(builtins):
             q for q in a.transitions
             if dataclasses.replace(a, initial=q).is_empty() is not None
         }
-        assert a.live == want, a.source
+        assert a.live == want, n
         assert all(a.has_nonempty_residual(q) == (q in want)
                    for q in a.transitions)
         n += 1
@@ -231,11 +231,6 @@ def test_fairness_automaton():
     for _ in range(100):
         l = random_gamma_lasso(rng)
         assert fair.contains(l) == is_fair(l), l
-
-
-def test_to_json_deterministic(builtins):
-    a = builtins["C1"]
-    assert a.to_json() == adv.load("C1").to_json()
 
 
 def _difference_as_product(lassos):
@@ -272,7 +267,38 @@ def test_difference_pair_product_has_one_clause():
     lassos = tuple(random_gamma_lasso(rng) for _ in range(16))
     a = adv.compile_expr(adv.DifferenceFromFull(GAMMA, lassos))
     machine = oracle.special_pair_product(adv.complement(a))
-    assert len(adv._dnf(machine.acceptance)) == 1
+    assert len(machine.acceptance) == 1
+
+
+def test_nested_boolean_combinations():
+    """Complements of products of complements: membership matches the
+    Boolean combination of the parts, emptiness witnesses are members,
+    and the complement of a union of one-clause automata has one
+    clause."""
+    gamma = [a for a in random_automata(47, 160) if a.alphabet == GAMMA]
+    rng = random.Random(53)
+    for _ in range(60):
+        a, b, c = rng.sample(gamma, 3)
+        assert len(adv.complement(adv.union(a, b)).acceptance) == 1
+        combos = [
+            (adv.complement(adv.intersect(adv.union(a, b),
+                                          adv.complement(c))),
+             lambda x, y, z: not ((x or y) and not z)),
+            (adv.complement(adv.complement(adv.union(a, b))),
+             lambda x, y, z: x or y),
+            (adv.union(adv.intersect(a, b), adv.complement(c)),
+             lambda x, y, z: (x and y) or not z),
+        ]
+        for _ in range(30):
+            l = random_gamma_lasso(rng)
+            parts = a.contains(l), b.contains(l), c.contains(l)
+            for m, want in combos:
+                assert m.contains(l) == want(*parts), l
+        for m, want in combos:
+            w = m.is_empty()
+            if w is not None:
+                assert m.contains(w), w
+                assert want(a.contains(w), b.contains(w), c.contains(w)), w
 
 
 def test_difference_without_exclusions_is_everything():

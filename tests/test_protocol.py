@@ -154,13 +154,13 @@ def test_invariant_checks_survive_optimized_mode():
     """The runtime invariants raise AssertionError under ``python -O``
     too, which strips assert statements."""
     code = """
-from twogen.adversary import AdversaryAutomaton, Atom
+from twogen.adversary import ONE_TRACK, AdversaryAutomaton
 from twogen.indexfn import WHITE
 from twogen.protocol import IndexGuardAlgorithm, ProcessState
 from twogen.words import GAMMA, parse_lasso
 assert False, "assert statements are stripped"
 try:
-    AdversaryAutomaton(GAMMA, 0, {0: {}}, 1, Atom(0))
+    AdversaryAutomaton(GAMMA, 0, {0: {}}, 1, ONE_TRACK)
 except AssertionError as e:
     print("incomplete:", e)
 algo = IndexGuardAlgorithm(parse_lasso("( OK )^w"))

@@ -8,12 +8,16 @@ MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
 
 
+def _parse(module):
+    with open(os.path.join(SRC, module)) as fh:
+        return ast.parse(fh.read(), module)
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_read(module):
     """Each name a module imports is read somewhere in it (the package's
     ``__init__`` re-exports names and is not checked)."""
-    with open(os.path.join(SRC, module)) as fh:
-        tree = ast.parse(fh.read(), module)
+    tree = _parse(module)
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -24,3 +28,12 @@ def test_every_import_is_read(module):
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unread = sorted(imported - read)
     assert not unread, unread
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_assert_statements(module):
+    """Runtime invariants raise explicitly, since ``python -O`` strips
+    assert statements."""
+    lines = [node.lineno for node in ast.walk(_parse(module))
+             if isinstance(node, ast.Assert)]
+    assert not lines, lines
