@@ -4,12 +4,15 @@ Subcommands: index, adv, sim, bivalency, topo.  Machine output is JSON
 on stdout; errors go to stderr as "tag: message".  Exit codes: 0
 success, 1 domain or parse error (usage errors, such as a missing or
 ill-typed argument, are parse errors), 2 resource bound exceeded, 3 the
-run succeeded but a verification report contains violations.
+run succeeded but a verification report contains violations; ``--help``
+exits 0.  The argparse parser is built on the first ``main`` call of a
+process and reused by every later call, not at import.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -187,7 +190,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first ``main`` call and shared by every later one:
+    ``parse_args`` keeps its state in the namespace it returns."""
     p = _Parser(
         prog="twogen",
         description="two-process consensus under message adversaries",

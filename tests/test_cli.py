@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -280,14 +281,17 @@ def test_topo_components_malformed_document(capsys, tmp_path, doc):
     assert err.startswith("domain:")
 
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     [],
     ["adv", "check"],
     ["topo", "bogus"],
     ["sim", "verify", "--adversary", "C1", "--depth", "x"],
     ["topo", "components"],
     ["topo", "subdivide", "--out", "x.json"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_error_is_a_parse_error(capsys, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == 1
@@ -354,3 +358,113 @@ def test_adv_commands_on_generated_inputs(capsys):
             codes.add(rc)
         capsys.readouterr()
     assert {0, 1} <= codes
+
+
+def _fresh_process(argv, cwd):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twogen.cli", *argv], env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_shared_parser_leaks_no_state(capsys, tmp_path, monkeypatch):
+    """Each call in one process prints what a fresh process prints for
+    the same argv: options and defaults of one call do not carry over to
+    the next, and a usage error after a success is still a parse error."""
+    monkeypatch.chdir(tmp_path)
+    rc, _, _ = run(
+        capsys, "topo", "subdivide", "--rounds", "4",
+        "--adversary", "GAMMA^w \\ { LW LB ( OK )^w }", "--out", "F.json",
+    )
+    assert rc == 0
+    verify3 = ["sim", "verify", "--adversary", "C1", "--depth", "3"]
+    verify4 = ["sim", "verify", "--adversary", "C1"]
+    abstract = ["topo", "components", "--in", "F.json", "--abstract"]
+    both = ["topo", "components", "--in", "F.json"]
+    text = ["adv", "check", "R1", "--format", "text"]
+    as_json = ["adv", "check", "R1"]
+    success = ["index", "LW OK LB"]
+    sequence = [verify3, verify4, abstract, both, text, as_json]
+    for argv in USAGE_ERRORS:
+        sequence += [success, argv]
+    seen = {}
+    for argv in sequence:
+        got = run(capsys, *argv)
+        seen.setdefault(tuple(argv), []).append(got)
+
+    a = cli.adv.load("C1")
+    w = cli.oracle.select_forbidden_scenario(cli.oracle.classify(a))
+    checked4 = cli.protocol.verify(
+        cli.protocol.IndexGuardAlgorithm(w), a, depth=4).checked
+    assert json.loads(seen[tuple(verify4)][0][1])["checked"] == checked4
+    assert json.loads(seen[tuple(verify3)][0][1])["checked"] != checked4
+    assert set(json.loads(seen[tuple(abstract)][0][1])) == {
+        "abstract_components"}
+    assert set(json.loads(seen[tuple(both)][0][1])) == {
+        "abstract_components", "realization_components"}
+    assert check_schema(seen[tuple(as_json)][0][1])["solvable"] is False
+    for argv in USAGE_ERRORS:
+        for rc, out, err in seen[tuple(argv)]:
+            assert (rc, out) == (1, "") and err.startswith("parse:"), argv
+    for argv, results in seen.items():
+        assert results == [_fresh_process(list(argv), tmp_path)] * len(
+            results), argv
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    mixed = [
+        ["index", "LW OK LB"],
+        ["adv", "check", "R1", "--format", "text"],
+        ["adv", "check"],
+        ["sim", "verify", "--adversary", "C1", "--depth", "2"],
+        ["topo", "contrex", "--depth", "3"],
+    ]
+    builds = []
+
+    def add_subparsers(self, **kwargs):
+        builds.append(self.prog)
+        return argparse.ArgumentParser.add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_subparsers", add_subparsers)
+    cli._build_parser.cache_clear()
+    try:
+        codes = [cli.main(mixed[i % len(mixed)]) for i in range(20)]
+    finally:
+        cli._build_parser.cache_clear()
+    capsys.readouterr()
+    assert codes == [0, 0, 1, 0, 0] * 4
+    assert builds == ["twogen"]
+
+
+def test_import_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import twogen.cli\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=60)
+    assert proc.stdout == "0\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sim", "--help"]])
+def test_help_exits_0(capsys, argv):
+    outs = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: twogen")
+        outs.append(out)
+    assert outs[0] == outs[1]
