@@ -11,11 +11,14 @@ verdict only signals bound exhaustion, never a theorem.
 One depth-first walk over the live extensions of a prefix
 (``protocol._walk``) runs each distinct completion once, from the
 configuration of the word it completes, and collects, for every word
-it passes, the decisions reached below that word.  A run whose
-processes have both halted is not replayed: its decisions are read off
-its configuration.  ``valency`` reads the root of this map;
-``explore`` builds its tree from the whole map, and ``find_decisive``
-walks that tree.
+it passes, the decisions reached below that word.  A word ending in x
+takes its parent's run under x^w, since w x . x^w is w . x^w, and each
+word's decisions are added to its ancestors on the walk's path.  The
+walk stops at a final word, whose processes have both halted: every
+completion below it decides as it did, so its subtree is filled from
+the automaton without being run.  ``valency`` reads the root of this
+map; ``explore`` builds its tree from the whole map, and
+``find_decisive`` walks that tree.
 """
 
 from __future__ import annotations
@@ -25,9 +28,9 @@ import json
 from dataclasses import dataclass, field
 
 from .adversary import AdversaryAutomaton
-from .protocol import (Algorithm, DEFAULT_TAILS, _accepted_tails, _halted,
-                       _resume, _walk)
-from .words import FiniteWord, LassoWord
+from .protocol import (Algorithm, DEFAULT_TAILS, ProcessState,
+                       _accepted_tails, _halted, _resume, _walk)
+from .words import FiniteWord
 
 
 class Valency(enum.Enum):
@@ -56,33 +59,53 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
     budget = len(prefix) + depth + 40
     tails_from = _accepted_tails(a)
     below: dict = {}
-    runs: dict = {}  # once per scenario: w OK . OK^w is w . OK^w
+    # path[k]: (set, runs) of the current word's ancestor with
+    # len(prefix) + k letters; runs holds the decisions under each of
+    # DEFAULT_TAILS, and every set holds those of its descendants so far
+    path: list = []
+
+    def enter(word, found, runs=None):
+        del path[len(word) - len(prefix):]
+        # an ancestor's set holds its descendants' on the path, so the
+        # climb ends at the first ancestor already holding ``found``
+        for seen, _ in reversed(path):
+            if found <= seen:
+                break
+            seen |= found
+        below[word] = found = set(found)
+        path.append((found, runs))
+
     for word, state, (config,) in _walk(algorithm, a, prefix, depth,
                                         (inputs,)):
-        found = below[word] = set()
-        tails = tails_from(state)
-        if _halted(config):  # final under every tail
-            if tails:
-                found |= {config[0].decided, config[1].decided}
+        if _halted(config):  # final: its subtree is filled, not run
+            decided = _decisions(*config)
+            for w, s in a.extensions(word, len(prefix) + depth - len(word)):
+                enter(w, decided if tails_from(s) else frozenset())
             continue
-        for tail in DEFAULT_TAILS:
-            lasso = LassoWord(word, tail.cycle)
-            if lasso not in runs:
-                runs[lasso] = set()
-                if tail in tails:
-                    white, black = _resume(algorithm, config, lasso,
-                                           len(word), budget)
-                    # an agreement violation makes valency meaningless;
-                    # both values surface it as bivalence of the prefix
-                    runs[lasso] = ({white.decided, black.decided}
-                                   if white.halted and black.halted
-                                   else {None})
-            found |= runs[lasso]
-    # the walk is depth first, so every word comes after its parent
-    for word in reversed(list(below)):
-        if len(word) > len(prefix):
-            below[word[:-1]] |= below[word]
+        tails = tails_from(state)
+        k = len(word) - len(prefix)
+        last = word.letters[-1] if k else None
+        runs = []
+        for i, tail in enumerate(DEFAULT_TAILS):
+            letter = tail.cycle[0]
+            if letter is last:  # w x . x^w is w . x^w: the parent's run
+                runs.append(path[k - 1][1][i])
+            elif tail in tails:
+                runs.append(_decisions(*_resume(algorithm, config, letter,
+                                                len(word), budget)))
+            else:
+                runs.append(frozenset())
+        enter(word, frozenset().union(*runs), runs)
     return below
+
+
+def _decisions(white: ProcessState, black: ProcessState) -> frozenset:
+    """The decisions of a run ending in ``(white, black)``; an agreement
+    violation makes valency meaningless, and both values surface it as
+    bivalence of the prefix."""
+    if white.halted and black.halted:
+        return frozenset((white.decided, black.decided))
+    return frozenset((None,))
 
 
 def _valency_of(decided: set) -> Valency:

@@ -181,6 +181,12 @@ def _delivered(letter: Letter, sender: ProcessId) -> bool:
     return sender is not BLACK  # LB drops black's message
 
 
+#: ``letter -> (whether black's message reaches white, whether white's
+#: reaches black)``
+_DELIVERY = {letter: (_delivered(letter, BLACK), _delivered(letter, WHITE))
+             for letter in Letter}
+
+
 def _start(algorithm: Algorithm, inputs: tuple) -> tuple:
     """The configuration (white, black) before the first round."""
     return (algorithm.start(WHITE, inputs[0]),
@@ -203,21 +209,34 @@ def _run(algorithm: Algorithm, config: tuple, letters: Iterable[Letter],
     checks are done, and returns the configuration after the last
     exchange.  Every later round starts with its halt checks, and the
     run ends once both processes have halted.  Exchanged rounds are
-    appended to ``rounds`` if given."""
+    appended to ``rounds`` if given.
+
+    Whether a process runs is read once per round, after its halt
+    check (``receive`` keeps ``decided``), and a message is built only
+    when it reaches a running process."""
     white, black = config
+    white_on = white.decided is None
+    black_on = black.decided is None
+    maybe_halt, receive = algorithm.maybe_halt, algorithm.receive
     for i, letter in enumerate(letters):
         if i:
-            white, black = _halt_checks(algorithm, (white, black))
-        if white.halted and black.halted:
+            if white_on:
+                white = maybe_halt(white)
+                white_on = white.decided is None
+            if black_on:
+                black = maybe_halt(black)
+                black_on = black.decided is None
+        if not (white_on or black_on):
             break
-        msg_w = Message(white.init, white.ind) if not white.halted else None
-        msg_b = Message(black.init, black.ind) if not black.halted else None
-        to_black = msg_w if _delivered(letter, WHITE) else None
-        to_white = msg_b if _delivered(letter, BLACK) else None
-        if not white.halted:
-            white = algorithm.receive(white, to_white)
-        if not black.halted:
-            black = algorithm.receive(black, to_black)
+        # a halted process sends nothing
+        white_hears, black_hears = _DELIVERY[letter]
+        to_black = (Message(white.init, white.ind)
+                    if black_on and white_on and black_hears else None)
+        if white_on:
+            white = receive(white, Message(black.init, black.ind)
+                            if white_hears and black_on else None)
+        if black_on:
+            black = receive(black, to_black)
         if rounds is not None:
             rounds.append((letter, white, black))
     return white, black
@@ -231,41 +250,51 @@ def _halted(config: tuple) -> bool:
 
 def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
           depth: int, vectors: tuple):
-    """Yields ``(word, state, configs)`` along ``a.extensions(prefix,
-    depth)``, with per input vector the configuration at the top of round
-    ``len(word)`` after its halt checks, one round on from the
-    parent's: runs sharing a prefix share its rounds.  A word whose
-    parent's runs have all halted gets the parent's list, unstepped, so
-    a run that has halted is not replayed.  Only the current word's
-    ancestors are kept."""
+    """Yields ``(word, state, configs)`` for ``prefix`` and its live
+    extensions by at most ``depth`` letters, in the order of
+    ``a.extensions(prefix, depth)``, with per input vector the
+    configuration at the top of round ``len(word)`` after its halt
+    checks, one round on from the parent's: runs sharing a prefix share
+    its rounds.  A word whose configurations have all halted is final:
+    every extension of it has the same configurations, so the walk
+    yields it and does not go below it.  Each word's configurations
+    travel on the walk's stack with it.  Raises as ``a.extensions``
+    does, and yields nothing when no accepted word extends ``prefix``."""
+    root = next(a.extensions(prefix, depth), None)
+    if root is None:
+        return
 
     def step(config, letter):
         return _halt_checks(algorithm, _run(algorithm, config, (letter,)))
 
-    path = []  # path[k]: configs after len(prefix) + k rounds
-    for word, state in a.extensions(prefix, depth):
-        k = len(word) - len(prefix)
-        del path[k:]
-        if k and all(map(_halted, path[-1])):
-            configs = path[-1]
-        elif k:
-            configs = [step(c, word.letters[-1]) for c in path[-1]]
-        else:
-            configs = [
-                functools.reduce(step, word.letters, _halt_checks(
-                    algorithm, _start(algorithm, inputs)))
-                for inputs in vectors]
-        path.append(configs)
+    limit = len(prefix) + depth
+    live = a.live
+    backwards = sorted(a.alphabet, key=str, reverse=True)
+    word, state = root
+    configs = [functools.reduce(step, prefix.letters, _halt_checks(
+        algorithm, _start(algorithm, inputs))) for inputs in vectors]
+    stack = []  # (parent, letter, state, parent's configs), stepped on pop
+    while True:
         yield word, state, configs
+        if len(word.letters) < limit and not all(map(_halted, configs)):
+            row = a.transitions[state]
+            for letter in backwards:  # pushed last, popped first
+                nxt = row[letter][0]
+                if nxt in live:
+                    stack.append((word, letter, nxt, configs))
+        if not stack:
+            return
+        word, letter, state, configs = stack.pop()
+        word = FiniteWord(word.letters + (letter,))
+        configs = [step(config, letter) for config in configs]
 
 
-def _resume(algorithm: Algorithm, config: tuple, scenario: LassoWord,
+def _resume(algorithm: Algorithm, config: tuple, letter: Letter,
             start: int, budget: int) -> tuple:
-    """Where ``simulate(algorithm, scenario, inputs, budget)`` ends, from
-    ``_walk``'s configuration for those inputs after ``start < budget``
-    letters."""
-    return _run(algorithm, config,
-                itertools.islice(scenario.letters(), start, budget))
+    """Where ``simulate(algorithm, LassoWord(word, (letter,)), inputs,
+    budget)`` ends, from ``_walk``'s configuration for those inputs on a
+    word of length ``start < budget``."""
+    return _run(algorithm, config, itertools.repeat(letter, budget - start))
 
 
 def simulate(algorithm: Algorithm, scenario: LassoWord,
@@ -371,38 +400,52 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton,
     obtained by completing the adversary's depth-prefixes with
     DEFAULT_TAILS (the scenarios of ``completions``, in its order),
     across all four input vectors, each run for at most depth + 40
-    rounds; a run that has not halted by its prefix's end resumes from
-    its configuration there, a halted one is read off it, and a prefix
-    whose runs have all halted and decided correctly counts its
-    completions without running them."""
+    rounds.  The walk stops at a final word, whose runs have all
+    halted: if they decided correctly, its completions are counted per
+    automaton state without being visited, and otherwise each of them
+    is checked off its configuration.  A run still going at its
+    prefix's end resumes from its configuration there."""
     if depth > 10:
         raise ResourceBoundError(
             "verification depth %d exceeds bound 10" % depth
         )
     budget = depth + 40
     tails_from = _accepted_tails(a)
+    live = a.live
+
+    @functools.cache
+    def count(state, k: int) -> int:
+        """(leaf, accepted tail) pairs ``k`` live letters below state."""
+        if not k:
+            return len(tails_from(state))
+        return sum(count(nxt, k - 1)
+                   for nxt, _ in a.transitions[state].values()
+                   if nxt in live)
+
     checked = 0
     violations = []
     for word, state, configs in _walk(algorithm, a, FiniteWord(), depth,
                                       INPUT_VECTORS):
         n = len(word)
-        if n < depth:
+        if n < depth and not all(map(_halted, configs)):
             continue
-        tails = tails_from(state)
         # a halted run is final, so its faults are read off its
         # configuration; a running one shows as termination here
         if not any(_faults(inputs, *config, budget)
                    for inputs, config in zip(INPUT_VECTORS, configs)):
-            checked += len(configs) * len(tails)
+            checked += len(configs) * count(state, depth - n)
             continue
-        for tail in tails:
-            scenario = LassoWord(word, tail.cycle)
-            for inputs, config in zip(INPUT_VECTORS, configs):
-                checked += 1
-                white, black = config if _halted(config) else _resume(
-                    algorithm, config, scenario, n, budget)
-                violations.extend(
-                    Violation(kind, scenario, inputs, detail)
-                    for kind, detail in _faults(inputs, white, black,
-                                                budget))
+        for leaf, leaf_state in a.extensions(word, depth - n):
+            if len(leaf) < depth:
+                continue
+            for tail in tails_from(leaf_state):
+                scenario = LassoWord(leaf, tail.cycle)
+                for inputs, config in zip(INPUT_VECTORS, configs):
+                    checked += 1
+                    white, black = config if _halted(config) else _resume(
+                        algorithm, config, tail.cycle[0], n, budget)
+                    violations.extend(
+                        Violation(kind, scenario, inputs, detail)
+                        for kind, detail in _faults(inputs, white, black,
+                                                    budget))
     return Report(checked, violations)

@@ -5,7 +5,8 @@ from dataclasses import replace
 import pytest
 
 from twogen import adversary as adv
-from twogen.protocol import OwnInputAlgorithm
+from twogen.oracle import classify, select_forbidden_scenario
+from twogen.protocol import IndexGuardAlgorithm, OwnInputAlgorithm
 from twogen.words import FiniteWord, GAMMA, LassoWord, Letter
 
 
@@ -156,3 +157,21 @@ def random_automata(seed: int, n: int):
         except ValueError:  # a ParseError or CompileError
             pass
     return out
+
+
+def halting_cases(seed: int, n: int):
+    """``(automaton, algorithms)`` for the solvable GAMMA members of
+    ``random_automata(seed, n)``: own-input deciding at the top of round
+    k for k = 1..4, whose runs all halt at depth k and disagree on mixed
+    inputs, and A_w with the oracle's w, whose runs halt at various
+    depths and decide correctly."""
+    cases = []
+    for a in random_automata(seed, n):
+        if a.alphabet != GAMMA:
+            continue
+        v = classify(a)
+        if v.solvable:
+            algos = [_OwnInputAt(k) for k in range(1, 5)]
+            algos.append(IndexGuardAlgorithm(select_forbidden_scenario(v)))
+            cases.append((a, algos))
+    return cases

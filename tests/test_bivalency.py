@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import _OwnInputAt, random_gamma_lasso
+from conftest import _OwnInputAt, halting_cases, random_gamma_lasso
 from twogen import adversary as adv
 from twogen import oracle
 from twogen.bivalency import (DecisiveReport, ExplorationNode, Valency,
@@ -256,6 +256,41 @@ def test_walk_matches_reenumeration(text, w):
                     _ref_explore(algo, m, inputs, depth).to_dict()
                 assert find_decisive(algo, a, inputs, depth).to_json() == \
                     _ref_find_decisive(algo, m, inputs, depth).to_json()
+
+
+@pytest.mark.parametrize("case", enumerate(halting_cases(5, 6)),
+                         ids=lambda case: str(case[0]))
+def test_walk_matches_reenumeration_on_runs_that_halt_mid_walk(case):
+    """Own-input deciding at round k = 1..4 halts every run at depth k,
+    and on mixed inputs the final words are bivalent: the tree goes
+    below them into entries filled without running them."""
+    _, (a, algos) = case
+    m = _Memo(a)
+    leaf = explore(algos[1], a, (0, 1), 3)  # k = 2: final at depth 2
+    while leaf.children:
+        leaf = leaf.children[0]
+    assert len(leaf.prefix) == 3
+    for algo in algos:
+        for inputs in INPUT_VECTORS:
+            for depth in range(4):
+                assert explore(algo, a, inputs, depth).to_dict() == \
+                    _ref_explore(algo, m, inputs, depth).to_dict()
+                assert find_decisive(algo, a, inputs, depth).to_json() == \
+                    _ref_find_decisive(algo, m, inputs, depth).to_json()
+
+
+def test_a_final_word_with_no_tail_below_is_undetermined():
+    """Below LB only LB ( OK LW )^w is allowed, which no constant tail
+    completes: own-input's runs have all halted there, yet LB and its
+    extensions stay Undetermined, as in the reference."""
+    a = adv.load("( OK )^w | LB LB ( OK LW )^w")
+    m = _Memo(a)
+    assert valency(_OwnInputAt(1), a, parse_word("LB"), (0, 1), 2) is \
+        Valency.UNDETERMINED
+    for k in (1, 2, 3):
+        for depth in range(4):
+            assert explore(_OwnInputAt(k), a, (0, 1), depth).to_dict() == \
+                _ref_explore(_OwnInputAt(k), m, (0, 1), depth).to_dict()
 
 
 def test_walk_matches_reenumeration_with_odd_tails():

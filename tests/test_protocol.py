@@ -9,7 +9,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import _OwnInputAt, all_words, random_gamma_lasso
+from conftest import (_OwnInputAt, all_words, halting_cases,
+                      random_gamma_lasso)
 from twogen import adversary as adv
 from twogen import bivalency, protocol
 from twogen import topology as topo
@@ -316,6 +317,37 @@ def test_verify_matches_with_odd_tails_and_aeta():
 
 
 @pytest.mark.parametrize("name", ["S1", "C1", "TW"])
+def test_the_walk_stops_at_final_words(builtins, name):
+    """With the oracle's w the walk yields no word below one whose runs
+    have all halted, so it visits fewer words than there are prefixes,
+    and verify still counts every completion."""
+    a = builtins[name]
+    algo = IndexGuardAlgorithm(select_forbidden_scenario(classify(a)))
+    final = set()
+    walked = 0
+    for word, _, configs in protocol._walk(algo, a, FiniteWord(), 5,
+                                           INPUT_VECTORS):
+        walked += 1
+        assert not word or word[:-1] not in final, word
+        if all(map(protocol._halted, configs)):
+            final.add(word)
+    assert final and walked < len(list(a.extensions(FiniteWord(), 5)))
+    assert verify(algo, a, 5).checked == 4 * len(list(completions(a, 5)))
+
+
+@pytest.mark.parametrize("case", enumerate(halting_cases(5, 6)),
+                         ids=lambda case: str(case[0]))
+def test_verify_matches_on_runs_that_halt_mid_walk(case):
+    """Own-input deciding at round k = 1..4 halts every run at depth k:
+    with disagreeing final words the walk expands their completions,
+    and with A_w's correct decisions it counts them.  Either way the
+    report, violations in order, is that of simulating every scenario."""
+    _, (a, algos) = case
+    for algo in algos:
+        _assert_verify_matches(algo, a, range(6))
+
+
+@pytest.mark.parametrize("name", ["S1", "C1", "TW"])
 def test_halted_runs_are_not_replayed(builtins, monkeypatch, name):
     """With the oracle's w every run has halted by round 5: verify
     counts its completions without resuming one, and verify and explore
@@ -403,3 +435,24 @@ def test_a_halted_configuration_is_final(algo, scenario, inputs, rounds):
             initial=start):
         if protocol._halted(config):
             assert all(step(config, letter) == config for letter in G2)
+
+
+_GAMMA_W = adv.load("R1")  # GAMMA^w: every GAMMA word is a prefix
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_lassos(GAMMA, 3, 2).map(IndexGuardAlgorithm),
+                 st.just(OwnInputAlgorithm()),
+                 st.builds(_geometric)),
+       st.lists(st.sampled_from(GAMMA), max_size=5).map(
+           lambda letters: FiniteWord(tuple(letters))),
+       st.sampled_from(GAMMA), st.sampled_from(INPUT_VECTORS))
+def test_a_tail_letter_resume_equals_simulate(algo, word, letter, inputs):
+    """The walk's configuration after ``word``, resumed under a constant
+    tail, ends where simulating ``word . letter^w`` from round 0 does."""
+    (_, _, (config,)), = protocol._walk(algo, _GAMMA_W, word, 0, (inputs,))
+    budget = len(word) + 40
+    t = simulate(algo, LassoWord(word, FiniteWord.of(letter)), inputs,
+                 budget)
+    assert protocol._resume(algo, config, letter, len(word), budget) == \
+        (t.white, t.black)
