@@ -22,6 +22,7 @@ representation.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import re
@@ -55,17 +56,36 @@ ONE_TRACK = (frozenset((0,)),)
 
 def _explore(init, alphabet, step) -> dict:
     """``{state: {letter: step(state, letter)}}`` over every state
-    reachable from ``init``; ``step`` returns ``(next_state, label)``."""
-    trans: dict = {}
+    reachable from ``init``, keyed in the order first reached, depth
+    first (the order of ``is_empty``'s edges, and so of its witnesses);
+    ``step`` returns ``(next_state, label)``."""
+    trans: dict = {init: None}
     todo = [init]
     while todo:
         st = todo.pop()
-        if st in trans:
-            continue
-        row = {a: step(st, a) for a in alphabet}
-        trans[st] = row
-        todo.extend(nxt for nxt, _ in row.values() if nxt not in trans)
+        trans[st] = row = {a: step(st, a) for a in alphabet}
+        for nxt, _ in row.values():
+            if nxt not in trans:
+                trans[nxt] = None
+                todo.append(nxt)
     return trans
+
+
+def _breadth_first(start, succ):
+    """Yields ``(node, letters)`` for ``start`` and every node reachable
+    from it, breadth first, where ``letters`` spells the first path
+    found to the node and ``succ(node)`` gives ``(letter, next_node)``
+    pairs in the order they are tried."""
+    paths = {start: ()}
+    queue = collections.deque([start])
+    yield start, ()
+    while queue:
+        node = queue.popleft()
+        for a, nxt in succ(node):
+            if nxt not in paths:
+                paths[nxt] = path = paths[node] + (a,)
+                yield nxt, path
+                queue.append(nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -145,16 +165,14 @@ class AdversaryAutomaton:
 
     def is_empty(self) -> Optional[LassoWord]:
         """None if the language is empty, else a witness lasso."""
-        edges = self._edges(self._reachable(self.initial))
+        edges = _edges(_explore(self.initial, self.alphabet, self.step))
         for required in self.acceptance:
             for scc_edges in _good_sccs(edges, required):
-                walk = _closed_walk(scc_edges)
                 stem = _letter_path(
-                    self._edge_map(edges), self.initial, walk[0][0]
+                    _edge_map(edges), self.initial, scc_edges[0][0]
                 )
-                loop = [a for (_, a) in walk]
                 return LassoWord(
-                    FiniteWord(tuple(stem)), FiniteWord(tuple(loop))
+                    FiniteWord(stem), FiniteWord(_closed_walk(scc_edges))
                 )
         return None
 
@@ -162,22 +180,17 @@ class AdversaryAutomaton:
     def live(self) -> frozenset:
         """The states from which some accepted word starts: those that
         reach a good cycle, found in one pass over all states."""
-        edges = self._edges(self.transitions)
-        good = {
+        edges = _edges(self.transitions)
+        good = dict.fromkeys(
             src
             for required in self.acceptance
             for scc_edges in _good_sccs(edges, required)
             for (src, _, _, _) in scc_edges
-        }
+        )
         preds: dict = {}
         for (src, _, dst, _) in edges:
             preds.setdefault(dst, []).append(src)
-        todo = list(good)
-        while todo:
-            for src in preds.get(todo.pop(), ()):
-                if src not in good:
-                    good.add(src)
-                    todo.append(src)
+        _mark_back(preds, list(good), good, None)
         return frozenset(good)
 
     def has_nonempty_residual(self, state) -> bool:
@@ -222,60 +235,27 @@ class AdversaryAutomaton:
         walk = self.extensions(FiniteWord(), r)
         return {w for w, _ in walk if len(w) == r}
 
-    # -- helpers ----------------------------------------------------------
 
-    def _reachable(self, start) -> dict:
-        """States reachable from ``start``, keyed in the order first seen
-        (a dict, so that witnesses do not depend on hash order)."""
-        seen = {start: None}
-        todo = [start]
-        while todo:
-            st = todo.pop()
-            for a in self.alphabet:
-                nxt, _ = self.transitions[st][a]
-                if nxt not in seen:
-                    seen[nxt] = None
-                    todo.append(nxt)
-        return seen
-
-    def _edges(self, states) -> list:
-        """``(src, letter, dst, colors)`` for every transition out of
-        ``states``, in their order."""
-        return [
-            (st, a, *self.transitions[st][a])
-            for st in states
-            for a in self.alphabet
-        ]
-
-    @staticmethod
-    def _edge_map(edges):
-        out: dict = {}
-        for (src, a, dst, _) in edges:
-            out.setdefault(src, []).append((a, dst))
-        return out
+def _edges(rows) -> list:
+    """``(src, letter, dst, colors)`` for every transition in ``rows``
+    (``{state: {letter: (dst, colors)}}``), in their order."""
+    return [
+        (st, a, *nxt) for st, row in rows.items() for a, nxt in row.items()
+    ]
 
 
-def _letter_path(edge_map, src, dst) -> list:
-    """Letters along a shortest path src -> dst (BFS)."""
-    if src == dst:
-        return []
-    prev = {src: None}
-    queue = [src]
-    while queue:
-        st = queue.pop(0)
-        for a, nxt in edge_map.get(st, ()):
-            if nxt not in prev:
-                prev[nxt] = (st, a)
-                if nxt == dst:
-                    out = []
-                    cur = dst
-                    while prev[cur] is not None:
-                        st2, a2 = prev[cur]
-                        out.append(a2)
-                        cur = st2
-                    return list(reversed(out))
-                queue.append(nxt)
-    raise AssertionError("no path between states of one component")
+def _edge_map(edges) -> dict:
+    out: dict = {}
+    for (src, a, dst, _) in edges:
+        out.setdefault(src, []).append((a, dst))
+    return out
+
+
+def _letter_path(edge_map, src, dst) -> tuple:
+    """Letters along a shortest path src -> dst, the first one a
+    breadth-first search in ``edge_map`` order finds."""
+    succ = lambda st: edge_map.get(st, ())
+    return next(p for node, p in _breadth_first(src, succ) if node == dst)
 
 
 def _good_sccs(edges, required: frozenset[int]):
@@ -297,81 +277,66 @@ def _good_sccs(edges, required: frozenset[int]):
 
 
 def _edge_sccs(edges):
-    """Partitions ``edges`` into SCC-internal edge groups (Tarjan)."""
-    adj: dict = {}
-    nodes: dict = {}  # insertion-ordered: Tarjan roots in first-seen order
-    for (src, a, dst, colors) in edges:
-        adj.setdefault(src, []).append(dst)
-        nodes[src] = nodes[dst] = None
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    comp_of: dict = {}
-    counter = itertools.count()
-    ncomp = itertools.count()
-
-    for root in nodes:
-        if root in index:
+    """Partitions ``edges`` into SCC-internal edge groups, ordered by
+    each group's first edge (Kosaraju: a depth-first postorder, then
+    closures over reversed edges in reverse postorder)."""
+    succ: dict = {}
+    pred: dict = {}
+    for (src, _, dst, _) in edges:
+        succ.setdefault(src, []).append(dst)
+        pred.setdefault(dst, []).append(src)
+    postorder = []
+    seen = set()
+    for root in succ:
+        if root in seen:
             continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            node, it = stack[-1]
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append((nxt, iter(succ.get(nxt, ()))))
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                cid = next(ncomp)
-                while True:
-                    top = stack.pop()
-                    on_stack.discard(top)
-                    comp_of[top] = cid
-                    if top == node:
-                        break
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
+            else:
+                stack.pop()
+                postorder.append(node)
+    comp_of: dict = {}
+    for root in reversed(postorder):
+        if root not in comp_of:
+            comp_of[root] = cid = len(comp_of)
+            _mark_back(pred, [root], comp_of, cid)
     groups: dict = {}
     for e in edges:
-        src, _, dst, _ = e
-        if comp_of[src] == comp_of[dst]:
-            groups.setdefault(comp_of[src], []).append(e)
+        if comp_of[e[0]] == comp_of[e[2]]:
+            groups.setdefault(comp_of[e[0]], []).append(e)
     return list(groups.values())
 
 
-def _closed_walk(scc_edges):
-    """A closed walk through every edge of an SCC, as (state, letter)
-    steps; per-track maxima equal the SCC maxima."""
-    edge_map = AdversaryAutomaton._edge_map(scc_edges)
-    dst_of = {(src, a): dst for (src, a, dst, _) in scc_edges}
-    start = scc_edges[0][0]
+def _mark_back(pred, todo: list, marks: dict, mark) -> None:
+    """Sets ``marks[q] = mark`` for every unmarked q from which a node
+    in ``todo`` is reached, following ``pred`` backwards."""
+    while todo:
+        for src in pred.get(todo.pop(), ()):
+            if src not in marks:
+                marks[src] = mark
+                todo.append(src)
+
+
+def _closed_walk(scc_edges) -> tuple:
+    """Letters of a closed walk from the first edge's source through
+    every edge of an SCC in order; its per-track maxima equal the SCC
+    maxima."""
+    edge_map = _edge_map(scc_edges)
+    start = cur = scc_edges[0][0]
     walk = []
-    cur = start
     for (src, a, dst, _) in scc_edges:
-        for step in _letter_path(edge_map, cur, src):
-            walk.append((cur, step))
-            cur = dst_of[(cur, step)]
-        walk.append((src, a))
+        walk += _letter_path(edge_map, cur, src)
+        walk.append(a)
         cur = dst
-    for step in _letter_path(edge_map, cur, start):
-        walk.append((cur, step))
-        cur = dst_of[(cur, step)]
-    return walk
+    walk += _letter_path(edge_map, cur, start)
+    return tuple(walk)
 
 
 # ---------------------------------------------------------------------------

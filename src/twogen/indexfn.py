@@ -87,16 +87,21 @@ def ind(w: FiniteWord) -> int:
     return i
 
 
+#: Children of a parent in increasing index order, by parent parity.
+CHILD_ORDER = {
+    0: (Letter.LB, Letter.OK, Letter.LW),
+    1: (Letter.LW, Letter.OK, Letter.LB),
+}
+
+
 def ind_inverse(r: int, k: int) -> FiniteWord:
     """The unique GAMMA-word of length r with index k."""
     if not 0 <= k <= 3**r - 1:
         raise ValueError("index %d out of range for length %d" % (k, r))
     letters: list[Letter] = []
     for _ in range(r):
-        prev = k // 3
-        mu = (k - 3 * prev - 1) * (-1 if prev % 2 else 1)
-        letters.append({-1: Letter.LB, 0: Letter.OK, 1: Letter.LW}[mu])
-        k = prev
+        k, child = divmod(k, 3)
+        letters.append(CHILD_ORDER[k % 2][child])
     return FiniteWord(tuple(reversed(letters)))
 
 
@@ -158,37 +163,18 @@ class Diff1Case(enum.Enum):
     ODD_SAME_LAST_LB = "odd/shared-last-letter LB"
 
 
-#: Children of a parent in increasing index order, by parent parity.
-CHILD_ORDER = {
-    0: (Letter.LB, Letter.OK, Letter.LW),
-    1: (Letter.LW, Letter.OK, Letter.LB),
-}
-
-
 def index_successor_case(v: FiniteWord, v2: FiniteWord) -> Diff1Case | None:
     """Returns the applicable case when ind(v2) = ind(v) + 1, else None."""
     if len(v) != len(v2):
         raise ValueError("words must have equal length")
-    iv, iv2 = ind(v), ind(v2)
-    if iv2 != iv + 1:
+    iv = ind(v)
+    if ind(v2) != iv + 1:
         return None
-    u, a = v[:-1], v[-1]
-    u2, a2 = v2[:-1], v2[-1]
-    if u.letters == u2.letters:
-        order = CHILD_ORDER[ind(u) % 2]
-        if order.index(a2) != order.index(a) + 1:
-            raise AssertionError
-        return (Diff1Case.EVEN_SAME_PREFIX if iv % 2 == 0
-                else Diff1Case.ODD_SAME_PREFIX)
-    if a is not a2 or ind(u2) != ind(u) + 1:
-        raise AssertionError
+    same = v.letters[:-1] == v2.letters[:-1]
     if iv % 2 == 0:
-        if a is not Letter.LW:
-            raise AssertionError
-        return Diff1Case.EVEN_SAME_LAST_LW
-    if a is not Letter.LB:
-        raise AssertionError
-    return Diff1Case.ODD_SAME_LAST_LB
+        return (Diff1Case.EVEN_SAME_PREFIX if same
+                else Diff1Case.EVEN_SAME_LAST_LW)
+    return Diff1Case.ODD_SAME_PREFIX if same else Diff1Case.ODD_SAME_LAST_LB
 
 
 def is_index_successor(v: FiniteWord, v2: FiniteWord) -> bool:

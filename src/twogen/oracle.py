@@ -11,7 +11,6 @@ derives round lower bounds from prefix inclusion.
 
 from __future__ import annotations
 
-import collections
 import enum
 import itertools
 import json
@@ -20,7 +19,7 @@ from typing import Optional
 
 from . import adversary as adv
 from .adversary import AdversaryAutomaton
-from .indexfn import is_special_pair
+from .indexfn import ind_step, is_special_pair
 from .words import FiniteWord, GAMMA, LassoWord, Letter, is_fair
 
 
@@ -163,8 +162,8 @@ def special_pair_product(c: AdversaryAutomaton) -> AdversaryAutomaton:
     )
     sink = "sink"
     init = (c.initial, c.initial, 0, 0)
-
-    sink_colors = _sink_colors(c)
+    # odd on every track: a run trapped in the sink satisfies nothing
+    sink_colors = (1,) * (2 * c.num_tracks + 1)
 
     def step(state, pair):
         if state == sink:
@@ -194,20 +193,11 @@ def special_pair_product(c: AdversaryAutomaton) -> AdversaryAutomaton:
 def _pair_step(d: int, p: int, a: Letter, a2: Letter):
     """The pair machine's index bookkeeping on reading ``(a, a2)``: the
     next clipped difference d and parity p, or None for the sink.  The
-    automaton components never affect either."""
-    if d == 0:
-        if a is not a2:
-            s = 1 if p == 0 else -1
-            if s * (a2.mu - a.mu) != 1:
-                return None
-            d = 1
-    else:
-        # d == +1: stays only when both read the letter that moves the
-        # even-side word outward (LW at even lower parity, LB at odd)
-        keep = Letter.LW if p == 0 else Letter.LB
-        if not (a is keep and a2 is keep):
-            return None
-    return d, (p + a.mu + 1) % 2
+    index recurrence's step depends only on the parity of the index it
+    starts from, so parities p and p + d stand in for ind(w) and ind(w');
+    the automaton components never affect either value."""
+    i, j = ind_step(p, a), ind_step(p + d, a2)
+    return (j - i, i % 2) if j - i in (0, 1) else None
 
 
 def _excluded_special_pair(
@@ -231,11 +221,12 @@ def _excluded_special_pair(
             accepts[q, p] = comp.accepts_from(q, keep_tail[p])
         return accepts[q, p]
 
-    start = (comp.initial, 0)
-    paths = {start: ()}
-    queue = collections.deque([start])
-    while queue:
-        q, p = node = queue.popleft()
+    def succ(node):
+        q, p = node
+        row = comp.transitions[q]
+        return ((a, (row[a][0], ind_step(p, a) % 2)) for a in GAMMA)
+
+    for (q, p), u in adv._breadth_first((comp.initial, 0), succ):
         row = comp.transitions[q]
         for a, a2 in itertools.product(GAMMA, GAMMA):
             moved = _pair_step(0, p, a, a2) if a is not a2 else None
@@ -243,20 +234,10 @@ def _excluded_special_pair(
                 continue
             keep = moved[1]
             if excluded(row[a][0], keep) and excluded(row[a2][0], keep):
-                u, tail = paths[node], keep_tail[keep].cycle.letters
+                tail = keep_tail[keep].cycle.letters
                 return SpecialPairWitness(LassoWord.of(u + (a,), tail),
                                           LassoWord.of(u + (a2,), tail))
-        for a in GAMMA:
-            nxt = (row[a][0], _pair_step(0, p, a, a)[1])
-            if nxt not in paths:
-                paths[nxt] = paths[node] + (a,)
-                queue.append(nxt)
     return None
-
-
-def _sink_colors(c: AdversaryAutomaton):
-    # odd on every track: a run trapped in the sink satisfies nothing
-    return tuple(1 for _ in range(2 * c.num_tracks + 1))
 
 
 def pair_machine_difference(c: AdversaryAutomaton, v: FiniteWord,

@@ -560,9 +560,12 @@ def contrex(depth: int = 6) -> Complex:
     components while its geometric realization is the whole interval:
     level 1 contributes [0,1/3] and [2/3,1]; level r >= 2 contributes
     the two cells ending at 2/3 - 1/3^r, creeping up to 2/3 from the
-    left without ever reaching it."""
+    left without ever reaching it.  Depth is at most 64, the bound of a
+    terminating subdivision."""
     if depth < 1:
         raise ValueError("contrex depth %d is below 1" % depth)
+    if depth > 64:
+        raise ResourceBoundError("contrex depth %d exceeds bound 64" % depth)
     edges = [
         word_to_edge(FiniteWord.of(Letter.LB)),
         word_to_edge(FiniteWord.of(Letter.LW)),
@@ -643,7 +646,11 @@ def _complex_doc(c: Complex) -> dict:
 
 def complex_from_json(text: str) -> Complex:
     """Reads an exported complex; ValueError on any malformed document."""
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError(
+            "malformed complex document: nested too deeply") from None
     if not isinstance(doc, dict) or doc.get("type") not in (
         "complex", "terminating-subdivision"
     ):

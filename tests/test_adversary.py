@@ -217,6 +217,54 @@ def test_live_states_match_per_state_emptiness(builtins):
     assert n > 500
 
 
+def _brute_sccs(edges):
+    """SCC-internal edge groups from mutual reachability, computed
+    state by state, in the order of each group's first edge."""
+    succ = {}
+    for (src, _, dst, _) in edges:
+        succ.setdefault(src, set()).add(dst)
+
+    def reach(st):
+        seen, todo = {st}, [st]
+        while todo:
+            for nxt in succ.get(todo.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        return seen
+
+    reaches = {st: reach(st) for e in edges for st in (e[0], e[2])}
+    groups = {}
+    for e in edges:
+        src, _, dst, _ = e
+        if src in reaches[dst]:  # dst reaches src: one component
+            key = frozenset(q for q in reaches[src] if src in reaches[q])
+            groups.setdefault(key, []).append(e)
+    return list(groups.values())
+
+
+def test_edge_sccs_match_mutual_reachability():
+    """``_edge_sccs`` keeps exactly the edges inside one mutual-
+    reachability class, grouped by class in first-edge order with each
+    group's edges in edge order: on random automata, their complements
+    and fairness products, and on random subsets of their edges (the
+    pruned edge lists emptiness recurses on)."""
+    rng = random.Random(53)
+    n = 0
+    for a in random_automata(53, 60):
+        comp = adv.complement(a)
+        cases = [a, comp]
+        if a.alphabet == GAMMA:
+            cases.append(adv.intersect(comp, adv.fairness_automaton()))
+        for b in cases:
+            edges = adv._edges(b.transitions)
+            subset = [e for e in edges if rng.random() < 0.7]
+            for es in (edges, subset):
+                assert adv._edge_sccs(es) == _brute_sccs(es), n
+                n += 1
+    assert n > 200
+
+
 def test_negative_extension_depth(builtins):
     with pytest.raises(ValueError):
         list(builtins["R1"].extensions(FiniteWord(), -1))

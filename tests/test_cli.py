@@ -193,6 +193,17 @@ def test_topo_contrex(capsys):
     assert doc["realization_components"] == 1
 
 
+@pytest.mark.parametrize("depth, code, tag", [
+    ("64", 0, ""),
+    ("65", 2, "resource:"),
+])
+def test_topo_contrex_depth_bound(capsys, depth, code, tag):
+    """contrex takes at most 64 levels, the subdivision's bound."""
+    rc, _, err = run(capsys, "topo", "contrex", "--depth", depth)
+    assert rc == code
+    assert err.startswith(tag) and bool(err) == bool(tag)
+
+
 def test_topo_subdivide_and_components(capsys, tmp_path):
     out_json = str(tmp_path / "ts.json")
     rc, out, _ = run(
@@ -279,6 +290,17 @@ def test_topo_components_malformed_document(capsys, tmp_path, doc):
     rc, _, err = run(capsys, "topo", "components", "--in", str(path))
     assert rc == 1
     assert err.startswith("domain:")
+
+
+def test_topo_components_deeply_nested_document(capsys, tmp_path):
+    """JSON nested past the decoder's recursion limit is a malformed
+    document, not a traceback."""
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    rc, out, err = run(capsys, "topo", "components", "--in", str(path))
+    assert (rc, out) == (1, "")
+    assert err.startswith("domain: malformed complex document")
+    assert "Traceback" not in err
 
 
 USAGE_ERRORS = [
