@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .words import FiniteWord, LassoWord, Letter
+from .words import MU, FiniteWord, LassoWord, Letter
 
 
 class ProcessId(enum.Enum):
@@ -76,7 +76,10 @@ def _check_gamma(w: FiniteWord):
 
 def ind_step(i: int, a: Letter) -> int:
     """One step of the index recurrence."""
-    return 3 * i + (-1 if i % 2 else 1) * a.mu + 1
+    try:
+        return 3 * i + (-1 if i % 2 else 1) * MU[a] + 1
+    except KeyError:
+        raise ValueError("mu is not defined for LL") from None
 
 
 def ind(w: FiniteWord) -> int:

@@ -200,6 +200,23 @@ def _pair_step(d: int, p: int, a: Letter, a2: Letter):
     return (j - i, i % 2) if j - i in (0, 1) else None
 
 
+def _admitted_splits(p: int) -> tuple:
+    """``(a, a2, keep)`` for each split a != a2 that ``_pair_step``
+    admits from difference 0 at parity p, in GAMMA x GAMMA order; keep
+    is the parity after it."""
+    steps = ((a, a2, _pair_step(0, p, a, a2))
+             for a, a2 in itertools.product(GAMMA, GAMMA) if a is not a2)
+    return tuple((a, a2, moved[1]) for a, a2, moved in steps
+                 if moved is not None)
+
+
+#: The F2 walk's index bookkeeping per parity: the parity after each
+#: letter, in GAMMA order, and the admitted splits.
+_NEXT_PARITY = {p: tuple((a, ind_step(p, a) % 2) for a in GAMMA)
+                for p in (0, 1)}
+_SPLITS = {p: _admitted_splits(p) for p in (0, 1)}
+
+
 def _excluded_special_pair(
         comp: AdversaryAutomaton) -> Optional[SpecialPairWitness]:
     """A special pair wholly inside ``comp`` (the excluded scenarios),
@@ -224,15 +241,11 @@ def _excluded_special_pair(
     def succ(node):
         q, p = node
         row = comp.transitions[q]
-        return ((a, (row[a][0], ind_step(p, a) % 2)) for a in GAMMA)
+        return ((a, (row[a][0], p2)) for a, p2 in _NEXT_PARITY[p])
 
     for (q, p), u in adv._breadth_first((comp.initial, 0), succ):
         row = comp.transitions[q]
-        for a, a2 in itertools.product(GAMMA, GAMMA):
-            moved = _pair_step(0, p, a, a2) if a is not a2 else None
-            if moved is None:
-                continue
-            keep = moved[1]
+        for a, a2, keep in _SPLITS[p]:
             if excluded(row[a][0], keep) and excluded(row[a2][0], keep):
                 tail = keep_tail[keep].cycle.letters
                 return SpecialPairWitness(LassoWord.of(u + (a,), tail),

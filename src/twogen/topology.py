@@ -464,7 +464,9 @@ def finished_witness(r: int, x,
                     key = (dist, kc)
                     if best_key is None or key < best_key:
                         best, best_key = kc, key
-    return vertex_at(Fraction(best, pow3)) if best is not None else None
+    if best is None:
+        return None
+    return ColoredVertex(TernaryRational(best, r))
 
 
 def side_decision_map(z) -> Callable:

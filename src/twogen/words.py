@@ -8,6 +8,8 @@ The per-round communication alphabet has four letters:
     LL  both messages lost
 
 GAMMA is the three-letter restriction without the double omission LL.
+``Letter`` is a str-valued enum: each letter equals its token
+(``Letter.OK == "OK"``) and hashes like its name, in C.
 Infinite scenarios are represented exclusively by lasso words
 ``stem . cycle^w``, kept in a canonical form (primitive cycle, shortest
 stem) so that equality of lassos coincides with equality of the
@@ -25,7 +27,7 @@ class ParseError(ValueError):
     """Raised on malformed word or lasso text."""
 
 
-class Letter(enum.Enum):
+class Letter(str, enum.Enum):
     OK = "OK"
     LW = "LW"
     LB = "LB"
@@ -40,16 +42,16 @@ class Letter(enum.Enum):
     @property
     def mu(self) -> int:
         """Displacement used by the index recurrence (undefined for LL)."""
-        if self is Letter.LB:
-            return -1
-        if self is Letter.OK:
-            return 0
-        if self is Letter.LW:
-            return 1
-        raise ValueError("mu is not defined for LL")
+        try:
+            return MU[self]
+        except KeyError:
+            raise ValueError("mu is not defined for LL") from None
 
 
 OK, LW, LB, LL = Letter.OK, Letter.LW, Letter.LB, Letter.LL
+
+#: Displacements of the index recurrence; LL has none.
+MU = {LB: -1, OK: 0, LW: 1}
 
 #: Full alphabet and its restriction without double omissions.
 G2 = (LB, OK, LW, LL)

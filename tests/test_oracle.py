@@ -8,7 +8,7 @@ import pytest
 from conftest import all_words, random_automata, random_gamma_lasso
 from twogen import adversary as adv
 from twogen import oracle
-from twogen.indexfn import ind, ind_limit, is_special_pair
+from twogen.indexfn import ind, ind_limit, ind_step, is_special_pair
 from twogen.oracle import (CornerWitness, FairWitness, Family,
                            SpecialPairWitness, Verdict, check_witness,
                            classify, pair_machine_difference,
@@ -306,6 +306,25 @@ def test_f2_matches_the_explicit_pair_machine(builtins):
             assert check_witness(a, Verdict(True, frozenset({Family.F2}),
                                             pair, ""))
     assert found > 200, found
+
+
+def test_f2_walk_tables_follow_the_index_step():
+    """The diagonal walk's tables are ind_step's next parity for every
+    letter and _pair_step's admitted splits from difference 0 for every
+    letter pair, in GAMMA and GAMMA x GAMMA order."""
+    for p in (0, 1):
+        assert oracle._NEXT_PARITY[p] == tuple(
+            (a, ind_step(p, a) % 2) for a in GAMMA)
+        splits = []
+        for a, a2 in itertools.product(GAMMA, GAMMA):
+            moved = oracle._pair_step(0, p, a, a2)
+            if a is a2:
+                assert moved == (0, ind_step(p, a) % 2)
+            elif moved is not None:
+                assert moved[0] == 1
+                splits.append((a, a2, moved[1]))
+        assert oracle._SPLITS[p] == tuple(splits)
+        assert len(splits) == 2
 
 
 def test_pair_witness_is_the_least_excluded_pair():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from twogen import indexfn
 from twogen.words import (EPSILON, FiniteWord, G2, GAMMA, LassoWord, Letter,
                           ParseError, is_fair, parse_lasso, parse_word)
 
@@ -20,6 +21,17 @@ def test_mu_values():
     assert Letter.LW.mu == 1
     with pytest.raises(ValueError):
         Letter.LL.mu
+    with pytest.raises(ValueError):
+        indexfn.ind_step(0, Letter.LL)
+
+
+def test_letter_is_its_token_and_hashes_in_c():
+    """A letter equals its token and hashes like its name, as the plain
+    enum's __hash__ did, so set and dict orders are unchanged."""
+    assert Letter.__hash__ is str.__hash__
+    for a in G2:
+        assert a == a.value == a.name
+        assert hash(a) == hash(a.name)
 
 
 def test_word_basics():
