@@ -6,6 +6,10 @@ whether a round's messages arrive is dictated by the scenario letter
 has halted sends nothing, so its peer's receive returns nothing
 regardless of the letter.
 
+Process states (``ProcessState``) and messages (``Message``) are
+immutable named tuples, compared and hashed by value: derive a changed
+state with ``s._replace(...)``, not ``dataclasses.replace``.
+
 The index-guard algorithm ("A_w") is parameterized by a scenario w
 excluded from the adversary: each process maintains an integer that
 brackets the index of the partial scenario seen so far and runs while
@@ -19,21 +23,19 @@ import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .adversary import AdversaryAutomaton, ResourceBoundError
 from .indexfn import BLACK, WHITE, ProcessId, ind, ind_step
 from .words import FiniteWord, LassoWord, Letter
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     init: int
     ind: int
 
 
-@dataclass(frozen=True)
-class ProcessState:
+class ProcessState(NamedTuple):
     id: ProcessId
     init: int
     initother: Optional[int] = None
@@ -203,40 +205,43 @@ def _halt_checks(algorithm: Algorithm, config: tuple) -> tuple:
     return white, black
 
 
+def _exchange(receive, white: ProcessState, black: ProcessState,
+              letter: Letter) -> tuple:
+    """``(white, black)`` after one round's exchange under ``letter``,
+    with ``receive`` the algorithm's.  A halted process sends nothing
+    and receives nothing, and a message is built only when it reaches
+    a running process."""
+    white_hears, black_hears = _DELIVERY[letter]
+    if white.decided is None:
+        if black.decided is None:
+            return (receive(white, Message(black.init, black.ind)
+                            if white_hears else None),
+                    receive(black, Message(white.init, white.ind)
+                            if black_hears else None))
+        return receive(white, None), black
+    if black.decided is None:
+        return white, receive(black, None)
+    return white, black
+
+
 def _run(algorithm: Algorithm, config: tuple, letters: Iterable[Letter],
          rounds: Optional[list] = None) -> tuple:
     """Plays one round per letter from ``config``, whose round's halt
     checks are done, and returns the configuration after the last
     exchange.  Every later round starts with its halt checks, and the
     run ends once both processes have halted.  Exchanged rounds are
-    appended to ``rounds`` if given.
-
-    Whether a process runs is read once per round, after its halt
-    check (``receive`` keeps ``decided``), and a message is built only
-    when it reaches a running process."""
+    appended to ``rounds`` if given."""
     white, black = config
-    white_on = white.decided is None
-    black_on = black.decided is None
     maybe_halt, receive = algorithm.maybe_halt, algorithm.receive
     for i, letter in enumerate(letters):
         if i:
-            if white_on:
+            if white.decided is None:
                 white = maybe_halt(white)
-                white_on = white.decided is None
-            if black_on:
+            if black.decided is None:
                 black = maybe_halt(black)
-                black_on = black.decided is None
-        if not (white_on or black_on):
+        if white.decided is not None and black.decided is not None:
             break
-        # a halted process sends nothing
-        white_hears, black_hears = _DELIVERY[letter]
-        to_black = (Message(white.init, white.ind)
-                    if black_on and white_on and black_hears else None)
-        if white_on:
-            white = receive(white, Message(black.init, black.ind)
-                            if white_hears and black_on else None)
-        if black_on:
-            black = receive(black, to_black)
+        white, black = _exchange(receive, white, black, letter)
         if rounds is not None:
             rounds.append((letter, white, black))
     return white, black
@@ -264,8 +269,17 @@ def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
     if root is None:
         return
 
+    maybe_halt, receive = algorithm.maybe_halt, algorithm.receive
+
     def step(config, letter):
-        return _halt_checks(algorithm, _run(algorithm, config, (letter,)))
+        """One exchange under ``letter``, then the next round's halt
+        checks: ``_halt_checks`` of a one-letter ``_run``."""
+        white, black = _exchange(receive, *config, letter)
+        if white.decided is None:
+            white = maybe_halt(white)
+        if black.decided is None:
+            black = maybe_halt(black)
+        return white, black
 
     limit = len(prefix) + depth
     live = a.live

@@ -342,6 +342,8 @@ class TerminatingSubdivision:
     # (index, adversary state, fiber state) of the cells around z
     _frontier: list = field(default_factory=list)
     _depth: int = 0
+    # the greatest round whose radii are known to be final
+    _settled: int = -1
 
     def materialize(self, depth: int):
         while self._depth < depth:
@@ -376,12 +378,20 @@ class TerminatingSubdivision:
         level-r grid but at z: deeper stable edges lie in those cells,
         so the radii of levels up to r are those of the infinite
         complex.  The wait, a run of 0 or 2 digits of z, is shorter
-        than the preperiod plus period that FIBER_DIGITS bounds."""
+        than the preperiod plus period that FIBER_DIGITS bounds.
+
+        Deeper cells around z nest inside these, and a grid point in a
+        cell of a finer grid is one of its ends, so once round r has
+        settled it stays settled, and so does every earlier round: a
+        round up to ``_settled`` is not checked again."""
+        if r <= self._settled:
+            return self._radius
         self.materialize(r)
         while any(k % 3 ** (self._depth - r) == 0
                   and Fraction(k, 3**self._depth) != self.z
                   for i, _, _ in self._frontier for k in (i, i + 1)):
             self.materialize(self._depth + 1)
+        self._settled = r
         return self._radius
 
     def stable_complex(self) -> Complex:

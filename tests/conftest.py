@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -29,7 +28,7 @@ class _OwnInputAt(OwnInputAlgorithm):
 
     def maybe_halt(self, s):
         if s.round >= self.r:
-            return replace(s, decided=s.init)
+            return s._replace(decided=s.init)
         return s
 
 

@@ -18,8 +18,9 @@ from twogen.adversary import AdversaryAutomaton, ResourceBoundError
 from twogen.indexfn import BLACK, WHITE, ind, ind_limit
 from twogen.oracle import classify, select_forbidden_scenario
 from twogen.protocol import (INPUT_VECTORS, IndexGuardAlgorithm, Message,
-                             OwnInputAlgorithm, Report, Violation,
-                             _delivered, completions, simulate, verify)
+                             OwnInputAlgorithm, ProcessState, Report,
+                             Violation, _delivered, completions, simulate,
+                             verify)
 from twogen.words import (FiniteWord, G2, GAMMA, LassoWord, Letter,
                           parse_lasso)
 
@@ -138,6 +139,27 @@ def test_halted_peer_message_absent():
     hw = t.white.round if t.white.halted else None
     hb = t.black.round
     assert t.decisions[0] == t.decisions[1]
+
+
+def test_states_and_messages_are_immutable_values():
+    """Process states and messages are named tuples: fields cannot be
+    set, equal values hash equal, and ``_replace`` makes a changed
+    copy."""
+    s = ProcessState(WHITE, 1)
+    assert (s.initother, s.ind, s.round, s.decided) == (None, 0, 0, None)
+    assert not s.halted
+    m = Message(1, 4)
+    for obj, attr in ((s, "decided"), (s, "round"), (s, "extra"),
+                      (m, "ind"), (m, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, 0)
+    t = s._replace(decided=0, round=2)
+    assert t.halted and (t.decided, t.round) == (0, 2)
+    assert s.decided is None and not s.halted
+    same = ProcessState(WHITE, 1, None, 0, 2, 0)
+    assert t == same and hash(t) == hash(same) and len({t, same, s}) == 2
+    assert m == Message(1, 4) and hash(m) == hash(Message(1, 4))
+    assert m._replace(ind=5) == Message(1, 5) != m
 
 
 def test_completions_stay_inside(builtins):
@@ -397,6 +419,12 @@ def test_halted_violations_are_not_resumed(builtins, monkeypatch, name):
     assert rep.to_json() == _ref_verify(OwnInputAlgorithm(), a, 5).to_json()
 
 
+def _run_round(algo, config, letter):
+    """One round under ``letter`` as a one-letter ``_run``, then the
+    next round's halt checks."""
+    return protocol._halt_checks(algo, protocol._run(algo, config, (letter,)))
+
+
 _GEOMETRIC_W = L("LW LB ( OK )^w")
 
 
@@ -424,11 +452,7 @@ def _lassos(letters, max_stem, max_cycle):
 def test_a_halted_configuration_is_final(algo, scenario, inputs, rounds):
     """Once both processes have halted, a round under any letter, halt
     checks included, leaves the configuration as it is."""
-
-    def step(config, letter):
-        return protocol._halt_checks(algo, protocol._run(
-            algo, config, (letter,)))
-
+    step = functools.partial(_run_round, algo)
     start = protocol._halt_checks(algo, protocol._start(algo, inputs))
     for config in itertools.accumulate(
             itertools.islice(scenario.letters(), rounds), step,
@@ -456,3 +480,40 @@ def test_a_tail_letter_resume_equals_simulate(algo, word, letter, inputs):
                  budget)
     assert protocol._resume(algo, config, letter, len(word), budget) == \
         (t.white, t.black)
+
+
+def _walk_matches_runs(algo, prefix, depth) -> int:
+    """Checks every configuration ``_walk`` yields on ``_GAMMA_W`` from
+    ``prefix`` down ``depth`` letters against ``_run_round`` steps from
+    the halt-checked start; returns how many had one process halted."""
+    step = functools.partial(_run_round, algo)
+    starts = [protocol._halt_checks(algo, protocol._start(algo, inputs))
+              for inputs in INPUT_VECTORS]
+    one_halted = 0
+    for word, _, configs in protocol._walk(algo, _GAMMA_W, prefix, depth,
+                                           INPUT_VECTORS):
+        assert configs == [functools.reduce(step, word.letters, start)
+                           for start in starts], word
+        one_halted += sum(w.halted != b.halted for w, b in configs)
+    return one_halted
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_lassos(GAMMA, 3, 2).map(IndexGuardAlgorithm),
+                 st.just(OwnInputAlgorithm()),
+                 st.builds(_geometric)),
+       st.lists(st.sampled_from(GAMMA), max_size=6).map(
+           lambda letters: FiniteWord(tuple(letters))))
+def test_a_walk_step_is_a_run_round(algo, prefix):
+    """Each word of length at most 6 that the walk yields carries, per
+    input vector, the configuration of its letters played as one-letter
+    runs with the halt checks after each."""
+    _walk_matches_runs(algo, prefix, 6 - len(prefix))
+
+
+@pytest.mark.parametrize("algo", [IndexGuardAlgorithm(_GEOMETRIC_W),
+                                  _geometric()], ids=["aw", "aeta"])
+def test_walk_steps_cover_one_halted_process(algo):
+    """The walk step matches ``_run`` where exactly one process has
+    halted too: A_w and A_eta reach such configurations by depth 6."""
+    assert _walk_matches_runs(algo, FiniteWord(), 6)

@@ -2,7 +2,6 @@ import collections
 import itertools
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -521,6 +520,37 @@ def _gap_subdivision(w, depth):
     return a, topo.build_terminating_subdivision(a, z, depth=depth)
 
 
+def _level_radii(ts, r):
+    """``ts.radii(r)`` on the vertices of levels 1..r."""
+    radius = ts.radii(r)
+    return {(p.numerator, p.exponent): radius[p.numerator, p.exponent]
+            for k in range(1, r + 1) for e in ts.levels[k]
+            for p in (e.a.position, e.b.position)}
+
+
+@pytest.mark.parametrize("w", [FAIR_W, LONG_W])
+def test_settled_radii_match_a_fresh_subdivision(w):
+    """A round whose radii have settled is not checked again: on a
+    subdivision grown past round 12 and asked in a shuffled order, and
+    on one grown only by the rounds asked of it, in increasing order,
+    the radii of levels 1..r are those a fresh subdivision finds for
+    r."""
+    _, grown = _gap_subdivision(w, 2)
+    grown.radii(12)
+    grown.materialize(grown._depth + 6)
+    depth = grown._depth
+    rounds = list(range(1, 13))
+    random.Random(7).shuffle(rounds)
+    for r in rounds:
+        _, fresh = _gap_subdivision(w, 0)
+        assert _level_radii(grown, r) == _level_radii(fresh, r), r
+    assert grown._depth == depth
+    _, asked = _gap_subdivision(w, 0)
+    for r in range(1, 13):
+        _, fresh = _gap_subdivision(w, 0)
+        assert _level_radii(asked, r) == _level_radii(fresh, r), r
+
+
 @pytest.mark.parametrize("w", [FAIR_W, LONG_W])
 def test_aeta_halts_where_finished_says(w):
     """Every (r, ind) up to round 7, asked in a shuffled order and twice
@@ -576,7 +606,7 @@ class _UncachedGeometric(topo.GeometricAlgorithm):
         value = s.init if side is s.id else s.initother
         if value is None:
             raise AssertionError("decision map points at an unseen input")
-        return replace(s, decided=value)
+        return s._replace(decided=value)
 
 
 @pytest.mark.parametrize("w", [FAIR_W, LONG_W])
