@@ -66,7 +66,7 @@ class TernaryRational:
         return Fraction(self.numerator, 3**self.exponent)
 
     def __str__(self):
-        return "%d/%d" % (self.value.numerator, self.value.denominator)
+        return "%d/%d" % (self.numerator, 3**self.exponent)
 
 
 def _check_gamma(w: FiniteWord):

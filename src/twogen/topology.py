@@ -9,13 +9,22 @@ geometric decision algorithm may halt, each keeping the radius map eta
 over its whole infinite complex, and the Finished predicate that reads
 it.
 
-Everything is exact rational arithmetic; connectivity and
-ball-inclusion answers are claims about real geometry, so no floats.
+Everything is exact; connectivity and ball-inclusion answers are
+claims about real geometry, so no floats.  A position is a reduced
+``TernaryRational`` (numerator, 3-exponent), and the subdivision
+arithmetic, the Finished search, the export and the component counts
+compare such integers on a common 3-power scale.  ``Fraction`` appears
+only at the edges of the API: ``ComplexEdge.interval``, ``vertex_at``,
+``eta_of``, ``side_decision_map`` and gap points, including declared
+accumulation points.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -46,10 +55,17 @@ def _tr(x) -> TernaryRational:
     if isinstance(x, TernaryRational):
         return x
     f = Fraction(x)
-    e, den = split_threes(f.denominator, f.denominator.bit_length())
-    if den != 1:
-        raise ValueError("%s is not a ternary rational" % f)
-    return TernaryRational(f.numerator, e)
+    return _ternary(f.numerator, f.denominator)
+
+
+def _ternary(num: int, den: int) -> TernaryRational:
+    """num/den, for den > 0, as a ternary rational."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    e, rest = split_threes(den, den.bit_length())
+    if rest != 1:
+        raise ValueError("%d/%d is not a ternary rational" % (num, den))
+    return TernaryRational(num, e)
 
 
 def position_color(p: TernaryRational) -> ProcessId:
@@ -141,13 +157,15 @@ def chromatic_subdivision(c: Complex) -> Complex:
     """Replaces each edge by three with alternating vertex colors."""
     edges = []
     for e in c.edges:
-        lo = e.a if e.a.position.value < e.b.position.value else e.b
-        hi = e.b if lo is e.a else e.a
+        pa, pb = e.a.position, e.b.position
+        top = max(pa.exponent, pb.exponent) + 1
+        ka = pa.numerator * 3 ** (top - pa.exponent)
+        kb = pb.numerator * 3 ** (top - pb.exponent)
+        lo, hi = (e.a, e.b) if ka < kb else (e.b, e.a)
         seg = e.a.segment
-        p, q = lo.position.value, hi.position.value
-        d = q - p
-        m1 = vertex_at(p + d / 3, seg)
-        m2 = vertex_at(p + 2 * d / 3, seg)
+        p, d = min(ka, kb), abs(kb - ka) // 3
+        m1 = ColoredVertex(TernaryRational(p + d, top), seg)
+        m2 = ColoredVertex(TernaryRational(p + 2 * d, top), seg)
         edges.append(ComplexEdge(lo, m1))
         edges.append(ComplexEdge(m1, m2))
         edges.append(ComplexEdge(m2, hi))
@@ -188,8 +206,13 @@ def protocol_complex(a: AdversaryAutomaton, r: int) -> Complex:
 # connectivity
 
 
+def _vertex_id(v: ColoredVertex) -> tuple:
+    return (v.segment, v.position.numerator, v.position.exponent)
+
+
 def abstract_components(k: Complex) -> int:
-    """Connected components of the vertex/edge graph (gluing applied)."""
+    """Connected components of the vertex/edge graph (gluing applied);
+    a vertex is its (segment, numerator, exponent) triple."""
     parent: dict = {}
 
     def find(x):
@@ -206,10 +229,10 @@ def abstract_components(k: Complex) -> int:
             parent[rx] = ry
 
     for e in k.edges:
-        union(e.a, e.b)
-    present = k.vertices()
+        union(_vertex_id(e.a), _vertex_id(e.b))
+    present = set(parent)
     for group in k.gluing:
-        members = [v for v in group if v in present]
+        members = [u for u in map(_vertex_id, group) if u in present]
         for v, v2 in zip(members, members[1:]):
             union(v, v2)
     return len({find(v) for v in parent})
@@ -223,13 +246,26 @@ def realization_components(k: Complex) -> int:
     point p (within three times the shortest edge of k) is merged with
     the component materially containing p -- but only when p lies
     inside some interval; a bare limit point outside the union
-    separates nothing.
+    separates nothing.  Positions are integers over one denominator:
+    3^E, E the largest exponent of a vertex, times the lcm of the
+    accumulation points' denominators.
     """
     if len(k.segments()) > 1:
         raise ValueError("realization counting works on a single segment")
-    intervals = sorted(e.interval for e in k.edges)
-    if not intervals:
+    if not k.edges:
         return 0
+    points = [Fraction(p) for p in k.accumulation_points]
+    top = max(v.position.exponent for e in k.edges for v in (e.a, e.b))
+    unit = 3**top * math.lcm(*(p.denominator for p in points))
+
+    def at(v: ColoredVertex) -> int:
+        return v.position.numerator * (unit // 3**v.position.exponent)
+
+    intervals = []
+    for e in k.edges:
+        a, b = at(e.a), at(e.b)
+        intervals.append((a, b) if a < b else (b, a))
+    intervals.sort()
     merged = [list(intervals[0])]
     for lo, hi in intervals[1:]:
         if lo <= merged[-1][1]:
@@ -245,8 +281,8 @@ def realization_components(k: Complex) -> int:
             i = parent[i]
         return i
 
-    for p in k.accumulation_points:
-        p = Fraction(p)
+    for p in points:
+        p = p.numerator * (unit // p.denominator)
         home = None
         for i, (lo, hi) in enumerate(merged):
             if lo <= p <= hi:
@@ -331,7 +367,9 @@ class TerminatingSubdivision:
     ``_radius`` maps the reduced (numerator, exponent) position of each
     stable vertex to the exponent j of its halting radius 3^-j, where
     j - 1 is the deepest level materialized so far at which the vertex
-    bounds a stable edge.
+    bounds a stable edge.  ``_cells`` holds level k's stable cells as
+    (index, key of the low end, key of the high end) in index order,
+    the keys being those of ``_radius``.
     """
 
     adversary: AdversaryAutomaton
@@ -339,6 +377,7 @@ class TerminatingSubdivision:
     fiber: AdversaryAutomaton
     levels: dict = field(default_factory=dict)
     _radius: dict = field(default_factory=dict)
+    _cells: dict = field(default_factory=dict)
     # (index, adversary state, fiber state) of the cells around z
     _frontier: list = field(default_factory=list)
     _depth: int = 0
@@ -367,9 +406,13 @@ class TerminatingSubdivision:
                 else:
                     frontier.append((child, nxt, fnxt))
         self.levels[k] = tuple(_cell(i, k) for i in stable)
-        for e in self.levels[k]:
-            for p in (e.a.position, e.b.position):
-                self._radius[p.numerator, p.exponent] = k + 1
+        cells = []
+        for i, e in zip(stable, self.levels[k]):
+            lo, hi = e.a.position, e.b.position
+            lo, hi = (lo.numerator, lo.exponent), (hi.numerator, hi.exponent)
+            self._radius[lo] = self._radius[hi] = k + 1
+            cells.append((i, lo, hi))
+        self._cells[k] = sorted(cells)
         self._frontier = frontier
         self._depth = k
 
@@ -387,8 +430,9 @@ class TerminatingSubdivision:
         if r <= self._settled:
             return self._radius
         self.materialize(r)
+        zn, zd = self.z.numerator, self.z.denominator
         while any(k % 3 ** (self._depth - r) == 0
-                  and Fraction(k, 3**self._depth) != self.z
+                  and k * zd != zn * 3**self._depth
                   for i, _, _ in self._frontier for k in (i, i + 1)):
             self.materialize(self._depth + 1)
         self._settled = r
@@ -446,9 +490,13 @@ def finished_witness(r: int, x,
     Eta at a stable vertex is its radius over the whole stable complex;
     in the interior of a stable edge it is the min of the edge's
     endpoint radii.  Only the candidates nearest to x in each edge can
-    win, so the search stays finite at any level.  Lengths are counted
-    in units of 1/(q 3^r), q the denominator of x, so every test is an
-    integer comparison.
+    win.  Lengths are counted in units of 1/(q 3^r), q the denominator
+    of x, so every test is an integer comparison.
+
+    At level k every endpoint has j >= k + 1, so a winner lies within
+    3^-(k+1) of x.  The level's cells are disjoint but for shared ends
+    and 3^-k long, so at most two of them reach that far; they are
+    found by bisecting the level's cells, sorted by index, at x 3^k.
     """
     radius = ts.radii(r)
     x = Fraction(x)
@@ -459,12 +507,18 @@ def finished_witness(r: int, x,
     best_key = None
     # an end of a level-k edge has j > k, and j < r is needed to win
     for k in range(1, r - 1):
-        for e in ts.levels[k]:
-            lo, hi = e.a.position, e.b.position
-            ja = radius[lo.numerator, lo.exponent]
-            jb = radius[hi.numerator, hi.exponent]
-            klo = lo.numerator * 3 ** (r - lo.exponent)
-            khi = hi.numerator * 3 ** (r - hi.exponent)
+        cells = ts._cells[k]
+        span = 3 ** (r - k)  # a level-k cell, in level-r grid steps
+        reach, width = span // 3 * q, span * q
+        # the cells [i span, (i+1) span] meeting [x 3^r -+ span/3]
+        first = -((reach - xr) // width) - 1
+        last = (xr + reach) // width
+        at = bisect_left(cells, (first,))
+        for i, lo, hi in cells[at:at + 2]:
+            if i > last:
+                break
+            ja, jb = radius[lo], radius[hi]
+            klo, khi = i * span, (i + 1) * span
             for kc in {max(klo, min(khi, kx)),
                        max(klo, min(khi, kx + 1))}:
                 j = ja if kc == klo else jb if kc == khi else max(ja, jb)
@@ -514,8 +568,14 @@ class GeometricAlgorithm(Algorithm):
         key = r, s.ind
         if key not in self._sides:
             y = finished_witness(r, Fraction(s.ind, 3**r), self.ts)
-            self._sides[key] = (None if y is None
-                                else self.delta(y.position.value))
+            if y is None:
+                self._sides[key] = None
+            else:
+                # the side decision map, on y = n/3^e and z = p/q
+                n, e = y.position.numerator, y.position.exponent
+                z = self.ts.z
+                self._sides[key] = (WHITE if n * z.denominator
+                                    < z.numerator * 3**e else BLACK)
         side = self._sides[key]
         if side is None:
             return s
@@ -583,11 +643,9 @@ def contrex(depth: int = 6) -> Complex:
         word_to_edge(FiniteWord.of(Letter.LW)),
     ]
     for r in range(2, depth + 1):
-        left = Fraction(2, 3) - Fraction(1, 3 ** (r - 1))
-        mid = Fraction(2, 3) - Fraction(2, 3**r)
-        right = Fraction(2, 3) - Fraction(1, 3**r)
-        edges.append(ComplexEdge(vertex_at(left), vertex_at(mid), level=r))
-        edges.append(ComplexEdge(vertex_at(mid), vertex_at(right), level=r))
+        left = 2 * 3 ** (r - 1) - 3  # 2/3 - 1/3^(r-1), in steps of 1/3^r
+        edges.append(_cell(left, r))
+        edges.append(_cell(left + 1, r))
     return Complex(tuple(edges), accumulation_points=(Fraction(2, 3),))
 
 
@@ -618,12 +676,23 @@ def _frac_str(f: Fraction) -> str:
     return "%d/%d" % (f.numerator, f.denominator)
 
 
-def _vertex_key(v: ColoredVertex):
-    return (v.segment, v.position.value)
+def _scale(vertices) -> int:
+    """The largest exponent of the vertices: their positions as
+    integers on one 3-power scale."""
+    return max((v.position.exponent for v in vertices), default=0)
+
+
+def _vertex_key(v: ColoredVertex, top: int) -> tuple:
+    """Sort key (segment, position 3^top), for top at least the
+    exponent of v."""
+    p = v.position
+    return (v.segment, p.numerator * 3 ** (top - p.exponent))
 
 
 def _complex_doc(c: Complex) -> dict:
-    verts = sorted(c.vertices(), key=_vertex_key)
+    verts = c.vertices()
+    top = _scale(verts)
+    verts = sorted(verts, key=lambda v: _vertex_key(v, top))
     index = {v: i for i, v in enumerate(verts)}
     return {
         "type": "complex",
@@ -676,11 +745,23 @@ def complex_from_json(text: str) -> Complex:
         ) from None
 
 
+#: the schema's ``rational``
+_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
+
+
+def _rational(text) -> tuple:
+    """(numerator, denominator) of a document's ``n/d`` string."""
+    m = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if m is None or int(m[2]) == 0:
+        raise ValueError(
+            "malformed complex document: %r is not a rational n/d" % (text,))
+    return int(m[1]), int(m[2])
+
+
 def _complex_from_doc(doc: dict) -> Complex:
     verts = []
     for d in doc["vertices"]:
-        num, den = d["position"].split("/")
-        v = ColoredVertex(_tr(Fraction(int(num), int(den))), d["segment"])
+        v = ColoredVertex(_ternary(*_rational(d["position"])), d["segment"])
         if ProcessId(d["color"]) is not v.color:
             raise ValueError("vertex at %s is colored %s, not %s"
                              % (v.position, d["color"], v.color.value))
@@ -692,10 +773,8 @@ def _complex_from_doc(doc: dict) -> Complex:
     gluing = tuple(
         frozenset(verts[i] for i in group) for group in doc.get("gluing", [])
     )
-    acc = tuple(
-        Fraction(int(p.split("/")[0]), int(p.split("/")[1]))
-        for p in doc.get("accumulation_points", [])
-    )
+    acc = tuple(Fraction(*_rational(p))
+                for p in doc.get("accumulation_points", []))
     return Complex(edges, gluing, acc)
 
 
@@ -709,16 +788,20 @@ _SQUARE_ANCHORS = {
 }
 
 
-def _coord(segment: str, p: Fraction) -> tuple:
+def _coord(segment: str, p: TernaryRational) -> tuple:
+    """The point at p on the segment, each coordinate rounded to two
+    decimals: v = c0 + (c1 - c0) p is an integer over the odd 3^e, so
+    100 v is never halfway and rounds to floor(100 v + 1/2)."""
     (x0, y0), (x1, y1) = _SQUARE_ANCHORS[segment]
-    x = Fraction(x0) + (Fraction(x1) - Fraction(x0)) * p
-    y = Fraction(y0) + (Fraction(y1) - Fraction(y0)) * p
+    den = 3**p.exponent
 
-    def fmt(v: Fraction) -> str:
-        scaled = round(v * 100)
-        return "%d.%02d" % divmod(scaled, 100)
+    def fmt(c0: int, c1: int) -> str:
+        v = c0 * den + (c1 - c0) * p.numerator  # the coordinate, times den
+        scaled = (200 * v + den) // (2 * den)
+        return "%s%d.%02d" % (("-" if scaled < 0 else "",)
+                              + divmod(abs(scaled), 100))
 
-    return fmt(x), fmt(y)
+    return fmt(x0, x1), fmt(y0, y1)
 
 
 def export_svg(obj) -> str:
@@ -728,17 +811,19 @@ def export_svg(obj) -> str:
         '<!-- segments horizontal; stable edges stroke 3; '
         'white vertices open, black filled -->',
     ]
-    for e in sorted(c.edges, key=lambda e: (_vertex_key(e.a),
-                                            _vertex_key(e.b))):
-        x1, y1 = _coord(e.a.segment, e.a.position.value)
-        x2, y2 = _coord(e.b.segment, e.b.position.value)
+    verts = c.vertices()
+    top = _scale(verts)
+    for e in sorted(c.edges, key=lambda e: (_vertex_key(e.a, top),
+                                            _vertex_key(e.b, top))):
+        x1, y1 = _coord(e.a.segment, e.a.position)
+        x2, y2 = _coord(e.b.segment, e.b.position)
         width = 3 if e.level is not None else 1
         lines.append(
             '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="black" '
             'stroke-width="%d"/>' % (x1, y1, x2, y2, width)
         )
-    for v in sorted(c.vertices(), key=_vertex_key):
-        x, y = _coord(v.segment, v.position.value)
+    for v in sorted(verts, key=lambda v: _vertex_key(v, top)):
+        x, y = _coord(v.segment, v.position)
         fill = "white" if v.color is WHITE else "black"
         lines.append(
             '<circle cx="%s" cy="%s" r="6" fill="%s" stroke="black"/>'

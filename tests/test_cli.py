@@ -292,6 +292,47 @@ def test_topo_components_malformed_document(capsys, tmp_path, doc):
     assert err.startswith("domain:")
 
 
+def _unit_edge_doc(a="-2/27", b="1/27", points=()):
+    return {"type": "complex",
+            "vertices": [{"position": a, "color": "WHITE", "segment": "unit"},
+                         {"position": b, "color": "BLACK", "segment": "unit"}],
+            "edges": [{"a": 0, "b": 1, "level": None}],
+            "accumulation_points": list(points)}
+
+
+def test_topo_subdivide_svg_negative_position(capsys, tmp_path):
+    """A vertex at -2/27 on the unit segment is drawn at
+    x = 50 - 900 * 2/27 = -16.67."""
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(_unit_edge_doc()))
+    out_svg = str(tmp_path / "neg.svg")
+    rc, _, _ = run(capsys, "topo", "subdivide", "--in", str(path),
+                   "--out", out_svg)
+    assert rc == 0
+    with open(out_svg) as fh:
+        body = fh.read()
+    assert '<line x1="-16.67" y1="500.00" x2="83.33" y2="500.00"' in body
+    assert '<circle cx="-16.67" cy="500.00"' in body
+
+
+@pytest.mark.parametrize("doc", [
+    _unit_edge_doc(points=["1/3/7"]),
+    _unit_edge_doc(a="0/1/5"),
+    _unit_edge_doc(points=["1/0"]),
+    _unit_edge_doc(points=["1/+3"]),
+    _unit_edge_doc(b=" 1/27"),
+    _unit_edge_doc(points=[1]),
+])
+def test_topo_components_malformed_rational(capsys, tmp_path, doc):
+    """Positions and accumulation points are read by one parser, for
+    the schema's ``-?[0-9]+/[0-9]+``."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "topo", "components", "--in", str(path))
+    assert (rc, out) == (1, "")
+    assert err.startswith("domain: malformed complex document"), err
+
+
 def test_topo_components_deeply_nested_document(capsys, tmp_path):
     """JSON nested past the decoder's recursion limit is a malformed
     document, not a traceback."""

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import topology_reference
 from conftest import all_words, random_gamma_lasso
 from twogen import adversary as adv
 from twogen import bivalency
@@ -653,3 +654,118 @@ def test_export_svg_deterministic():
 def test_export_unknown_format():
     with pytest.raises(ValueError):
         topo.export(topo.unit_segment(), "png")
+
+
+# ---------------------------------------------------------------------------
+# integer export and counting against the Fraction reference
+
+
+def _random_edges(rng, segment, exponents, low, high):
+    """Short bichromatic edges n/3^e -- (n+d)/3^e, d odd, so that the
+    numerators differ in parity on every 3-power scale."""
+    edges = []
+    for _ in range(rng.randint(1, 12)):
+        e = rng.choice(exponents)
+        n = rng.randint(low * 3**e, high * 3**e)
+        d = rng.choice((1, 3, 5, 9, 27, -1, -3))
+        edges.append(topo.ComplexEdge(
+            topo.ColoredVertex(TernaryRational(n, e), segment),
+            topo.ColoredVertex(TernaryRational(n + d, e), segment),
+            rng.choice((None, e))))
+    return edges
+
+
+def _random_points(rng, edges):
+    """Accumulation points: edge ends and points just beside them, and
+    points that are not ternary, 1/2 among them."""
+    points = []
+    for _ in range(rng.randint(0, 3)):
+        p = rng.choice(edges).a.position.value
+        points.append(rng.choice((
+            p, p + Fraction(1, 3 * p.denominator), p - Fraction(1, 7),
+            Fraction(1, 2), Fraction(rng.randint(-9, 9), rng.randint(1, 40)),
+        )))
+    return tuple(points)
+
+
+def _random_complexes(rng, count, exponents, low=0, high=1):
+    for _ in range(count):
+        edges = _random_edges(rng, topo.UNIT, exponents, low, high)
+        yield topo.Complex(tuple(edges),
+                           accumulation_points=_random_points(rng, edges))
+
+
+def _assert_export_matches_reference(c):
+    verts = c.vertices()
+    top = topo._scale(verts)
+    assert sorted(verts, key=lambda v: topo._vertex_key(v, top)) == \
+        sorted(verts, key=topology_reference.reference_vertex_key)
+    for v in verts:
+        assert topo._coord(v.segment, v.position) == \
+            topology_reference.reference_coord(v.segment, v.position.value), v
+
+
+def test_realization_components_match_fraction_reference():
+    rng = random.Random(92)
+    cases = list(_random_complexes(rng, 400, range(0, 9)))
+    cases += list(_random_complexes(rng, 200, range(1, 5), low=-1))
+    cases += [topo.Complex(topo.contrex(d).edges, accumulation_points=(p,))
+              for d in range(1, 13) for p in (Fraction(2, 3), Fraction(1, 2))]
+    merged = 0
+    for c in cases:
+        want = topology_reference.reference_realization_components(c)
+        assert topo.realization_components(c) == want, c
+        merged += want < topology_reference.reference_realization_components(
+            topo.Complex(c.edges))
+    # the accumulation points do merge components in some of the cases
+    assert merged >= 20
+
+
+def test_export_matches_fraction_reference():
+    rng = random.Random(93)
+    for c in _random_complexes(rng, 300, range(0, 9), low=-1, high=2):
+        _assert_export_matches_reference(c)
+    for _ in range(50):
+        edges = [e for seg in topo.SQUARE_SEGMENTS
+                 for e in _random_edges(rng, seg, range(0, 7), -1, 1)]
+        _assert_export_matches_reference(topo.Complex(tuple(edges)))
+    for d in range(1, 13):
+        _assert_export_matches_reference(topo.contrex(d))
+
+
+def test_deep_documents_match_fraction_reference():
+    """Documents whose positions carry exponents above 64, read back
+    through ``complex_from_json``."""
+    rng = random.Random(94)
+    for c in _random_complexes(rng, 60, range(65, 130), low=-1):
+        doc = topo.export(c, "json")
+        assert max(v.position.exponent for v in c.vertices()) > 64
+        back = topo.complex_from_json(doc)
+        assert topo.export(back, "json") == doc
+        _assert_export_matches_reference(back)
+        assert topo.realization_components(back) == \
+            topology_reference.reference_realization_components(back)
+
+
+def test_svg_coordinates_of_negative_positions():
+    """The sign is formatted apart from the digits: -2/27 on the unit
+    segment lies at x = 50 - 900 * 2/27 = -16.67 (not -17.33), and
+    -41/729 at 50 - 900 * 41/729 = -0.62 (not -1.38)."""
+    assert topo._coord(topo.UNIT, TernaryRational(-2, 3)) == \
+        ("-16.67", "500.00")
+    assert topo._coord(topo.UNIT, TernaryRational(-41, 6)) == \
+        ("-0.62", "500.00")
+    assert topo._coord("B1W0", TernaryRational(-2, 3)) == \
+        ("50.00", "1016.67")
+    assert topo._coord(topo.UNIT, TernaryRational(-1, 2)) == \
+        ("-50.00", "500.00")
+    assert topo._coord(topo.UNIT, TernaryRational(1, 5)) == \
+        ("53.70", "500.00")
+
+
+def test_ternary_rational_prints_reduced():
+    for n in range(-30, 31):
+        for e in range(6):
+            f = Fraction(n, 3**e)
+            assert str(TernaryRational(n, e)) == \
+                "%d/%d" % (f.numerator, f.denominator)
