@@ -185,10 +185,12 @@ def find_decisive(algorithm: Algorithm, a: AdversaryAutomaton,
             if len(n.prefix) < depth:
                 child_vals = [c.valency for c in n.children]
             else:
-                # the tree stops at depth: look one letter further
-                children = list(a.extensions(n.prefix, 1))[1:]
-                child_vals = [valency(algorithm, a, w, inputs, 0)
-                              for w, _ in children]
+                # the tree stops at depth: one walk a letter further,
+                # with the budget of a depth-0 search from each child
+                below = _decisions_below(algorithm, a, n.prefix, inputs, 1)
+                child_vals = [_valency_of(found)
+                              for w, found in below.items()
+                              if len(w) > len(n.prefix)]
             if all(cv in (Valency.ZERO_VALENT, Valency.ONE_VALENT)
                    for cv in child_vals):
                 decisive.append(n.prefix)

@@ -1,12 +1,14 @@
 """Command-line interface: one entry point exposing every module.
 
-Subcommands: index, adv, sim, bivalency, topo.  Machine output is JSON
-on stdout; errors go to stderr as "tag: message".  Exit codes: 0
-success, 1 domain or parse error (usage errors, such as a missing or
-ill-typed argument, are parse errors), 2 resource bound exceeded, 3 the
-run succeeded but a verification report contains violations; ``--help``
-exits 0.  The argparse parser is built on the first ``main`` call of a
-process and reused by every later call, not at import.
+Subcommands: index, adv, sim, bivalency, topo.  Each action has its own
+parser and accepts only the options its handler reads.  Machine output
+is JSON on stdout; errors go to stderr as "tag: message".  Exit codes:
+0 success, 1 domain or parse error (usage errors, such as a missing,
+ill-typed or unknown argument, are parse errors), 2 resource bound
+exceeded, 3 the run succeeded but a verification report contains
+violations; ``--help`` exits 0.  The argparse parser is built on the
+first ``main`` call of a process and reused by every later call, not at
+import.
 """
 
 from __future__ import annotations
@@ -39,12 +41,9 @@ def _parse_inputs(text: str) -> tuple:
 
 
 def _pick_algorithm(args, a) -> protocol.Algorithm:
-    name = getattr(args, "algorithm", "aw")
-    if name == "own-input":
+    if args.algorithm == "own-input":
         return protocol.OwnInputAlgorithm()
-    verdict = None
-    w = None
-    if getattr(args, "w", None):
+    if args.w:
         w = parse_lasso(args.w)
     else:
         verdict = oracle.classify(a)
@@ -54,20 +53,18 @@ def _pick_algorithm(args, a) -> protocol.Algorithm:
                 "forbidden scenario explicitly"
             )
         w = oracle.select_forbidden_scenario(verdict)
-    if name == "aw":
+    if args.algorithm == "aw":
         return protocol.IndexGuardAlgorithm(w)
-    if name == "aeta":
-        ts = topo.build_terminating_subdivision(a, ind_limit(w), depth=8)
-        return topo.GeometricAlgorithm(ts)
-    raise ValueError("unknown algorithm %r" % name)
+    ts = topo.build_terminating_subdivision(a, ind_limit(w), depth=8)
+    return topo.GeometricAlgorithm(ts)
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# action handlers
 
 
-def _cmd_index(args) -> int:
-    if args.limit:
+def _index(args) -> int:
+    if args.limit is not None:
         lasso = parse_lasso(args.limit)
         f = ind_limit(lasso)
         print(json.dumps({
@@ -84,48 +81,44 @@ def _cmd_index(args) -> int:
     return EXIT_OK
 
 
-def _cmd_adv(args) -> int:
-    a = adv.load(args.dsl)
-    if args.action == "check":
-        v = oracle.classify(a)
-        if args.format == "text":
-            print(v.reason)
-        else:
-            print(v.to_json())
-        return EXIT_OK
-    if args.action == "witness":
-        v = oracle.classify(a)
-        w = oracle.select_forbidden_scenario(v)
-        print(json.dumps({"forbidden": str(w)}))
-        return EXIT_OK
-    if args.action == "lowerbound":
-        bound = oracle.round_lower_bound(a, rmax=args.rmax)
-        print(json.dumps({"rounds": bound, "rmax": args.rmax}))
-        return EXIT_OK
-    raise ValueError("unknown adv action %r" % args.action)
+def _adv_check(args) -> int:
+    v = oracle.classify(adv.load(args.dsl))
+    print(v.reason if args.format == "text" else v.to_json())
+    return EXIT_OK
 
 
-def _cmd_sim(args) -> int:
+def _adv_witness(args) -> int:
+    v = oracle.classify(adv.load(args.dsl))
+    w = oracle.select_forbidden_scenario(v)
+    print(json.dumps({"forbidden": str(w)}))
+    return EXIT_OK
+
+
+def _adv_lowerbound(args) -> int:
+    bound = oracle.round_lower_bound(adv.load(args.dsl), rmax=args.rmax)
+    print(json.dumps({"rounds": bound, "rmax": args.rmax}))
+    return EXIT_OK
+
+
+def _sim_run(args) -> int:
     a = adv.load(args.adversary)
     algo = _pick_algorithm(args, a)
-    if args.action == "run":
-        scenario = parse_lasso(args.scenario)
-        if not a.contains(scenario):
-            raise ValueError(
-                "scenario %s is not in the adversary" % scenario
-            )
-        t = protocol.simulate(algo, scenario, _parse_inputs(args.inputs))
-        print(t.to_json())
-        return EXIT_OK
-    if args.action == "verify":
-        depth = args.depth if args.depth is not None else 4
-        rep = protocol.verify(algo, a, depth=depth)
-        print(rep.to_json())
-        return EXIT_OK if rep.ok else EXIT_VIOLATIONS
-    raise ValueError("unknown sim action %r" % args.action)
+    scenario = parse_lasso(args.scenario)
+    if not a.contains(scenario):
+        raise ValueError("scenario %s is not in the adversary" % scenario)
+    t = protocol.simulate(algo, scenario, _parse_inputs(args.inputs))
+    print(t.to_json())
+    return EXIT_OK
 
 
-def _cmd_bivalency(args) -> int:
+def _sim_verify(args) -> int:
+    a = adv.load(args.adversary)
+    rep = protocol.verify(_pick_algorithm(args, a), a, depth=args.depth)
+    print(rep.to_json())
+    return EXIT_OK if rep.ok else EXIT_VIOLATIONS
+
+
+def _bivalency_explore(args) -> int:
     a = adv.load(args.adversary)
     algo = _pick_algorithm(args, a)
     tree = biv.explore(algo, a, _parse_inputs(args.inputs), args.depth)
@@ -134,7 +127,7 @@ def _cmd_bivalency(args) -> int:
 
 
 def _topo_object(args):
-    if getattr(args, "infile", None):
+    if args.infile is not None:
         with open(args.infile) as fh:
             return topo.complex_from_json(fh.read())
     a = adv.load(args.adversary)
@@ -143,40 +136,41 @@ def _topo_object(args):
         raise ValueError(
             "adversary is an obstruction: no gap point to subdivide at"
         )
-    z = topo.gap_point(v)
-    depth = args.rounds if args.rounds is not None else 8
-    return topo.build_terminating_subdivision(a, z, depth=depth)
+    return topo.build_terminating_subdivision(a, topo.gap_point(v),
+                                              depth=args.rounds)
 
 
-def _cmd_topo(args) -> int:
-    if args.action == "contrex":
-        phi = topo.contrex(args.depth)
-        print(json.dumps({
-            "abstract_components": topo.abstract_components(phi),
-            "realization_components": topo.realization_components(phi),
-        }))
-        return EXIT_OK
-    if args.action == "subdivide":
-        obj = _topo_object(args)
-        fmt = "svg" if args.out.endswith(".svg") else "json"
-        doc = topo.export(obj, fmt)
-        with open(args.out, "w") as fh:
-            fh.write(doc)
-        print(json.dumps({"out": args.out, "format": fmt}))
-        return EXIT_OK
-    if args.action == "components":
-        obj = _topo_object(args)
-        c = obj.stable_complex() if isinstance(
-            obj, topo.TerminatingSubdivision
-        ) else obj
-        out = {}
-        if args.abstract or not args.realization:
-            out["abstract_components"] = topo.abstract_components(c)
-        if args.realization or not args.abstract:
-            out["realization_components"] = topo.realization_components(c)
-        print(json.dumps(out))
-        return EXIT_OK
-    raise ValueError("unknown topo action %r" % args.action)
+def _topo_subdivide(args) -> int:
+    obj = _topo_object(args)
+    fmt = "svg" if args.out.endswith(".svg") else "json"
+    doc = topo.export(obj, fmt)
+    with open(args.out, "w") as fh:
+        fh.write(doc)
+    print(json.dumps({"out": args.out, "format": fmt}))
+    return EXIT_OK
+
+
+def _topo_components(args) -> int:
+    obj = _topo_object(args)
+    c = obj.stable_complex() if isinstance(
+        obj, topo.TerminatingSubdivision
+    ) else obj
+    out = {}
+    if args.abstract or not args.realization:
+        out["abstract_components"] = topo.abstract_components(c)
+    if args.realization or not args.abstract:
+        out["realization_components"] = topo.realization_components(c)
+    print(json.dumps(out))
+    return EXIT_OK
+
+
+def _topo_contrex(args) -> int:
+    phi = topo.contrex(args.depth)
+    print(json.dumps({
+        "abstract_components": topo.abstract_components(phi),
+        "realization_components": topo.realization_components(phi),
+    }))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +184,14 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _action(actions, name: str, run, parents=(), **kwargs):
+    """The parser of one action; parsing it sets ``run`` to the
+    handler."""
+    p = actions.add_parser(name, parents=list(parents), **kwargs)
+    p.set_defaults(run=run)
+    return p
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built on the first ``main`` call and shared by every later one:
@@ -198,74 +200,69 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="twogen",
         description="two-process consensus under message adversaries",
     )
-    sub = p.add_subparsers(dest="command", required=True)
+    commands = p.add_subparsers(dest="command", required=True)
 
-    pi = sub.add_parser("index", help="scenario index of a word")
-    pi.add_argument("word", nargs="?", default=None)
-    pi.add_argument("--limit", metavar="LASSO",
-                    help="exact limit index of a lasso word")
+    # sim and bivalency: the algorithm run under an adversary
+    algorithm = _Parser(add_help=False)
+    algorithm.add_argument("--adversary", required=True)
+    algorithm.add_argument("--w", help="forbidden scenario parameter")
+    algorithm.add_argument("--algorithm", default="aw",
+                           choices=["aw", "aeta", "own-input"])
+    # topo subdivide and components: a subdivision or a complex document
+    source = _Parser(add_help=False)
+    which = source.add_mutually_exclusive_group(required=True)
+    which.add_argument("--adversary")
+    which.add_argument("--in", dest="infile", metavar="FILE",
+                       help="complex JSON document instead of an adversary")
+    source.add_argument("--rounds", type=int, default=8)
 
-    pa = sub.add_parser("adv", help="adversary solvability")
-    pa.add_argument("action", choices=["check", "witness", "lowerbound"])
-    pa.add_argument("dsl")
-    pa.add_argument("--rmax", type=int, default=8)
-    pa.add_argument("--format", choices=["json", "text"], default="json")
+    pi = _action(commands, "index", _index,
+                 help="scenario index of a word")
+    what = pi.add_mutually_exclusive_group(required=True)
+    what.add_argument("word", nargs="?")
+    what.add_argument("--limit", metavar="LASSO",
+                      help="exact limit index of a lasso word")
 
-    ps = sub.add_parser("sim", help="run or verify an algorithm")
-    ps.add_argument("action", choices=["run", "verify"])
-    ps.add_argument("--adversary", required=True)
-    ps.add_argument("--scenario")
-    ps.add_argument("--inputs", default="0,1")
-    ps.add_argument("--w", help="forbidden scenario parameter")
-    ps.add_argument("--algorithm", default="aw",
-                    choices=["aw", "aeta", "own-input"])
-    ps.add_argument("--depth", type=int, default=None)
+    pa = commands.add_parser("adv", help="adversary solvability")
+    actions = pa.add_subparsers(dest="action", required=True)
+    check = _action(actions, "check", _adv_check)
+    check.add_argument("dsl")
+    check.add_argument("--format", choices=["json", "text"], default="json")
+    _action(actions, "witness", _adv_witness).add_argument("dsl")
+    lowerbound = _action(actions, "lowerbound", _adv_lowerbound)
+    lowerbound.add_argument("dsl")
+    lowerbound.add_argument("--rmax", type=int, default=8)
 
-    pb = sub.add_parser("bivalency", help="valency exploration")
-    pb.add_argument("action", choices=["explore"])
-    pb.add_argument("--adversary", required=True)
-    pb.add_argument("--inputs", default="0,1")
-    pb.add_argument("--depth", type=int, default=3)
-    pb.add_argument("--w", help="forbidden scenario parameter")
-    pb.add_argument("--algorithm", default="aw",
-                    choices=["aw", "aeta", "own-input"])
+    ps = commands.add_parser("sim", help="run or verify an algorithm")
+    actions = ps.add_subparsers(dest="action", required=True)
+    run = _action(actions, "run", _sim_run, [algorithm])
+    run.add_argument("--scenario", required=True)
+    run.add_argument("--inputs", default="0,1")
+    verify = _action(actions, "verify", _sim_verify, [algorithm])
+    verify.add_argument("--depth", type=int, default=4)
 
-    pt = sub.add_parser("topo", help="chromatic complexes")
-    pt.add_argument("action", choices=["subdivide", "components", "contrex"])
-    pt.add_argument("--adversary")
-    pt.add_argument("--rounds", type=int, default=None)
-    pt.add_argument("--out")
-    pt.add_argument("--in", dest="infile", metavar="FILE",
-                    help="complex JSON document instead of an adversary")
-    pt.add_argument("--abstract", action="store_true")
-    pt.add_argument("--realization", action="store_true")
-    pt.add_argument("--depth", type=int, default=6)
+    pb = commands.add_parser("bivalency", help="valency exploration")
+    actions = pb.add_subparsers(dest="action", required=True)
+    explore = _action(actions, "explore", _bivalency_explore, [algorithm])
+    explore.add_argument("--inputs", default="0,1")
+    explore.add_argument("--depth", type=int, default=3)
+
+    pt = commands.add_parser("topo", help="chromatic complexes")
+    actions = pt.add_subparsers(dest="action", required=True)
+    subdivide = _action(actions, "subdivide", _topo_subdivide, [source])
+    subdivide.add_argument("--out", required=True)
+    components = _action(actions, "components", _topo_components, [source])
+    components.add_argument("--abstract", action="store_true")
+    components.add_argument("--realization", action="store_true")
+    contrex = _action(actions, "contrex", _topo_contrex)
+    contrex.add_argument("--depth", type=int, default=6)
     return p
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "index":
-            if args.word is None and not args.limit:
-                raise ParseError("index needs a word or --limit")
-            return _cmd_index(args)
-        if args.command == "adv":
-            return _cmd_adv(args)
-        if args.command == "sim":
-            if args.action == "run" and not args.scenario:
-                raise ParseError("sim run needs --scenario")
-            return _cmd_sim(args)
-        if args.command == "bivalency":
-            return _cmd_bivalency(args)
-        if args.command == "topo":
-            if args.action == "subdivide" and not args.out:
-                raise ParseError("topo subdivide needs --out")
-            if (args.action in ("subdivide", "components")
-                    and not (args.adversary or args.infile)):
-                raise ParseError("topo <action> needs --adversary or --in")
-            return _cmd_topo(args)
-        raise ValueError("unknown command %r" % args.command)
+        return args.run(args)
     except ResourceBoundError as e:
         print("resource: %s" % e, file=sys.stderr)
         return EXIT_RESOURCE

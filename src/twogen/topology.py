@@ -210,10 +210,10 @@ def _vertex_id(v: ColoredVertex) -> tuple:
     return (v.segment, v.position.numerator, v.position.exponent)
 
 
-def abstract_components(k: Complex) -> int:
-    """Connected components of the vertex/edge graph (gluing applied);
-    a vertex is its (segment, numerator, exponent) triple."""
-    parent: dict = {}
+def _component_count(nodes, links) -> int:
+    """Connected components of the graph on ``nodes`` whose edges are
+    the node pairs ``links``, by union-find."""
+    parent = {x: x for x in nodes}
 
     def find(x):
         while parent[x] != x:
@@ -221,21 +221,20 @@ def abstract_components(k: Complex) -> int:
             x = parent[x]
         return x
 
-    def union(x, y):
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
+    for x, y in links:
+        parent[find(x)] = find(y)
+    return len({find(x) for x in parent})
 
-    for e in k.edges:
-        union(_vertex_id(e.a), _vertex_id(e.b))
-    present = set(parent)
+
+def abstract_components(k: Complex) -> int:
+    """Connected components of the vertex/edge graph (gluing applied);
+    a vertex is its (segment, numerator, exponent) triple."""
+    links = [(_vertex_id(e.a), _vertex_id(e.b)) for e in k.edges]
+    present = {v for link in links for v in link}
     for group in k.gluing:
         members = [u for u in map(_vertex_id, group) if u in present]
-        for v, v2 in zip(members, members[1:]):
-            union(v, v2)
-    return len({find(v) for v in parent})
+        links += zip(members, members[1:])
+    return _component_count(present, links)
 
 
 def realization_components(k: Complex) -> int:
@@ -273,14 +272,7 @@ def realization_components(k: Complex) -> int:
         else:
             merged.append([lo, hi])
     tol = 3 * min(hi - lo for lo, hi in intervals)
-    parent = list(range(len(merged)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    links = []
     for p in points:
         p = p.numerator * (unit // p.denominator)
         home = None
@@ -291,11 +283,9 @@ def realization_components(k: Complex) -> int:
         if home is None:
             continue
         for i, (lo, hi) in enumerate(merged):
-            if i == home:
-                continue
-            if min(abs(lo - p), abs(hi - p)) <= tol:
-                parent[find(i)] = find(home)
-    return len({find(i) for i in range(len(merged))})
+            if i != home and min(abs(lo - p), abs(hi - p)) <= tol:
+                links.append((i, home))
+    return _component_count(range(len(merged)), links)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import argparse
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -361,6 +363,77 @@ def test_usage_error_is_a_parse_error(capsys, argv):
     assert err.startswith("parse:")
 
 
+GAMMA_DIFF = "GAMMA^w \\ { LW LB ( OK )^w }"
+OUT = "<out>"  # replaced by a path in the test's directory
+UNREAD_OPTIONS = [
+    ["adv", "check", "C1", "--rmax", "6"],
+    ["adv", "witness", "C1", "--rmax", "6"],
+    ["adv", "witness", "C1", "--format", "text"],
+    ["adv", "lowerbound", "C1", "--format", "text"],
+    ["sim", "run", "--adversary", "C1", "--scenario", "( OK )^w",
+     "--depth", "3"],
+    ["sim", "verify", "--adversary", "C1", "--scenario", "( OK )^w"],
+    ["sim", "verify", "--adversary", "C1", "--inputs", "9,9"],
+    ["topo", "subdivide", "--adversary", GAMMA_DIFF, "--out", OUT,
+     "--abstract"],
+    ["topo", "subdivide", "--adversary", GAMMA_DIFF, "--out", OUT,
+     "--realization"],
+    ["topo", "subdivide", "--adversary", GAMMA_DIFF, "--out", OUT,
+     "--depth", "3"],
+    ["topo", "components", "--adversary", GAMMA_DIFF, "--out", OUT],
+    ["topo", "components", "--adversary", GAMMA_DIFF, "--depth", "3"],
+    ["topo", "contrex", "--adversary", "R1"],
+    ["topo", "contrex", "--rounds", "3"],
+    ["topo", "contrex", "--out", OUT],
+    ["topo", "contrex", "--in", OUT],
+    ["topo", "contrex", "--abstract"],
+    ["topo", "contrex", "--realization"],
+    ["index", "LW OK LB", "--limit", "OK ( LW )^w"],
+    ["topo", "components", "--adversary", "C1", "--in", OUT],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_OPTIONS, ids=" ".join)
+def test_option_the_action_does_not_read_is_a_parse_error(capsys, tmp_path,
+                                                          argv):
+    """Each action accepts only the options its handler reads: any other
+    is a usage error, reported before anything runs or is written."""
+    out = tmp_path / "out.json"
+    argv = [str(out) if a == OUT else a for a in argv]
+    rc, stdout, err = run(capsys, *argv)
+    assert (rc, stdout) == (1, "")
+    assert err.startswith("parse:"), err
+    assert not out.exists()
+
+
+def _readme_cli_block():
+    """The README's CLI commands, one argv per command, with ``\\``
+    continuations joined and ``#`` comments stripped."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    block = re.search(r"^## CLI$.*?^```sh$(.*?)^```$", text,
+                      re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    argvs = [shlex.split(line, comments=True) for line in lines]
+    return [argv for argv in argvs if argv]
+
+
+def test_readme_cli_block(capsys, tmp_path, monkeypatch):
+    """The README's CLI block runs top to bottom: every command exits 0
+    and every JSON output validates against the schema."""
+    monkeypatch.chdir(tmp_path)
+    argvs = _readme_cli_block()
+    assert len(argvs) == 14
+    for twogen, *argv in argvs:
+        assert twogen == "twogen"
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, ""), argv
+        if argv[-2:] != ["--format", "text"]:
+            check_schema(out)
+    with open("stable.json") as fh:
+        check_schema(fh.read())
+
+
 def test_deep_nesting_is_a_parse_error(capsys):
     text = "(" * 2000 + "OK" + ")" * 2000
     rc, _, err = run(capsys, "adv", "check", text)
@@ -498,7 +571,8 @@ def test_parser_built_once_per_process(capsys, monkeypatch):
         cli._build_parser.cache_clear()
     capsys.readouterr()
     assert codes == [0, 0, 1, 0, 0] * 4
-    assert builds == ["twogen"]
+    assert builds == ["twogen", "twogen adv", "twogen sim",
+                      "twogen bivalency", "twogen topo"]
 
 
 def test_import_builds_no_parser():
