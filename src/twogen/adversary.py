@@ -26,9 +26,9 @@ import collections
 import functools
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Hashable, NamedTuple, Optional
 
+from .records import fields_eq, fields_repr, record
 from .words import (
     FiniteWord,
     G2,
@@ -92,7 +92,6 @@ def _breadth_first(start, succ):
 # the automaton
 
 
-@dataclass
 class AdversaryAutomaton:
     """Deterministic complete automaton over ``alphabet``.
 
@@ -100,19 +99,25 @@ class AdversaryAutomaton:
     is a tuple with one entry per track.  ``acceptance`` is a tuple of
     clauses, each a frozenset of tracks: a run is accepted when some
     clause's tracks all have an even maximum infinite color.  States are
-    arbitrary hashables.
+    arbitrary hashables.  Automata with equal fields are equal, and an
+    automaton is unhashable.
     """
 
-    alphabet: tuple
-    initial: Hashable
-    transitions: dict
-    num_tracks: int
-    acceptance: tuple
+    _fields = ("alphabet", "initial", "transitions", "num_tracks",
+               "acceptance")
 
-    def __post_init__(self):
-        for row in self.transitions.values():
-            if set(row) != set(self.alphabet):
+    def __init__(self, alphabet: tuple, initial: Hashable, transitions: dict,
+                 num_tracks: int, acceptance: tuple):
+        for row in transitions.values():
+            if set(row) != set(alphabet):
                 raise AssertionError("automaton not complete")
+        self.alphabet = alphabet
+        self.initial = initial
+        self.transitions = transitions
+        self.num_tracks = num_tracks
+        self.acceptance = acceptance
+
+    __eq__, __hash__, __repr__ = fields_eq, None, fields_repr
 
     @property
     def states(self):
@@ -343,55 +348,55 @@ def _closed_walk(scc_edges) -> tuple:
 # expression AST
 
 
-@dataclass(frozen=True)
-class RegexLetter:
+@record
+class RegexLetter(NamedTuple):
     letter: Letter
 
 
-@dataclass(frozen=True)
-class RegexConcat:
+@record
+class RegexConcat(NamedTuple):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class RegexUnion:
+@record
+class RegexUnion(NamedTuple):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class RegexStar:
+@record
+class RegexStar(NamedTuple):
     inner: object
 
 
-@dataclass(frozen=True)
-class OmegaPower:
+@record
+class OmegaPower(NamedTuple):
     letters: frozenset
 
 
-@dataclass(frozen=True)
-class Concat:
+@record
+class Concat(NamedTuple):
     prefix: object  # finite regex
     tail: object  # adversary expression
 
 
-@dataclass(frozen=True)
-class Union:
+@record
+class Union(NamedTuple):
     parts: tuple
 
 
-@dataclass(frozen=True)
-class DifferenceFromFull:
+@record
+class DifferenceFromFull(NamedTuple):
     alphabet: tuple  # GAMMA or G2
     excluded: tuple  # of LassoWord
 
 
-@dataclass(frozen=True)
-class Named:
+@record
+class Named(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class LassoExpr:
+@record
+class LassoExpr(NamedTuple):
     """The singleton language of one ultimately periodic word."""
 
     word: LassoWord

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple, Optional
 
 from .adversary import AdversaryAutomaton
 from .protocol import (Algorithm, DEFAULT_TAILS, ProcessState,
                        _accepted_tails, _halted, _resume, _walk)
+from .records import fields_eq, fields_repr, record
 from .words import FiniteWord
 
 
@@ -126,11 +127,17 @@ def valency(algorithm: Algorithm, a: AdversaryAutomaton,
     return _valency_of(below[prefix])
 
 
-@dataclass
 class ExplorationNode:
-    prefix: FiniteWord
-    valency: Valency
-    children: list = field(default_factory=list)
+    """A node of the valency tree; ``children`` grows as it is built."""
+
+    __slots__ = _fields = ("prefix", "valency", "children")
+
+    def __init__(self, prefix: FiniteWord, valency: Valency,
+                 children: Optional[list] = None):
+        self.prefix, self.valency = prefix, valency
+        self.children = [] if children is None else children
+
+    __eq__, __hash__, __repr__ = fields_eq, None, fields_repr
 
     def to_dict(self):
         return {
@@ -158,8 +165,8 @@ def explore(algorithm: Algorithm, a: AdversaryAutomaton, inputs: tuple,
     return node(FiniteWord())
 
 
-@dataclass
-class DecisiveReport:
+@record
+class DecisiveReport(NamedTuple):
     decisive: list  # FiniteWord: bivalent, all children univalent
     inconclusive: list  # bivalent with some Undetermined child
 

@@ -40,10 +40,15 @@ def _parse_inputs(text: str) -> tuple:
     return (int(parts[0]), int(parts[1]))
 
 
-def _pick_algorithm(args, a) -> protocol.Algorithm:
+def _load_algorithm(args) -> tuple:
+    """The adversary that ``args`` name and the algorithm to run under
+    it."""
     if args.algorithm == "own-input":
-        return protocol.OwnInputAlgorithm()
-    if args.w:
+        if args.w is not None:
+            raise ParseError("--w does not apply to --algorithm own-input")
+        return adv.load(args.adversary), protocol.OwnInputAlgorithm()
+    a = adv.load(args.adversary)
+    if args.w is not None:
         w = parse_lasso(args.w)
     else:
         verdict = oracle.classify(a)
@@ -54,9 +59,9 @@ def _pick_algorithm(args, a) -> protocol.Algorithm:
             )
         w = oracle.select_forbidden_scenario(verdict)
     if args.algorithm == "aw":
-        return protocol.IndexGuardAlgorithm(w)
+        return a, protocol.IndexGuardAlgorithm(w)
     ts = topo.build_terminating_subdivision(a, ind_limit(w), depth=8)
-    return topo.GeometricAlgorithm(ts)
+    return a, topo.GeometricAlgorithm(ts)
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +106,7 @@ def _adv_lowerbound(args) -> int:
 
 
 def _sim_run(args) -> int:
-    a = adv.load(args.adversary)
-    algo = _pick_algorithm(args, a)
+    a, algo = _load_algorithm(args)
     scenario = parse_lasso(args.scenario)
     if not a.contains(scenario):
         raise ValueError("scenario %s is not in the adversary" % scenario)
@@ -112,15 +116,14 @@ def _sim_run(args) -> int:
 
 
 def _sim_verify(args) -> int:
-    a = adv.load(args.adversary)
-    rep = protocol.verify(_pick_algorithm(args, a), a, depth=args.depth)
+    a, algo = _load_algorithm(args)
+    rep = protocol.verify(algo, a, depth=args.depth)
     print(rep.to_json())
     return EXIT_OK if rep.ok else EXIT_VIOLATIONS
 
 
 def _bivalency_explore(args) -> int:
-    a = adv.load(args.adversary)
-    algo = _pick_algorithm(args, a)
+    a, algo = _load_algorithm(args)
     tree = biv.explore(algo, a, _parse_inputs(args.inputs), args.depth)
     print(json.dumps(tree.to_dict()))
     return EXIT_OK
@@ -128,6 +131,8 @@ def _bivalency_explore(args) -> int:
 
 def _topo_object(args):
     if args.infile is not None:
+        if args.rounds is not None:
+            raise ParseError("--rounds does not apply to --in")
         with open(args.infile) as fh:
             return topo.complex_from_json(fh.read())
     a = adv.load(args.adversary)
@@ -136,8 +141,8 @@ def _topo_object(args):
         raise ValueError(
             "adversary is an obstruction: no gap point to subdivide at"
         )
-    return topo.build_terminating_subdivision(a, topo.gap_point(v),
-                                              depth=args.rounds)
+    depth = 8 if args.rounds is None else args.rounds
+    return topo.build_terminating_subdivision(a, topo.gap_point(v), depth)
 
 
 def _topo_subdivide(args) -> int:
@@ -214,7 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
     which.add_argument("--adversary")
     which.add_argument("--in", dest="infile", metavar="FILE",
                        help="complex JSON document instead of an adversary")
-    source.add_argument("--rounds", type=int, default=8)
+    source.add_argument("--rounds", type=int,
+                        help="subdivision depth for --adversary "
+                             "(default 8)")
 
     pi = _action(commands, "index", _index,
                  help="scenario index of a word")

@@ -14,9 +14,9 @@ limits of lassos are general rationals.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .records import Frozen
 from .words import MU, FiniteWord, LassoWord, Letter
 
 
@@ -49,17 +49,23 @@ def split_threes(n: int, cap: int) -> tuple:
     return m, n
 
 
-@dataclass(frozen=True)
-class TernaryRational:
+class TernaryRational(Frozen):
     """The exact rational numerator / 3^exponent, stored reduced."""
 
-    numerator: int
-    exponent: int
+    __slots__ = _fields = ("numerator", "exponent")
 
-    def __post_init__(self):
-        m, num = split_threes(self.numerator, self.exponent)
+    def __init__(self, numerator: int, exponent: int):
+        m, num = split_threes(numerator, exponent)
         object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "exponent", self.exponent - m)
+        object.__setattr__(self, "exponent", exponent - m)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.numerator == other.numerator
+            and self.exponent == other.exponent)
+
+    def __hash__(self):
+        return hash((self.numerator, self.exponent))
 
     @property
     def value(self) -> Fraction:

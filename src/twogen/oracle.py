@@ -14,12 +14,12 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import adversary as adv
 from .adversary import AdversaryAutomaton
 from .indexfn import ind_step, is_special_pair
+from .records import record
 from .words import FiniteWord, GAMMA, LassoWord, Letter, is_fair
 
 
@@ -30,24 +30,24 @@ class Family(enum.Enum):
     F4 = "F4"  # LW^w is excluded
 
 
-@dataclass(frozen=True)
-class FairWitness:
+@record
+class FairWitness(NamedTuple):
     scenario: LassoWord
 
 
-@dataclass(frozen=True)
-class CornerWitness:
+@record
+class CornerWitness(NamedTuple):
     scenario: LassoWord
 
 
-@dataclass(frozen=True)
-class SpecialPairWitness:
+@record
+class SpecialPairWitness(NamedTuple):
     first: LassoWord
     second: LassoWord
 
 
-@dataclass(frozen=True)
-class Verdict:
+@record
+class Verdict(NamedTuple):
     solvable: bool
     families: frozenset
     witness: object

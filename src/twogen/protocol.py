@@ -8,7 +8,8 @@ regardless of the letter.
 
 Process states (``ProcessState``) and messages (``Message``) are
 immutable named tuples, compared and hashed by value: derive a changed
-state with ``s._replace(...)``, not ``dataclasses.replace``.
+state with ``s._replace(...)``.  Transcripts, violations and reports
+are ``@record`` named tuples too, built once their run is over.
 
 The index-guard algorithm ("A_w") is parameterized by a scenario w
 excluded from the adversary: each process maintains an integer that
@@ -22,11 +23,11 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional
 
 from .adversary import AdversaryAutomaton, ResourceBoundError
 from .indexfn import BLACK, WHITE, ProcessId, ind, ind_step
+from .records import record
 from .words import FiniteWord, LassoWord, Letter
 
 
@@ -117,27 +118,21 @@ class OwnInputAlgorithm(Algorithm):
         return s
 
 
-@dataclass
-class Transcript:
+@record
+class Transcript(NamedTuple):
     scenario: LassoWord
     inputs: tuple
-    rounds: list = field(default_factory=list)
-    white: Optional[ProcessState] = None
-    black: Optional[ProcessState] = None
-    exhausted: bool = False
+    rounds: list  # (letter, white state, black state) per round
+    white: ProcessState
+    black: ProcessState
+    exhausted: bool
 
     @property
     def decisions(self) -> tuple:
-        return (
-            self.white.decided if self.white else None,
-            self.black.decided if self.black else None,
-        )
+        return (self.white.decided, self.black.decided)
 
     def both_halted(self) -> bool:
-        return bool(
-            self.white and self.black
-            and self.white.halted and self.black.halted
-        )
+        return self.white.halted and self.black.halted
 
     def to_json(self) -> str:
         doc = {
@@ -315,15 +310,15 @@ def simulate(algorithm: Algorithm, scenario: LassoWord,
              inputs: tuple, max_rounds: int = 64) -> Transcript:
     """Runs both processes under the scenario until both halt or the
     round budget runs out (reported, not raised)."""
-    t = Transcript(scenario, tuple(inputs))
     config = _start(algorithm, inputs)
     if max_rounds > 0:  # the first round's halt checks, if it is budgeted
         config = _halt_checks(algorithm, config)
-    t.white, t.black = _run(algorithm, config,
-                            itertools.islice(scenario.letters(), max_rounds),
-                            t.rounds)
-    t.exhausted = not t.both_halted()
-    return t
+    rounds = []
+    white, black = _run(algorithm, config,
+                        itertools.islice(scenario.letters(), max_rounds),
+                        rounds)
+    return Transcript(scenario, tuple(inputs), rounds, white, black,
+                      not (white.halted and black.halted))
 
 
 DEFAULT_TAILS = (
@@ -335,16 +330,16 @@ DEFAULT_TAILS = (
 INPUT_VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-@dataclass(frozen=True)
-class Violation:
+@record
+class Violation(NamedTuple):
     kind: str  # agreement | validity | termination
     scenario: LassoWord
     inputs: tuple
     detail: str
 
 
-@dataclass
-class Report:
+@record
+class Report(NamedTuple):
     checked: int
     violations: list
 

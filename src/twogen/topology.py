@@ -25,9 +25,8 @@ import json
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import adversary as adv
 from .adversary import ONE_TRACK, AdversaryAutomaton, ResourceBoundError
@@ -36,6 +35,7 @@ from .indexfn import (BLACK, WHITE, ProcessId, TernaryRational, ind,
 from .oracle import (CornerWitness, FairWitness, Verdict, classify,
                      select_forbidden_scenario)
 from .protocol import Algorithm, ProcessState
+from .records import fields_repr, record
 from .words import FiniteWord, GAMMA, Letter
 
 UNIT = "unit"
@@ -73,8 +73,8 @@ def position_color(p: TernaryRational) -> ProcessId:
     return WHITE if p.numerator % 2 == 0 else BLACK
 
 
-@dataclass(frozen=True)
-class ColoredVertex:
+@record
+class ColoredVertex(NamedTuple):
     position: TernaryRational
     segment: str = UNIT
 
@@ -87,17 +87,28 @@ def vertex_at(x, segment: str = UNIT) -> ColoredVertex:
     return ColoredVertex(_tr(x), segment)
 
 
-@dataclass(frozen=True)
-class ComplexEdge:
+class _EdgeFields(NamedTuple):
     a: ColoredVertex
     b: ColoredVertex
     level: Optional[int] = None
 
-    def __post_init__(self):
-        if self.a.color == self.b.color:
+
+@record
+class ComplexEdge(_EdgeFields):
+    __slots__ = ()
+
+    def __new__(cls, a: ColoredVertex, b: ColoredVertex,
+                level: Optional[int] = None):
+        if a.color == b.color:
             raise ValueError("edges must be bichromatic")
-        if self.a.segment != self.b.segment:
+        if a.segment != b.segment:
             raise ValueError("edge endpoints must share a segment")
+        return tuple.__new__(cls, (a, b, level))
+
+    @classmethod
+    def _make(cls, fields):
+        """Validates, as the constructor does, for ``_replace`` too."""
+        return cls(*fields)
 
     @property
     def interval(self) -> tuple:
@@ -105,8 +116,8 @@ class ComplexEdge:
         return (lo, hi)
 
 
-@dataclass(frozen=True)
-class Complex:
+@record
+class Complex(NamedTuple):
     edges: tuple
     # corner identifications: frozensets of vertices glued into one
     gluing: tuple = ()
@@ -346,7 +357,6 @@ def index_fiber(z) -> AdversaryAutomaton:
                               1, ONE_TRACK)
 
 
-@dataclass
 class TerminatingSubdivision:
     """Stable edges appearing level by level around a gap point z.
 
@@ -359,20 +369,24 @@ class TerminatingSubdivision:
     j - 1 is the deepest level materialized so far at which the vertex
     bounds a stable edge.  ``_cells`` holds level k's stable cells as
     (index, key of the low end, key of the high end) in index order,
-    the keys being those of ``_radius``.
+    the keys being those of ``_radius``.  A subdivision is mutable
+    state, equal only to itself.
     """
 
-    adversary: AdversaryAutomaton
-    z: Fraction
-    fiber: AdversaryAutomaton
-    levels: dict = field(default_factory=dict)
-    _radius: dict = field(default_factory=dict)
-    _cells: dict = field(default_factory=dict)
-    # (index, adversary state, fiber state) of the cells around z
-    _frontier: list = field(default_factory=list)
-    _depth: int = 0
-    # the greatest round whose radii are known to be final
-    _settled: int = -1
+    _fields = ("adversary", "z", "fiber")
+    __repr__ = fields_repr
+
+    def __init__(self, adversary: AdversaryAutomaton, z: Fraction,
+                 fiber: AdversaryAutomaton):
+        self.adversary, self.z, self.fiber = adversary, z, fiber
+        self.levels = {0: ()}
+        self._radius = {}
+        self._cells = {}
+        # (index, adversary state, fiber state) of the cells around z
+        self._frontier = [(0, adversary.initial, fiber.initial)]
+        self._depth = 0
+        # the greatest round whose radii are known to be final
+        self._settled = -1
 
     def materialize(self, depth: int):
         while self._depth < depth:
@@ -454,11 +468,7 @@ def build_terminating_subdivision(a: AdversaryAutomaton, z,
         raise ValueError(
             "%s is not a gap point: it is the limit of %s" % (z, witness)
         )
-    ts = TerminatingSubdivision(a, z, fiber)
-    ts.levels[0] = ()
-    ts._frontier = [(0, a.initial, fiber.initial)]
-    ts.materialize(depth)
-    return ts
+    return TerminatingSubdivision(a, z, fiber).materialize(depth)
 
 
 def eta_of(ts: TerminatingSubdivision) -> dict:
@@ -581,8 +591,8 @@ def gap_point(v: Verdict) -> Fraction:
     return ind_limit(select_forbidden_scenario(v))
 
 
-@dataclass(frozen=True)
-class Connectivity:
+@record
+class Connectivity(NamedTuple):
     connected: bool
     gap: Optional[Fraction]
     reason: str

@@ -19,8 +19,9 @@ infinite words they denote.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from .records import Frozen
 
 
 class ParseError(ValueError):
@@ -61,11 +62,20 @@ GAMMA = (LB, OK, LW)
 LETTER_ORDER = {LB: 0, OK: 1, LW: 2, LL: 3}
 
 
-@dataclass(frozen=True)
-class FiniteWord:
+class FiniteWord(Frozen):
     """An immutable finite word over G2 (possibly empty)."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = _fields = ("letters",)
+
+    def __init__(self, letters: tuple[Letter, ...] = ()):
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.letters == other.letters)
+
+    def __hash__(self):
+        return hash((self.letters,))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -104,8 +114,7 @@ def _primitive(cycle: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return cycle
 
 
-@dataclass(frozen=True)
-class LassoWord:
+class LassoWord(Frozen):
     """The infinite word ``stem . cycle^w``, stored canonically.
 
     Canonical form: the cycle is primitive and the stem is the shortest
@@ -113,14 +122,13 @@ class LassoWord:
     so ``==`` decides equality of the denoted infinite words.
     """
 
-    stem: FiniteWord
-    cycle: FiniteWord
+    __slots__ = _fields = ("stem", "cycle")
 
-    def __post_init__(self):
-        if len(self.cycle) == 0:
+    def __init__(self, stem: FiniteWord, cycle: FiniteWord):
+        if len(cycle) == 0:
             raise ValueError("lasso cycle must be non-empty")
-        stem = self.stem.letters
-        cycle = _primitive(self.cycle.letters)
+        stem = stem.letters
+        cycle = _primitive(cycle.letters)
         # absorb stem letters into the cycle: u.a with cycle ending in a
         # denotes the same word as u with the cycle rotated right
         while stem and stem[-1] == cycle[-1]:
@@ -128,6 +136,13 @@ class LassoWord:
             stem = stem[:-1]
         object.__setattr__(self, "stem", FiniteWord(stem))
         object.__setattr__(self, "cycle", FiniteWord(cycle))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and (
+            self.stem == other.stem and self.cycle == other.cycle)
+
+    def __hash__(self):
+        return hash((self.stem, self.cycle))
 
     def __str__(self) -> str:
         inner = " ".join(a.value for a in self.cycle)

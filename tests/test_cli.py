@@ -406,6 +406,54 @@ def test_option_the_action_does_not_read_is_a_parse_error(capsys, tmp_path,
     assert not out.exists()
 
 
+IGNORED_VALUES = [
+    ["sim", "run", "--adversary", "C1", "--algorithm", "own-input",
+     "--w", "( OK )^w", "--scenario", "( OK )^w"],
+    ["sim", "verify", "--adversary", "C1", "--algorithm", "own-input",
+     "--w", "nonsense", "--depth", "2"],
+    ["sim", "verify", "--adversary", "C1", "--algorithm", "own-input",
+     "--w", "( OK )^w"],
+    ["bivalency", "explore", "--adversary", "C1", "--algorithm",
+     "own-input", "--w", "( OK )^w"],
+    ["sim", "verify", "--adversary", "C1", "--w", ""],
+    ["topo", "components", "--in", "<doc>", "--rounds", "99"],
+    ["topo", "components", "--in", "<missing>", "--rounds", "9"],
+    ["topo", "subdivide", "--in", "<doc>", "--rounds", "3", "--out", OUT],
+]
+
+
+@pytest.mark.parametrize("argv", IGNORED_VALUES, ids=" ".join)
+def test_option_the_chosen_source_ignores_is_a_parse_error(capsys, tmp_path,
+                                                           argv):
+    """``--w`` with ``--algorithm own-input``, an empty ``--w`` and
+    ``--rounds`` with ``--in`` would be dropped unread: each is a usage
+    error, reported before the ``--in`` document is opened or anything
+    is written."""
+    doc = tmp_path / "doc.json"
+    rc, _, _ = run(capsys, "topo", "subdivide", "--adversary", GAMMA_DIFF,
+                   "--rounds", "3", "--out", str(doc))
+    assert rc == 0
+    out = tmp_path / "out.json"
+    paths = {OUT: str(out), "<doc>": str(doc),
+             "<missing>": str(tmp_path / "missing.json")}
+    rc, stdout, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert (rc, stdout) == (1, "")
+    assert err.startswith("parse:"), err
+    assert not out.exists()
+
+
+def test_rounds_defaults_to_eight_for_an_adversary(capsys, tmp_path):
+    outs = []
+    for extra in ([], ["--rounds", "8"]):
+        path = str(tmp_path / ("ts%d.json" % len(extra)))
+        rc, _, _ = run(capsys, "topo", "subdivide", "--adversary",
+                       GAMMA_DIFF, "--out", path, *extra)
+        assert rc == 0
+        with open(path) as fh:
+            outs.append(check_schema(fh.read()))
+    assert outs[0] == outs[1] and outs[0]["depth"] == 8
+
+
 def _readme_cli_block():
     """The README's CLI commands, one argv per command, with ``\\``
     continuations joined and ``#`` comments stripped."""

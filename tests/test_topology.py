@@ -769,3 +769,12 @@ def test_ternary_rational_prints_reduced():
             f = Fraction(n, 3**e)
             assert str(TernaryRational(n, e)) == \
                 "%d/%d" % (f.numerator, f.denominator)
+
+
+def test_a_replaced_edge_is_validated():
+    """``_replace`` builds an edge through the constructor, so it cannot
+    make a monochromatic one."""
+    e = topo.ComplexEdge(topo.vertex_at(0), topo.vertex_at(1))
+    with pytest.raises(ValueError):
+        e._replace(b=e.a)
+    assert e._replace(level=2) == topo.ComplexEdge(e.a, e.b, 2)
