@@ -7,7 +7,11 @@ the subdivided input square.  On top of that sit terminating
 subdivisions: level-indexed families of "stable" edges marking where a
 geometric decision algorithm may halt, each keeping the radius map eta
 over its whole infinite complex, and the Finished predicate that reads
-it.
+it.  The geometric algorithm reads Finished at round r from a table
+built once per round: each stable cell wins at most three integer
+ranges of indexes, on its own side of the gap point, and where ranges
+of both sides overlap they split at the midpoint of their witnesses,
+ties going to white.
 
 Everything is exact; connectivity and ball-inclusion answers are
 claims about real geometry, so no floats.  A position is a reduced
@@ -24,7 +28,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_left
+import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -533,6 +538,71 @@ def finished_witness(r: int, x,
     return ColoredVertex(TernaryRational(best, r))
 
 
+def finished_sides(r: int, ts: TerminatingSubdivision) -> tuple:
+    """Finished(r, ind/3^r) at every integer ind, as a step function:
+    ``(bounds, sides)``, where ``sides[bisect_right(bounds, ind)]`` is
+    the side of z (WHITE or BLACK) of ``finished_witness``'s vertex, or
+    None where Finished does not hold.
+
+    On the level-r grid, a level-k stable cell [L, H], H = L + 3^(r-k),
+    whose ends have radius exponents ja and jb, wins for at most three
+    ranges of ind, each with a witness on the cell's side of z: L for
+    [L - 3^(r-ja) + 2, L] if ja < r, ind itself for the interior if
+    both are below r, and H for [H - 1, H + 3^(r-jb) - 2] if jb < r.
+    Where ranges of both sides meet, the witness nearest to ind wins,
+    and of two as near the smaller: with b the greatest white witness
+    and c the least black one, the side is white iff 2 ind <= b + c.
+    In the interior the cell's end nearer z stands in for ind: it lies
+    between ind and z, so the split sides with ind's own cell.
+    """
+    radius = ts.radii(r)
+    zr = ts.z.numerator * 3**r  # z 3^r, times the denominator of z
+    ranges = []  # (first, last, side, witness)
+    for k in range(1, r - 1):
+        span = 3 ** (r - k)
+        for i, lo, hi in ts._cells[k]:
+            ja, jb = radius[lo], radius[hi]
+            low, high = i * span, (i + 1) * span
+            # a stable cell's closed interval misses z
+            side = WHITE if low * ts.z.denominator < zr else BLACK
+            if ja < r:
+                ranges.append((low - 3 ** (r - ja) + 2, low, side, low))
+                if jb < r:
+                    ranges.append((low + 1, high - 1, side,
+                                   high if side is WHITE else low))
+            if jb < r:
+                ranges.append((high - 1, high + 3 ** (r - jb) - 2, side, high))
+    ranges.sort(key=lambda g: g[0])
+    points = sorted({p for g in ranges for p in (g[0], g[1] + 1)})
+    bounds, sides = [], [None]
+
+    def run(p, side):
+        if side is not sides[-1]:
+            bounds.append(p)
+            sides.append(side)
+
+    # sweep the pieces [p, q) on which the set of covering ranges is fixed
+    active, n = [], 0
+    for p, q in zip(points, points[1:]):
+        while n < len(ranges) and ranges[n][0] == p:
+            active.append(ranges[n])
+            n += 1
+        active = [g for g in active if g[1] >= p]
+        white = [g[3] for g in active if g[2] is WHITE]
+        black = [g[3] for g in active if g[2] is BLACK]
+        if not (white and black):
+            run(p, WHITE if white else BLACK if black else None)
+        else:
+            split = (max(white) + min(black)) // 2 + 1
+            if split > p:
+                run(p, WHITE)
+            if split < q:
+                run(max(p, split), BLACK)
+    if points:
+        run(points[-1], None)
+    return bounds, sides
+
+
 def side_decision_map(z) -> Callable:
     """A_eta's decision map: points left of the gap adopt white's
     input, points right of it adopt black's."""
@@ -551,32 +621,28 @@ class GeometricAlgorithm(Algorithm):
     point assigns to the witness vertex.
 
     Finished(r, x) depends on r and x alone (``ts.radii(r)`` makes it
-    independent of how deep the subdivision has grown), so each
-    (round, index) is answered once per instance."""
+    independent of how deep the subdivision has grown).  At round r the
+    witness's side is a step function of ind: ``finished_sides`` builds
+    it once per round and instance from the three ranges each stable
+    cell wins, splitting ranges of both sides at the midpoint of their
+    witnesses with ties to white, and a halt check is one bisection."""
 
     name = "aeta"
 
     def __init__(self, ts: TerminatingSubdivision):
         self.ts = ts
         self.delta = side_decision_map(ts.z)
-        self._sides = {}  # (r, ind) -> the witness vertex's side, or None
+        self._tables = {}  # r -> finished_sides(r, ts)
 
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         r = s.round
         if r == 0:
             return s
-        key = r, s.ind
-        if key not in self._sides:
-            y = finished_witness(r, Fraction(s.ind, 3**r), self.ts)
-            if y is None:
-                self._sides[key] = None
-            else:
-                # the side decision map, on y = n/3^e and z = p/q
-                n, e = y.position.numerator, y.position.exponent
-                z = self.ts.z
-                self._sides[key] = (WHITE if n * z.denominator
-                                    < z.numerator * 3**e else BLACK)
-        side = self._sides[key]
+        table = self._tables.get(r)
+        if table is None:
+            table = self._tables[r] = finished_sides(r, self.ts)
+        bounds, sides = table
+        side = sides[bisect_right(bounds, s.ind)]
         if side is None:
             return s
         value = s.init if side is s.id else s.initother
@@ -673,7 +739,19 @@ def export_json(obj) -> str:
 
 def _frac_str(f: Fraction) -> str:
     f = Fraction(f)
-    return "%d/%d" % (f.numerator, f.denominator)
+    return _rational_str(f.numerator, f.denominator)
+
+
+def _rational_str(num: int, den: int) -> str:
+    """The schema's ``n/d``; ResourceBoundError when n or d has more
+    digits than the interpreter converts to a string."""
+    try:
+        return "%d/%d" % (num, den)
+    except ValueError:  # only past sys.get_int_max_str_digits()
+        raise ResourceBoundError(
+            "an exported rational has more than %d digits, the limit "
+            "for integer string conversion" % sys.get_int_max_str_digits()
+        ) from None
 
 
 def _scale(vertices) -> int:
@@ -698,7 +776,8 @@ def _complex_doc(c: Complex) -> dict:
         "type": "complex",
         "vertices": [
             {
-                "position": str(v.position),
+                "position": _rational_str(v.position.numerator,
+                                          3**v.position.exponent),
                 "color": v.color.value,
                 "segment": v.segment,
             }

@@ -1,13 +1,16 @@
 import collections
 import itertools
 import random
+import sys
 import time
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
 import topology_reference
 from conftest import all_words, random_gamma_lasso
+from test_golden_topology import ADVERSARIES as GOLDEN_ADVERSARIES
 from twogen import adversary as adv
 from twogen import bivalency
 from twogen import topology as topo
@@ -578,19 +581,64 @@ def test_aeta_halts_where_finished_says(w):
                 assert algo.maybe_halt(s).decided == want[r, i], (r, i, s.id)
 
 
-def test_aeta_asks_finished_once_per_round_and_index(monkeypatch):
-    """Verifying A_eta asks finished_witness once per (r, ind)."""
+def test_aeta_builds_one_table_per_round(monkeypatch):
+    """Verifying A_eta asks finished_witness nothing and builds each
+    round's table of sides at most once."""
     a, ts = _gap_subdivision(FAIR_W, 4)
+    built = collections.Counter()
     asked = collections.Counter()
-    finished = topo.finished_witness
+    build, finished = topo.finished_sides, topo.finished_witness
 
-    def counted(r, x, ts):
+    def counted_build(r, ts):
+        built[r] += 1
+        return build(r, ts)
+
+    def counted_finished(r, x, ts):
         asked[r, x] += 1
         return finished(r, x, ts)
 
-    monkeypatch.setattr(topo, "finished_witness", counted)
+    monkeypatch.setattr(topo, "finished_sides", counted_build)
+    monkeypatch.setattr(topo, "finished_witness", counted_finished)
     assert verify(topo.GeometricAlgorithm(ts), a, 3).ok
-    assert asked and set(asked.values()) == {1}
+    assert not asked
+    assert built and set(built.values()) == {1}
+
+
+def _table_adversaries():
+    """The golden topology adversaries, TW, TB, S0 and 20 seeded
+    solvable GAMMA differences."""
+    out = [adv.load(text) for text in GOLDEN_ADVERSARIES + ("TW", "TB", "S0")]
+    rng = random.Random(24)
+    while len(out) < 29:
+        lassos = tuple(random_gamma_lasso(rng)
+                       for _ in range(rng.randint(1, 3)))
+        a = adv.compile_expr(adv.DifferenceFromFull(GAMMA, lassos))
+        if classify(a).solvable:
+            out.append(a)
+    return out
+
+
+def test_finished_sides_match_finished_witness():
+    """At every index 0..3^r with r <= 8, the round's table gives the
+    side of finished_witness's vertex, or None where it has none.  Some
+    table has a white run next to a black one: S1's do, and from round
+    5 on their ranges of the two sides overlap, so the split is met."""
+    adjacent = 0
+    for a in _table_adversaries():
+        z = topo.gap_point(classify(a))
+        ts = topo.build_terminating_subdivision(a, z, depth=2)
+        fresh = topo.build_terminating_subdivision(a, z, depth=2)
+        delta = topo.side_decision_map(z)
+        for r in range(1, 9):
+            bounds, sides = topo.finished_sides(r, ts)
+            assert bounds == sorted(set(bounds)), (z, r)
+            adjacent += any({u, v} == {WHITE, BLACK}
+                            for u, v in zip(sides, sides[1:]))
+            for i in range(3**r + 1):
+                y = topo.finished_witness(r, Fraction(i, 3**r), fresh)
+                want = None if y is None else delta(y.position.value)
+                assert sides[bisect_right(bounds, i)] is want, (z, r, i)
+    assert adjacent
 
 
 class _UncachedGeometric(topo.GeometricAlgorithm):
@@ -630,6 +678,22 @@ def test_aeta_runs_match_an_uncached_aeta(w):
     for inputs in INPUT_VECTORS:
         assert bivalency.explore(algo, a, inputs, 3).to_dict() == \
             bivalency.explore(ref, a, inputs, 3).to_dict(), inputs
+
+
+def test_export_json_bounds_the_digits_of_a_position():
+    """A position whose denominator has more digits than the
+    interpreter converts to a string ends in ResourceBoundError naming
+    that limit; the SVG export of the same complex still works."""
+    c = topo.Complex((topo.ComplexEdge(topo.vertex_at(Fraction(2, 3**9100)),
+                                       topo.vertex_at(Fraction(1, 3**9100))),))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ResourceBoundError, match="more than 4300 digits"):
+            topo.export(c, "json")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert topo.export(c, "svg").startswith("<svg")
 
 
 def test_export_json_roundtrip():
