@@ -9,6 +9,13 @@ exceeded, 3 the run succeeded but a verification report contains
 violations; ``--help`` exits 0.  The argparse parser is built on the
 first ``main`` call of a process and reused by every later call, not at
 import.
+
+Importing this module loads only ``adversary``, ``oracle``, ``indexfn``
+and ``words``.  A handler imports the rest it runs: ``sim`` and
+``bivalency`` actions load ``protocol``, ``bivalency explore`` loads
+``bivalency``, and ``topo`` actions and ``--algorithm aeta`` load
+``topology``.  So ``index``, ``adv`` and ``--algorithm aw`` never
+compile ``topology``.
 """
 
 from __future__ import annotations
@@ -19,10 +26,7 @@ import json
 import sys
 
 from . import adversary as adv
-from . import bivalency as biv
 from . import oracle
-from . import protocol
-from . import topology as topo
 from .adversary import CompileError, ResourceBoundError
 from .indexfn import ind, ind_limit, ind_normalized
 from .words import ParseError, parse_lasso, parse_word
@@ -43,6 +47,8 @@ def _parse_inputs(text: str) -> tuple:
 def _load_algorithm(args) -> tuple:
     """The adversary that ``args`` name and the algorithm to run under
     it."""
+    from . import protocol
+
     if args.algorithm == "own-input":
         if args.w is not None:
             raise ParseError("--w does not apply to --algorithm own-input")
@@ -60,6 +66,8 @@ def _load_algorithm(args) -> tuple:
         w = oracle.select_forbidden_scenario(verdict)
     if args.algorithm == "aw":
         return a, protocol.IndexGuardAlgorithm(w)
+    from . import topology as topo
+
     ts = topo.build_terminating_subdivision(a, ind_limit(w), depth=8)
     return a, topo.GeometricAlgorithm(ts)
 
@@ -106,6 +114,8 @@ def _adv_lowerbound(args) -> int:
 
 
 def _sim_run(args) -> int:
+    from . import protocol
+
     a, algo = _load_algorithm(args)
     scenario = parse_lasso(args.scenario)
     if not a.contains(scenario):
@@ -116,6 +126,8 @@ def _sim_run(args) -> int:
 
 
 def _sim_verify(args) -> int:
+    from . import protocol
+
     a, algo = _load_algorithm(args)
     rep = protocol.verify(algo, a, depth=args.depth)
     print(rep.to_json())
@@ -123,6 +135,8 @@ def _sim_verify(args) -> int:
 
 
 def _bivalency_explore(args) -> int:
+    from . import bivalency as biv
+
     a, algo = _load_algorithm(args)
     tree = biv.explore(algo, a, _parse_inputs(args.inputs), args.depth)
     print(json.dumps(tree.to_dict()))
@@ -130,6 +144,8 @@ def _bivalency_explore(args) -> int:
 
 
 def _topo_object(args):
+    from . import topology as topo
+
     if args.infile is not None:
         if args.rounds is not None:
             raise ParseError("--rounds does not apply to --in")
@@ -146,6 +162,8 @@ def _topo_object(args):
 
 
 def _topo_subdivide(args) -> int:
+    from . import topology as topo
+
     obj = _topo_object(args)
     fmt = "svg" if args.out.endswith(".svg") else "json"
     doc = topo.export(obj, fmt)
@@ -156,6 +174,8 @@ def _topo_subdivide(args) -> int:
 
 
 def _topo_components(args) -> int:
+    from . import topology as topo
+
     obj = _topo_object(args)
     c = obj.stable_complex() if isinstance(
         obj, topo.TerminatingSubdivision
@@ -170,6 +190,8 @@ def _topo_components(args) -> int:
 
 
 def _topo_contrex(args) -> int:
+    from . import topology as topo
+
     phi = topo.contrex(args.depth)
     print(json.dumps({
         "abstract_components": topo.abstract_components(phi),

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 from conftest import DslTexts
-from twogen import cli
+from twogen import cli, protocol
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCHEMA_PATH = os.path.join(ROOT, "schemas", "twogen-v1.schema.json")
@@ -544,6 +544,123 @@ def test_adv_commands_on_generated_inputs(capsys):
     assert {0, 1} <= codes
 
 
+SCENARIOS = ("( OK )^w", "LW ( OK )^w", "( LB )^w", "OK LB ( LW )^w")
+INPUTS = ("0,1", "1,0", "0,0", "1,1", "2,1", "1", "")
+
+
+def _generated_argvs(seed: int, n: int, out: str):
+    """``n`` seeded rounds of argv lists, each round one call of every
+    action but ``adv``: words and lassos (some mutated), adversaries of
+    ``DslTexts``, both algorithms with and without ``--w``, input
+    vectors, and depths and rounds down to -2.  ``topo subdivide`` writes
+    ``out``."""
+    rng = random.Random(seed)
+    texts = DslTexts(rng, letters=("OK", "LW", "LB"))
+
+    def spelled(toks):
+        toks = texts.mutate(toks) if rng.random() < 0.3 else toks
+        return " ".join(toks).replace(") ^w", ")^w")
+
+    for i in range(n):
+        yield ["index", spelled(texts.letters(0, 5))]
+        yield ["index", "--limit", spelled(texts.lasso())]
+        adversary = texts.text(i % 3)
+        for algorithm in ("aw", "aeta"):
+            algo = ["--adversary", adversary, "--algorithm", algorithm]
+            if rng.random() < 0.2:
+                algo += ["--w", spelled(texts.lasso())]
+            scenario = rng.choice(SCENARIOS + (spelled(texts.lasso()),))
+            yield ["sim", "run", *algo, "--scenario", scenario,
+                   "--inputs", rng.choice(INPUTS)]
+            yield ["sim", "verify", *algo, "--depth", str(rng.randint(-2, 3))]
+            yield ["bivalency", "explore", *algo, "--inputs",
+                   rng.choice(INPUTS), "--depth", str(rng.randint(-2, 2))]
+        rounds = str(rng.randint(-2, 4))
+        yield ["topo", "subdivide", "--adversary", adversary,
+               "--rounds", rounds, "--out", out]
+        yield ["topo", "components", "--adversary", adversary,
+               "--rounds", rounds]
+        yield ["topo", "contrex", "--depth", str(rng.randint(-2, 5))]
+
+
+def test_commands_on_generated_inputs(capsys, tmp_path):
+    """Generated inputs to every action but ``adv`` end in a documented
+    exit code, never in an exception, and each action both succeeds and
+    fails on some of them."""
+    codes = {}
+    for argv in _generated_argvs(5, 300, str(tmp_path / "out.json")):
+        rc = cli.main(argv)
+        assert rc in (0, 1, 2, 3), argv
+        codes.setdefault(tuple(argv[:2]) if argv[0] != "index"
+                         else ("index", argv[1] == "--limit"), set()).add(rc)
+        capsys.readouterr()
+    assert len(codes) == 8
+    for action, seen in codes.items():
+        assert {0, 1} <= seen, action
+
+
+JUNK = (None, True, -1, 0, 7, 2.5, "", "x", "1/0", "-1/3", "7/9", "WHITE",
+        "BLACK", "unit", "W0B0", "complex", [], {}, [0, 1], {"a": 0})
+
+
+def _mutated_document(rng: random.Random, doc) -> str:
+    """``doc`` as JSON with one or two values replaced by ``JUNK``,
+    deleted or repeated, or its text cut short."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 2)):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else range(len(node))
+            if not keys:
+                break
+            key = rng.choice(list(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and rng.random() < .7:
+                node = child
+                continue
+            op = rng.randrange(3)
+            if op == 0:
+                node[key] = rng.choice(JUNK)
+            elif op == 1:
+                del node[key]
+            elif isinstance(node, list):
+                node.insert(key, child)
+            else:
+                node[rng.choice(list(node))] = child
+            break
+    text = json.dumps(doc)
+    if rng.random() < 0.15:
+        text = text[:rng.randrange(len(text))]
+    return text
+
+
+def test_topo_components_on_mutated_documents(capsys, tmp_path):
+    """Exported complexes with values replaced, deleted or repeated, or
+    cut short, end in exit 0 or 1 on ``topo components --in``, never in
+    an exception."""
+    rng = random.Random(11)
+    docs = []
+    for rounds in ("0", "2", "4"):
+        path = str(tmp_path / ("ts%s.json" % rounds))
+        assert cli.main(["topo", "subdivide", "--adversary", GAMMA_DIFF,
+                         "--rounds", rounds, "--out", path]) == 0
+        with open(path) as fh:
+            docs.append(json.load(fh))
+    codes = set()
+    path = str(tmp_path / "mutated.json")
+    for i in range(300):
+        text = _mutated_document(rng, docs[i % len(docs)])
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = ["topo", "components", "--in", path,
+                *rng.choice(((), ("--abstract",), ("--realization",)))]
+        rc = cli.main(argv)
+        assert rc in (0, 1), (argv, text)
+        codes.add(rc)
+    capsys.readouterr()
+    assert codes == {0, 1}
+
+
 def _fresh_process(argv, cwd):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(
@@ -580,8 +697,8 @@ def test_shared_parser_leaks_no_state(capsys, tmp_path, monkeypatch):
 
     a = cli.adv.load("C1")
     w = cli.oracle.select_forbidden_scenario(cli.oracle.classify(a))
-    checked4 = cli.protocol.verify(
-        cli.protocol.IndexGuardAlgorithm(w), a, depth=4).checked
+    checked4 = protocol.verify(
+        protocol.IndexGuardAlgorithm(w), a, depth=4).checked
     assert json.loads(seen[tuple(verify4)][0][1])["checked"] == checked4
     assert json.loads(seen[tuple(verify3)][0][1])["checked"] != checked4
     assert set(json.loads(seen[tuple(abstract)][0][1])) == {
