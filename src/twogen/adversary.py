@@ -13,11 +13,12 @@ some clause the maximum color seen infinitely often is even.
 Single-track automata are ordinary parity automata with the one clause
 {0}; products (union/intersection) concatenate tracks and combine the
 clause lists, and complement raises every color by one and distributes
-the negated clauses.  A difference ``GAMMA^w \\ {l1..lk}`` is not built
-as a product: it compiles to a single co-Buchi track, so its
-complement's acceptance stays one clause.  Membership of a lasso and
-emptiness (with a lasso witness) are decided exactly on this
-representation.
+the negated clauses.  Set powers, differences ``GAMMA^w \\ {l1..lk}``
+and lasso singletons compile to one co-Buchi track, whose state is the
+set of (lasso, position) pairs still consistent with the input: leaving
+every lasso accepts a set power or a difference, following one forever
+a singleton.  Membership of a lasso and emptiness (with a lasso
+witness) are decided exactly on this representation.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import re
 from typing import Hashable, NamedTuple, Optional
 
@@ -52,6 +54,15 @@ class ResourceBoundError(RuntimeError):
 
 #: the acceptance of a one-track automaton: track 0's maximum is even
 ONE_TRACK = (frozenset((0,)),)
+
+#: the most clauses ``complement`` or ``intersect`` may build
+_MAX_CLAUSES = 1 << 16
+
+
+def _check_clauses(n: int) -> None:
+    if n > _MAX_CLAUSES:
+        raise ResourceBoundError("%d acceptance clauses exceed bound %d"
+                                 % (n, _MAX_CLAUSES))
 
 
 def _explore(init, alphabet, step) -> dict:
@@ -406,75 +417,62 @@ AdversaryExpr = object
 
 
 def expr_alphabet(e) -> tuple:
-    """GAMMA when no LL appears anywhere in the expression, else G2."""
-
-    def uses_ll(e) -> bool:
-        if isinstance(e, OmegaPower):
-            return Letter.LL in e.letters
-        if isinstance(e, Concat):
-            return _regex_uses_ll(e.prefix) or uses_ll(e.tail)
-        if isinstance(e, Union):
-            return any(uses_ll(p) for p in e.parts)
-        if isinstance(e, DifferenceFromFull):
-            return e.alphabet == G2
+    """G2 when LL appears anywhere in the expression, else GAMMA."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
         if isinstance(e, Named):
-            return uses_ll(builtin(e.name))
-        if isinstance(e, LassoExpr):
-            return not e.word.is_gamma()
-        raise TypeError(e)
-
-    return G2 if uses_ll(e) else GAMMA
-
-
-def _regex_uses_ll(rx) -> bool:
-    if isinstance(rx, RegexLetter):
-        return rx.letter is Letter.LL
-    if isinstance(rx, (RegexConcat, RegexUnion)):
-        return any(_regex_uses_ll(p) for p in rx.parts)
-    if isinstance(rx, RegexStar):
-        return _regex_uses_ll(rx.inner)
-    raise TypeError(rx)
+            e = builtin(e.name)
+        letters = ()
+        if isinstance(e, (Union, RegexConcat, RegexUnion)):
+            todo += e.parts
+        elif isinstance(e, (Concat, RegexStar)):
+            todo += e  # (prefix, tail) or (inner,)
+        elif isinstance(e, RegexLetter):
+            letters = (e.letter,)
+        elif isinstance(e, OmegaPower):
+            letters = e.letters
+        elif isinstance(e, DifferenceFromFull):
+            letters = e.alphabet
+        elif isinstance(e, LassoExpr):
+            letters = e.word.stem.letters + e.word.cycle.letters
+        else:
+            raise TypeError(e)
+        if Letter.LL in letters:
+            return G2
+    return GAMMA
 
 
 # ---------------------------------------------------------------------------
 # built-in adversaries (the seven standard environments)
 
 
+def _power(*letters) -> OmegaPower:
+    return OmegaPower(frozenset(letters))
+
+
+_BUILTINS = {
+    "S0": _power(Letter.OK),
+    "TW": _power(Letter.OK, Letter.LW),
+    "TB": _power(Letter.OK, Letter.LB),
+    "C1": Union((
+        _power(Letter.OK),
+        Concat(RegexStar(RegexLetter(Letter.OK)), _power(Letter.LW)),
+        Concat(RegexStar(RegexLetter(Letter.OK)), _power(Letter.LB)),
+    )),
+    "S1": Union((_power(Letter.OK, Letter.LW), _power(Letter.OK, Letter.LB))),
+    "R1": _power(*GAMMA),
+    "S2": _power(*G2),
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 def builtin(name: str) -> AdversaryExpr:
-    table = {
-        "S0": OmegaPower(frozenset({Letter.OK})),
-        "TW": OmegaPower(frozenset({Letter.OK, Letter.LW})),
-        "TB": OmegaPower(frozenset({Letter.OK, Letter.LB})),
-        "C1": Union(
-            (
-                OmegaPower(frozenset({Letter.OK})),
-                Concat(
-                    RegexStar(RegexLetter(Letter.OK)),
-                    OmegaPower(frozenset({Letter.LW})),
-                ),
-                Concat(
-                    RegexStar(RegexLetter(Letter.OK)),
-                    OmegaPower(frozenset({Letter.LB})),
-                ),
-            )
-        ),
-        "S1": Union(
-            (
-                OmegaPower(frozenset({Letter.OK, Letter.LW})),
-                OmegaPower(frozenset({Letter.OK, Letter.LB})),
-            )
-        ),
-        "R1": OmegaPower(frozenset({Letter.OK, Letter.LW, Letter.LB})),
-        "S2": OmegaPower(
-            frozenset({Letter.OK, Letter.LW, Letter.LB, Letter.LL})
-        ),
-    }
-    if name not in table:
-        raise ParseError("unknown adversary name %r" % name)
-    return table[name]
-
-
-BUILTIN_NAMES = ("S0", "TW", "TB", "C1", "S1", "R1", "S2")
+    try:
+        return _BUILTINS[name]
+    except KeyError:
+        raise ParseError("unknown adversary name %r" % name) from None
 
 
 # ---------------------------------------------------------------------------
@@ -524,77 +522,56 @@ def compile_expr(e: AdversaryExpr) -> AdversaryAutomaton:
 
 def _compile(e, alphabet) -> AdversaryAutomaton:
     if isinstance(e, Named):
-        return _compile(builtin(e.name), alphabet)
+        e = builtin(e.name)
     if isinstance(e, OmegaPower):
-        return _compile_omega_power(e.letters, alphabet)
-    if isinstance(e, Union):
-        if not e.parts:
-            raise CompileError("empty union")
-        autos = [_compile(p, alphabet) for p in e.parts]
-        out = autos[0]
-        for other in autos[1:]:
-            out = union(out, other)
-        return out
-    if isinstance(e, Concat):
-        return _compile_concat(e, alphabet)
-    if isinstance(e, LassoExpr):
-        return _lasso_singleton(e.word, alphabet)
+        return _compile_lassos((), e.letters, alphabet, False)
     if isinstance(e, DifferenceFromFull):
-        return _compile_difference(e, alphabet)
-    raise CompileError("unsupported expression %r" % (e,))
+        return _compile_lassos(e.excluded, e.alphabet, alphabet, False)
+    if isinstance(e, LassoExpr):
+        return _compile_lassos((e.word,), alphabet, alphabet, True)
+    if isinstance(e, Union):
+        autos = [_compile(p, alphabet) for p in e.parts]
+    elif isinstance(e, Concat):
+        autos = [
+            _compile_prefixed_oblivious(rx, letters, alphabet)
+            for rx, letters in _flatten_concat(e)
+        ]
+    else:
+        raise CompileError("unsupported expression %r" % (e,))
+    if not autos:
+        raise CompileError("empty union")
+    return functools.reduce(union, autos)
 
 
-def _compile_omega_power(letters, alphabet) -> AdversaryAutomaton:
-    def step(st, a):
-        return ("in", (0,)) if st == "in" and a in letters else ("sink", (1,))
-
-    trans = _explore("in", alphabet, step)
-    return AdversaryAutomaton(alphabet, "in", trans, 1, ONE_TRACK)
-
-
-def _lasso_singleton(l: LassoWord, alphabet) -> AdversaryAutomaton:
-    """The singleton language {l}: follow the word exactly or reject."""
-    stem, cycle = l.stem.letters, l.cycle.letters
-    n, p = len(stem), len(cycle)
-    trans: dict = {"sink": {a: ("sink", (1,)) for a in alphabet}}
-    for i in range(n + p):
-        expected = stem[i] if i < n else cycle[i - n]
-        nxt = i + 1 if i + 1 < n + p else n
-        trans[i] = {
-            a: ((nxt, (0,)) if a == expected else ("sink", (1,)))
-            for a in alphabet
-        }
-    return AdversaryAutomaton(alphabet, 0, trans, 1, ONE_TRACK)
-
-
-def _compile_difference(e: DifferenceFromFull, alphabet) -> AdversaryAutomaton:
-    """Deterministic co-Buchi automaton for ``e.alphabet^w`` minus the
-    excluded lassos, on one track.
-
-    A state is the frozenset of ``(excluded index, position)`` pairs
-    still consistent with the word read so far; a position runs through
-    the stem and then wraps inside the cycle.  Once no excluded lasso
-    is consistent the word is accepted for good: the run moves to the
-    absorbing ``"free"`` state, whose edges alone have color 0.  A
-    letter outside ``e.alphabet`` leads to the reject sink.
-    """
-    # lasso i reads letters[i][pos] next; past its end it wraps to loop[i]
-    letters = [l.stem.letters + l.cycle.letters for l in e.excluded]
-    loop = [len(l.stem.letters) for l in e.excluded]
+def _compile_lassos(lassos, letters, alphabet, follow: bool):
+    """Deterministic co-Buchi automaton, on one track, for the words
+    over ``letters`` that leave every lasso (a set power or a
+    difference) or, when ``follow``, that follow one forever (a
+    singleton).  A state is the frozenset of ``(lasso index, position)``
+    pairs still consistent with the word read so far; a position runs
+    through the stem, then wraps inside the cycle.  A letter outside
+    ``letters`` leads to the reject sink.  A word that leaves every
+    lasso moves to the absorbing ``"free"`` state, whose edges alone
+    have color 0, or, when ``follow``, to the sink, and then only the
+    edges between consistent sets have color 0."""
+    # lasso i reads word[i][pos] next; past its end it wraps to loop[i]
+    word = [l.stem.letters + l.cycle.letters for l in lassos]
+    loop = [len(l.stem.letters) for l in lassos]
+    kept, left = ((0,), "sink") if follow else ((1,), "free")
 
     def step(st, a):
-        if st == "sink" or a not in e.alphabet:
+        if st == "sink" or a not in letters:
             return "sink", (1,)
         if st == "free":
             return "free", (0,)
         nxt = frozenset(
-            (i, pos + 1 if pos + 1 < len(letters[i]) else loop[i])
+            (i, pos + 1 if pos + 1 < len(word[i]) else loop[i])
             for i, pos in st
-            if letters[i][pos] == a
+            if word[i][pos] == a
         )
-        return (nxt or "free"), (1,)
+        return (nxt, kept) if nxt else (left, (1,))
 
-    init = frozenset((i, 0) for i in range(len(letters))) or "free"
+    init = frozenset((i, 0) for i in range(len(word))) or "free"
     trans = _explore(init, alphabet, step)
     return AdversaryAutomaton(alphabet, init, trans, 1, ONE_TRACK)
 
@@ -607,30 +584,14 @@ def _flatten_concat(e: Concat):
     if isinstance(tail, OmegaPower):
         return [(e.prefix, tail.letters)]
     if isinstance(tail, Union):
-        out = []
-        for part in tail.parts:
-            out.extend(_flatten_concat(Concat(e.prefix, part)))
-        return out
+        return [pair for part in tail.parts
+                for pair in _flatten_concat(Concat(e.prefix, part))]
     if isinstance(tail, Concat):
-        inner = _flatten_concat(tail)
-        return [
-            (RegexConcat((e.prefix, rx)), letters) for rx, letters in inner
-        ]
+        return [(RegexConcat((e.prefix, rx)), letters)
+                for rx, letters in _flatten_concat(tail)]
     raise CompileError(
         "unsupported tail under concatenation: %r" % (tail,)
     )
-
-
-def _compile_concat(e: Concat, alphabet) -> AdversaryAutomaton:
-    pairs = _flatten_concat(e)
-    autos = [
-        _compile_prefixed_oblivious(rx, letters, alphabet)
-        for rx, letters in pairs
-    ]
-    out = autos[0]
-    for other in autos[1:]:
-        out = union(out, other)
-    return out
 
 
 def _compile_prefixed_oblivious(rx, letters, alphabet) -> AdversaryAutomaton:
@@ -685,7 +646,9 @@ def complement(a: AdversaryAutomaton) -> AdversaryAutomaton:
     color by one flips the parity of every track's maximum, so the run
     is accepted when every clause has a track with an even raised
     maximum: one clause per choice of a track from each old clause
-    (tracks taken in increasing order, independent of hash order)."""
+    (tracks taken in increasing order, independent of hash order).
+    Raises ResourceBoundError past ``_MAX_CLAUSES`` clauses."""
+    _check_clauses(math.prod(len(c) for c in a.acceptance))
     trans = {
         st: {
             x: (nxt, tuple(c + 1 for c in colors))
@@ -720,6 +683,8 @@ def _product(a, b, combine):
 
 
 def intersect(a, b) -> AdversaryAutomaton:
+    """Raises ResourceBoundError past ``_MAX_CLAUSES`` clause pairs."""
+    _check_clauses(len(a.acceptance) * len(b.acceptance))
     return _product(a, b, lambda x, y: tuple(p | q for p in x for q in y))
 
 
@@ -730,19 +695,17 @@ def union(a, b) -> AdversaryAutomaton:
 def fairness_automaton() -> AdversaryAutomaton:
     """Fair scenarios over GAMMA: messages of both processes delivered
     infinitely often.  An OK letter or a switch between LW and LB is a
-    good event; accepting iff good events recur forever."""
-    trans = {}
-    for last in ("W", "B"):
-        row = {}
-        for a in GAMMA:
-            if a is Letter.OK:
-                row[a] = (last, (2,))
-            elif a is Letter.LW:
-                row[a] = ("W", (1,) if last == "W" else (2,))
-            else:
-                row[a] = ("B", (1,) if last == "B" else (2,))
-        trans[last] = row
-    return AdversaryAutomaton(GAMMA, "W", trans, 1, ONE_TRACK)
+    good event; accepting iff good events recur forever.  A state is the
+    side whose message was lost last."""
+
+    def step(last, a):
+        if a is Letter.OK:
+            return last, (2,)
+        side = "W" if a is Letter.LW else "B"
+        return side, ((1,) if side == last else (2,))
+
+    return AdversaryAutomaton(GAMMA, "W", _explore("W", GAMMA, step), 1,
+                              ONE_TRACK)
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ class LassoWord(Frozen):
             self.stem == other.stem and self.cycle == other.cycle)
 
     def __hash__(self):
-        return hash((self.stem, self.cycle))
+        # hash((self.stem, self.cycle)), without calling FiniteWord.__hash__
+        return hash(((self.stem.letters,), (self.cycle.letters,)))
 
     def __str__(self) -> str:
         inner = " ".join(a.value for a in self.cycle)

@@ -1,14 +1,16 @@
+import itertools
 import random
+import time
 
 import pytest
 
-from conftest import random_automata, random_gamma_lasso
+from conftest import DslTexts, random_automata, random_gamma_lasso
 from twogen import adversary as adv
 from twogen import oracle
 from twogen.adversary import (AdversaryAutomaton, CompileError,
                               ResourceBoundError)
-from twogen.words import (FiniteWord, GAMMA, LassoWord, Letter, ParseError,
-                          parse_lasso, parse_word)
+from twogen.words import (FiniteWord, G2, GAMMA, LassoWord, Letter,
+                          ParseError, parse_lasso, parse_word)
 
 
 def L(text):
@@ -288,7 +290,7 @@ def _difference_as_product(lassos):
     out = adv.compile_expr(adv.OmegaPower(frozenset(GAMMA)))
     for l in lassos:
         out = adv.intersect(
-            out, adv.complement(adv._lasso_singleton(l, GAMMA)))
+            out, adv.complement(adv.compile_expr(adv.LassoExpr(l))))
     return out
 
 
@@ -383,3 +385,96 @@ def test_every_state_reachable(text):
                 seen.add(nxt)
                 todo.append(nxt)
     assert seen == set(a.transitions)
+
+
+def test_expr_alphabet_matches_a_token_oracle():
+    """G2 exactly when an LL, G2 or S2 token appears in a text that
+    parses, over every kind of seeded DSL text."""
+    texts = DslTexts(random.Random(61))
+    seen = []
+    for i in range(1500):
+        text = texts.text(i % 3)
+        try:
+            e = adv.parse_adversary(text)
+        except ParseError:
+            continue
+        want = G2 if {"LL", "G2", "S2"} & set(text.split()) else GAMMA
+        assert adv.expr_alphabet(e) == want, text
+        seen.append(want)
+    assert seen.count(G2) > 100 and seen.count(GAMMA) > 100
+
+
+def _random_lasso(rng):
+    letters = GAMMA if rng.random() < 0.5 else G2
+    return LassoWord.of(
+        [rng.choice(letters) for _ in range(rng.randint(0, 4))],
+        [rng.choice(letters) for _ in range(rng.randint(1, 3))])
+
+
+def test_singleton_states_and_witness():
+    """A lasso's text compiles to one state per stem and cycle letter
+    plus the sink, and its one word is the emptiness witness."""
+    rng = random.Random(67)
+    for _ in range(200):
+        l = _random_lasso(rng)
+        a = adv.load(str(l))
+        assert len(a.transitions) == len(l.stem) + len(l.cycle) + 1, l
+        assert a.is_empty() == l
+
+
+def test_set_power_states():
+    """Two states (in the set, and the sink), or one for a power of the
+    whole alphabet."""
+    for n in range(1, 5):
+        for letters in itertools.combinations(G2, n):
+            a = adv.compile_expr(adv.OmegaPower(frozenset(letters)))
+            full = set(letters) == set(a.alphabet)
+            assert len(a.transitions) == (1 if full else 2), letters
+
+
+@pytest.mark.parametrize("text, states, tracks, witness, co_witness", [
+    ("{OK,LW}^w", 2, 1, "( OK LW )^w", "LB ( LB OK LW )^w"),
+    ("TB", 2, 1, "( LB OK )^w", "( LW LB OK )^w"),
+    ("GAMMA^w \\ { LW LB ( OK )^w , ( LW )^w }", 5, 1,
+     "LB ( LB OK LW )^w", "LW LB ( OK )^w"),
+    ("G2^w \\ { ( LL )^w }", 2, 1, "LB ( LB OK LW LL )^w", "( LL )^w"),
+    ("LW ( LB OK )^w", 4, 1, "LW ( LB OK )^w", "LB ( LB OK LW )^w"),
+    ("OK LW* . {OK,LB}^w", 5, 1, "OK LB ( LB OK )^w", "LB ( LB OK LW )^w"),
+    ("GAMMA^w \\ { ( OK )^w } | ( LL )^w", 5, 2,
+     "LB ( LB OK LW )^w", "( OK )^w"),
+])
+def test_leaf_kinds_compile_to_fixed_automata(text, states, tracks, witness,
+                                              co_witness):
+    """One term of each leaf kind (set power, built-in name, GAMMA and
+    G2 difference, singleton, prefixed set power) and a GAMMA term
+    inside a G2 union: state count, tracks, and the witnesses of the
+    automaton and of its complement."""
+    a = adv.load(text)
+    assert (len(a.transitions), a.num_tracks) == (states, tracks)
+    assert a.is_empty() == L(witness)
+    assert adv.complement(a).is_empty() == L(co_witness)
+
+
+def test_fairness_automaton_states():
+    fair = adv.fairness_automaton()
+    assert list(fair.transitions) == ["W", "B"]
+    assert fair.is_empty() == L("( LB LW OK LW LB LB OK LW )^w")
+    assert adv.complement(fair).is_empty() == L("( LW )^w")
+
+
+def test_clause_blow_up_is_bounded():
+    """20 clauses over 9 tracks would complement to 2^20 clause
+    choices; the count is checked before any is built."""
+    a = adv.intersect(adv.load("LB LW . {OK,LW}^w | C1 | LB OK . {OK,LW}^w"),
+                      adv.load("C1 | {OK,LB}^w"))
+    assert (len(a.acceptance), a.num_tracks) == (20, 9)
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError):
+        oracle.classify(a)
+    with pytest.raises(ResourceBoundError):
+        adv.complement(a)
+    assert time.perf_counter() - start < 1.0
+    aa = adv.intersect(a, a)
+    assert len(aa.acceptance) == 400
+    with pytest.raises(ResourceBoundError):
+        adv.intersect(aa, aa)  # 160,000 clause pairs

@@ -1,0 +1,138 @@
+"""The process swap as a test oracle.
+
+Exchanging white and black turns the letter LW into LB and back, and
+the built-in TW into TB.  It reflects indexes (ind(swap u) =
+3^r - 1 - ind(u)) and limit indexes (z into 1 - z), maps an adversary's
+language onto the language of its swapped text, and exchanges the corner
+families F3 and F4 of ``classify``.  None of these relations needs a
+reference implementation.  A_w's guard is not symmetric, so its mirrored
+transcripts are pinned rather than asserted equal.
+"""
+
+import random
+
+from conftest import DslTexts, all_words, random_gamma_lasso
+from twogen import adversary as adv
+from twogen.indexfn import ind, ind_limit
+from twogen.oracle import CORNER_LB, Family, classify
+from twogen.protocol import IndexGuardAlgorithm, simulate
+from twogen.words import (GAMMA, FiniteWord, LassoWord, Letter, ParseError,
+                          is_fair, parse_lasso)
+
+_SWAP = {Letter.LW: Letter.LB, Letter.LB: Letter.LW,
+         Letter.OK: Letter.OK, Letter.LL: Letter.LL}
+_SWAP_TOKENS = {"LW": "LB", "LB": "LW", "TW": "TB", "TB": "TW"}
+_SWAP_FAMILY = {Family.F1: Family.F1, Family.F2: Family.F2,
+                Family.F3: Family.F4, Family.F4: Family.F3}
+
+
+def swap_word(w: FiniteWord) -> FiniteWord:
+    return FiniteWord(tuple(_SWAP[a] for a in w))
+
+
+def swap_lasso(l: LassoWord) -> LassoWord:
+    return LassoWord(swap_word(l.stem), swap_word(l.cycle))
+
+
+def swap_text(text: str) -> str:
+    """A DSL text (tokens separated by spaces) with LW and LB, and TW
+    and TB, exchanged."""
+    return " ".join(_SWAP_TOKENS.get(tok, tok) for tok in text.split())
+
+
+def _loaded(texts: DslTexts, n: int):
+    """``(expr, automaton, swapped automaton)`` for the first ``n``
+    seeded texts that compile."""
+    out = []
+    while len(out) < n:
+        text = texts.text(0)
+        try:
+            e = adv.parse_adversary(text)
+            a = adv.compile_expr(e)
+        except (ParseError, adv.CompileError):
+            continue
+        out.append((e, a, adv.load(swap_text(text))))
+    return out
+
+
+def _kinds(e) -> set:
+    """The node types of an expression, built-in names resolved."""
+    out = {type(e)}
+    if isinstance(e, adv.Named):
+        out |= _kinds(adv.builtin(e.name))
+    elif isinstance(e, adv.Union):
+        for p in e.parts:
+            out |= _kinds(p)
+    elif isinstance(e, adv.Concat):
+        out |= _kinds(e.tail)
+    return out
+
+
+def test_swap_reflects_the_index():
+    for r in range(7):
+        for u in all_words(r):
+            assert ind(swap_word(u)) == 3**r - 1 - ind(u), u
+
+
+def test_swap_reflects_the_limit_index_and_keeps_fairness():
+    rng = random.Random(71)
+    for _ in range(1000):
+        l = random_gamma_lasso(rng, max_stem=5, max_cycle=4)
+        assert ind_limit(swap_lasso(l)) == 1 - ind_limit(l), l
+        assert is_fair(swap_lasso(l)) == is_fair(l), l
+
+
+def test_swapped_text_holds_the_swapped_lassos():
+    """load(swap text) holds swap l exactly when load(text) holds l, on
+    seeded lassos and on both automata's emptiness witnesses, for every
+    leaf kind of the DSL."""
+    rng = random.Random(73)
+    kinds = set()
+    for e, a, b in _loaded(DslTexts(random.Random(79)), 200):
+        kinds |= _kinds(e)
+        assert b.alphabet == a.alphabet
+        lassos = [LassoWord.of(
+            [rng.choice(a.alphabet) for _ in range(rng.randint(0, 3))],
+            [rng.choice(a.alphabet) for _ in range(rng.randint(1, 3))])
+            for _ in range(15)]
+        lassos += [w for w in (a.is_empty(), adv.complement(a).is_empty())
+                   if w is not None]
+        for l in lassos:
+            assert b.contains(swap_lasso(l)) == a.contains(l), (e, l)
+    assert {adv.OmegaPower, adv.DifferenceFromFull, adv.LassoExpr,
+            adv.Concat, adv.Named, adv.Union} <= kinds
+
+
+def test_classify_exchanges_f3_and_f4():
+    """The same verdict with F3 and F4 exchanged; F3 of L, the exclusion
+    of LB^w, is read off swap L's own corner LW^w."""
+    texts = DslTexts(random.Random(83), letters=("OK", "LW", "LB"))
+    for e, a, b in _loaded(texts, 300):
+        if a.alphabet != GAMMA:  # a G2 difference
+            continue
+        v, u = classify(a), classify(b)
+        assert u.solvable == v.solvable, e
+        assert u.families == {_SWAP_FAMILY[f] for f in v.families}, e
+        assert (Family.F4 in u.families) == (
+            not b.contains(swap_lasso(CORNER_LB))), e
+
+
+def test_index_guard_transcripts_are_not_mirrored():
+    """A_w's guard |ind - ind(w|_r)| <= 2 admits the positions t-2 ..
+    t+2 around the target edge [t, t+1]: two to its left, one to its
+    right, so the mirrored run halts in another round.  With w = OK^w
+    the target edge at round 2 is [4, 5], its own mirror.  On LB OK,
+    black at 1 = t-3 halts and white at 2 = t-2 runs on to round 3; on
+    the mirror LW OK, white at 8 and black at 7 = t+3, the mirror of
+    t-2, both halt at round 2."""
+    w, scenario = parse_lasso("( OK )^w"), parse_lasso("LB ( OK )^w")
+    run = simulate(IndexGuardAlgorithm(w), scenario, (0, 1))
+    mirror = simulate(IndexGuardAlgorithm(swap_lasso(w)),
+                      swap_lasso(scenario), (1, 0))
+    assert [(s.ind, s.round) for _, s, _ in run.rounds] == [
+        (0, 1), (2, 2), (6, 3)]
+    assert [(s.ind, s.round) for _, _, s in mirror.rounds] == [
+        (3, 1), (7, 2)]
+    assert run.decisions == mirror.decisions == (0, 0)
+    assert (run.white.round, run.black.round) == (3, 2)
+    assert (mirror.white.round, mirror.black.round) == (2, 2)
