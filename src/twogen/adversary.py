@@ -55,14 +55,15 @@ class ResourceBoundError(RuntimeError):
 #: the acceptance of a one-track automaton: track 0's maximum is even
 ONE_TRACK = (frozenset((0,)),)
 
-#: the most clauses ``complement`` or ``intersect`` may build
-_MAX_CLAUSES = 1 << 16
+#: the most clauses ``complement`` or ``intersect`` may build, and the
+#: most SCCs one ``_good_sccs`` search may visit
+_MAX_WORK = 1 << 16
 
 
-def _check_clauses(n: int) -> None:
-    if n > _MAX_CLAUSES:
-        raise ResourceBoundError("%d acceptance clauses exceed bound %d"
-                                 % (n, _MAX_CLAUSES))
+def _check_work(n: int, what: str) -> None:
+    if n > _MAX_WORK:
+        raise ResourceBoundError("%d %s exceed bound %d"
+                                 % (n, what, _MAX_WORK))
 
 
 def _explore(init, alphabet, step) -> dict:
@@ -181,16 +182,8 @@ class AdversaryAutomaton:
 
     def is_empty(self) -> Optional[LassoWord]:
         """None if the language is empty, else a witness lasso."""
-        edges = _edges(_explore(self.initial, self.alphabet, self.step))
-        for required in self.acceptance:
-            for scc_edges in _good_sccs(edges, required):
-                stem = _letter_path(
-                    _edge_map(edges), self.initial, scc_edges[0][0]
-                )
-                return LassoWord(
-                    FiniteWord(stem), FiniteWord(_closed_walk(scc_edges))
-                )
-        return None
+        rows = _explore(self.initial, self.alphabet, self.step)
+        return _good_lasso(self.initial, rows, self.acceptance)
 
     @functools.cached_property
     def live(self) -> frozenset:
@@ -274,22 +267,60 @@ def _letter_path(edge_map, src, dst) -> tuple:
     return next(p for node, p in _breadth_first(src, succ) if node == dst)
 
 
-def _good_sccs(edges, required: frozenset[int]):
-    """Yields the edge sets of the sub-SCCs of ``edges`` whose per-track
-    max color is even on every required track, depth first.  Each SCC
-    is filtered recursively: a good cycle must avoid the maximal edges
-    of every track whose maximum is odd, since using one would make that
-    track's max on the cycle odd."""
-    for scc_edges in _edge_sccs(edges):
-        maxima = {t: max(e[3][t] for e in scc_edges) for t in required}
-        odd = [t for t, m in maxima.items() if m % 2 == 1]
-        if not odd:
-            yield scc_edges
-            continue
-        pruned = [
-            e for e in scc_edges if all(e[3][t] < maxima[t] for t in odd)
-        ]
-        yield from _good_sccs(pruned, required)
+def _good_lasso(init, rows, clauses, odd: tuple = ()) -> Optional[LassoWord]:
+    """A lasso from ``init`` through ``rows`` (``{state: {letter: (dst,
+    colors)}}``) into the first sub-SCC that ``_good_sccs`` yields for
+    ``even`` = each of ``clauses`` in turn, or None when there is none.
+    The stem is a shortest path, and the cycle walks every edge of the
+    sub-SCC, so its per-track maxima are the sub-SCC's."""
+    edges = _edges(rows)
+    for even in clauses:
+        for scc_edges in _good_sccs(edges, even, odd):
+            stem = _letter_path(_edge_map(edges), init, scc_edges[0][0])
+            return LassoWord(
+                FiniteWord(stem), FiniteWord(_closed_walk(scc_edges))
+            )
+    return None
+
+
+def _good_sccs(edges, even: frozenset[int], odd: tuple = ()):
+    """Yields the edge sets of the sub-SCCs of ``edges`` on which every
+    track in ``even`` has an even maximum color and every clause (a set
+    of tracks) in ``odd`` has a track with an odd one, depth first.
+
+    This is the Emerson-Lei emptiness check of Baier et al. ("Generic
+    emptiness check for fun and profit", ATVA 2019) on parity tracks.
+    An SCC that fails the condition holds a good cycle only below some
+    track's maximal edges, since a cycle through one has that track's
+    maximum.  So each SCC first drops, all at once, the maximal edges of
+    every track it forces: an even track whose maximum is odd, and the
+    track of a one-track clause whose maximum is even.  With nothing
+    forced, the first clause of ``odd`` whose tracks all have even
+    maxima branches: for each of its tracks in increasing order, the
+    search recurses below that track's maximal edges.  With ``odd``
+    empty no SCC branches.  Raises ResourceBoundError once the search
+    visits more than ``_MAX_WORK`` SCCs."""
+    tracks = even.union(*odd)
+    visits = itertools.count(1)
+
+    def search(edges):
+        for scc_edges in _edge_sccs(edges):
+            _check_work(next(visits), "SCC visits")
+            top = {t: max(e[3][t] for e in scc_edges) for t in tracks}
+            unmet = [c for c in odd if not any(top[t] % 2 for t in c)]
+            forced = [t for t in even if top[t] % 2]
+            forced += [t for c in unmet if len(c) == 1 for t in c]
+            if forced:
+                yield from search([e for e in scc_edges
+                                   if all(e[3][t] < top[t] for t in forced)])
+            elif unmet:
+                for t in sorted(unmet[0]):
+                    yield from search([e for e in scc_edges
+                                       if e[3][t] < top[t]])
+            else:
+                yield scc_edges
+
+    return search(edges)
 
 
 def _edge_sccs(edges):
@@ -647,8 +678,8 @@ def complement(a: AdversaryAutomaton) -> AdversaryAutomaton:
     is accepted when every clause has a track with an even raised
     maximum: one clause per choice of a track from each old clause
     (tracks taken in increasing order, independent of hash order).
-    Raises ResourceBoundError past ``_MAX_CLAUSES`` clauses."""
-    _check_clauses(math.prod(len(c) for c in a.acceptance))
+    Raises ResourceBoundError past ``_MAX_WORK`` clauses."""
+    _check_work(math.prod(len(c) for c in a.acceptance), "acceptance clauses")
     trans = {
         st: {
             x: (nxt, tuple(c + 1 for c in colors))
@@ -663,19 +694,26 @@ def complement(a: AdversaryAutomaton) -> AdversaryAutomaton:
     return AdversaryAutomaton(a.alphabet, a.initial, trans, a.num_tracks, acc)
 
 
-def _product(a, b, combine):
+def _product_rows(a, b) -> tuple:
+    """``(initial, rows)`` of the synchronous product of a and b: its
+    states are pairs, and its colors a's tracks followed by b's."""
     if a.alphabet != b.alphabet:
         raise ValueError("alphabet mismatch")
-    shift = a.num_tracks
-    acc_b = tuple(frozenset(t + shift for t in c) for c in b.acceptance)
+    ta, tb = a.transitions, b.transitions
 
     def step(st, letter):
-        na, ca = a.transitions[st[0]][letter]
-        nb, cb = b.transitions[st[1]][letter]
+        na, ca = ta[st[0]][letter]
+        nb, cb = tb[st[1]][letter]
         return (na, nb), ca + cb
 
     init = (a.initial, b.initial)
-    trans = _explore(init, a.alphabet, step)
+    return init, _explore(init, a.alphabet, step)
+
+
+def _product(a, b, combine):
+    shift = a.num_tracks
+    acc_b = tuple(frozenset(t + shift for t in c) for c in b.acceptance)
+    init, trans = _product_rows(a, b)
     return AdversaryAutomaton(
         a.alphabet, init, trans, a.num_tracks + b.num_tracks,
         combine(a.acceptance, acc_b),
@@ -683,8 +721,8 @@ def _product(a, b, combine):
 
 
 def intersect(a, b) -> AdversaryAutomaton:
-    """Raises ResourceBoundError past ``_MAX_CLAUSES`` clause pairs."""
-    _check_clauses(len(a.acceptance) * len(b.acceptance))
+    """Raises ResourceBoundError past ``_MAX_WORK`` clause pairs."""
+    _check_work(len(a.acceptance) * len(b.acceptance), "acceptance clauses")
     return _product(a, b, lambda x, y: tuple(p | q for p in x for q in y))
 
 

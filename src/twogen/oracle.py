@@ -7,6 +7,12 @@ scenarios LB^w / LW^w is excluded (F3 / F4).  The oracle decides all
 four, produces machine-checkable witnesses, picks the forbidden
 scenario used to parameterize the index-guard consensus algorithm, and
 derives round lower bounds from prefix inclusion.
+
+Every family is read off the adversary's own automaton; no complement
+is built.  F1 is one search over the product with the fairness
+automaton (``_excluded_fair_scenario``), F2 a walk over the adversary's
+transitions (``_excluded_special_pair``), and F3 / F4 two membership
+tests.
 """
 
 from __future__ import annotations
@@ -82,8 +88,37 @@ CORNER_LB = LassoWord.of((), (Letter.LB,))
 CORNER_LW = LassoWord.of((), (Letter.LW,))
 
 
+#: fair scenarios over GAMMA, built once
+_FAIRNESS = adv.fairness_automaton()
+
+
+def _excluded_fair_scenario(a: AdversaryAutomaton) -> Optional[LassoWord]:
+    """A fair scenario outside L(a) (family F1), or None.
+
+    One search over ``a x fairness``: a sub-SCC whose fairness track has
+    an even maximum and where every clause of ``a.acceptance`` has a
+    track with an odd one is a set of cycles whose runs are fair and
+    rejected by ``a``.  The witness comes from the first such sub-SCC in
+    ``adversary._good_sccs`` order: SCCs by their first edge in the
+    product's exploration order; inside an SCC, after the forced
+    prunings, the first clause of ``a`` whose tracks all have even
+    maxima tries its tracks in increasing order, depth first."""
+    init, rows = adv._product_rows(a, _FAIRNESS)
+    fair_track = frozenset((a.num_tracks,))
+    return adv._good_lasso(init, rows, (fair_track,), a.acceptance)
+
+
 def classify(a: AdversaryAutomaton) -> Verdict:
-    """Full solvability verdict for an automaton over GAMMA."""
+    """Full solvability verdict for an automaton over GAMMA.
+
+    F1 is decided by one search over ``a x fairness`` for fair cycles
+    that ``a`` rejects, F2 by a walk over ``a``'s own transitions, and
+    F3 / F4 by membership of the corners.  ``a`` is never complemented,
+    so its clauses are never expanded into the complement's.  The
+    witness is the fair scenario if F1 holds (see
+    ``_excluded_fair_scenario`` for which one), else the first excluded
+    corner, else the special pair.  Raises ResourceBoundError when the
+    F1 search visits more than ``adversary._MAX_WORK`` SCCs."""
     if a.alphabet != GAMMA:
         raise ValueError(
             "solvability is characterized for GAMMA-adversaries only"
@@ -98,14 +133,13 @@ def classify(a: AdversaryAutomaton) -> Verdict:
         if corner is None:
             corner = CornerWitness(CORNER_LW)
 
-    comp = adv.complement(a)
-    fair_wit = adv.intersect(comp, adv.fairness_automaton()).is_empty()
+    fair_wit = _excluded_fair_scenario(a)
     fair = None
     if fair_wit is not None:
         families.add(Family.F1)
         fair = FairWitness(fair_wit)
 
-    pair = _excluded_special_pair(comp)
+    pair = _excluded_special_pair(a)
     if pair is not None:
         families.add(Family.F2)
 
@@ -142,18 +176,20 @@ def select_forbidden_scenario(v: Verdict) -> LassoWord:
 def special_pair_product(c: AdversaryAutomaton) -> AdversaryAutomaton:
     """Pair machine over letter pairs deciding family F2.
 
-    ``c`` recognizes the excluded scenarios (the complement of L).  The
-    machine runs c on both components and tracks the clipped index
-    difference d = ind(w') - ind(w) in {0, +1} together with the parity
-    of the smaller index; index arithmetic shows these two values
-    determine which letter pairs keep the difference within one.  It
-    accepts when both components are excluded scenarios and d is
-    eventually +1 (so w != w'), i.e. (w, w') is a special pair wholly
-    outside L.
+    ``c`` recognizes the excluded scenarios, that is, the complement
+    of L.  The machine runs c on both components and tracks the clipped
+    index difference d = ind(w') - ind(w) in {0, +1} together with the
+    parity of the smaller index; index arithmetic shows these two
+    values determine which letter pairs keep the difference within
+    one.  It accepts when both components are excluded scenarios and
+    d is eventually +1 (so w != w'), i.e. (w, w') is a special pair
+    wholly outside L.
 
-    ``classify`` does not build this machine: it walks only the
-    machine's diagonal (``_excluded_special_pair``), and tests check
-    that walk against this product.
+    ``classify`` builds neither this machine nor the complement: it
+    walks only the machine's diagonal, on L's own transitions, which
+    are c's, testing exclusion as non-acceptance by L
+    (``_excluded_special_pair``).  Tests check that walk against this
+    product.
     """
     if c.alphabet != GAMMA:
         raise ValueError("pair machine requires a GAMMA automaton")
@@ -218,9 +254,11 @@ _SPLITS = {p: _admitted_splits(p) for p in (0, 1)}
 
 
 def _excluded_special_pair(
-        comp: AdversaryAutomaton) -> Optional[SpecialPairWitness]:
-    """A special pair wholly inside ``comp`` (the excluded scenarios),
-    or None, found on the pair machine's diagonal.
+        a: AdversaryAutomaton) -> Optional[SpecialPairWitness]:
+    """A special pair wholly outside L(a), or None, found on the
+    diagonal of the pair machine of a's complement.  The complement has
+    a's transitions, so the walk reads ``a.transitions`` and tests
+    exclusion as ``not a.accepts_from``; no complement is built.
 
     While d = 0 both components read the same letter, so those states
     are (q, q, 0, p); once d = +1 only (keep, keep) is admitted, with
@@ -235,21 +273,21 @@ def _excluded_special_pair(
 
     def excluded(q, p):
         if (q, p) not in accepts:
-            accepts[q, p] = comp.accepts_from(q, keep_tail[p])
+            accepts[q, p] = not a.accepts_from(q, keep_tail[p])
         return accepts[q, p]
 
     def succ(node):
         q, p = node
-        row = comp.transitions[q]
-        return ((a, (row[a][0], p2)) for a, p2 in _NEXT_PARITY[p])
+        row = a.transitions[q]
+        return ((x, (row[x][0], p2)) for x, p2 in _NEXT_PARITY[p])
 
-    for (q, p), u in adv._breadth_first((comp.initial, 0), succ):
-        row = comp.transitions[q]
-        for a, a2, keep in _SPLITS[p]:
-            if excluded(row[a][0], keep) and excluded(row[a2][0], keep):
+    for (q, p), u in adv._breadth_first((a.initial, 0), succ):
+        row = a.transitions[q]
+        for x, x2, keep in _SPLITS[p]:
+            if excluded(row[x][0], keep) and excluded(row[x2][0], keep):
                 tail = keep_tail[keep].cycle.letters
-                return SpecialPairWitness(LassoWord.of(u + (a,), tail),
-                                          LassoWord.of(u + (a2,), tail))
+                return SpecialPairWitness(LassoWord.of(u + (x,), tail),
+                                          LassoWord.of(u + (x2,), tail))
     return None
 
 

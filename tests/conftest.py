@@ -158,6 +158,25 @@ def random_automata(seed: int, n: int):
     return out
 
 
+def liveness_automata():
+    """One-state GAMMA automata whose colour changes inside their one
+    SCC: "x infinitely often" and "x finitely often" for each letter x,
+    then the fairness automaton and its complement.  Under ``intersect``
+    they give clauses with a track that a sub-cycle can lower, where the
+    F1 search's branching decides the verdict; on random DSL adversaries
+    and their intersections it seldom does."""
+    def one_state(colors):
+        row = {x: (0, (colors(x),)) for x in GAMMA}
+        return adv.AdversaryAutomaton(GAMMA, 0, {0: row}, 1, adv.ONE_TRACK)
+
+    out = []
+    for x in GAMMA:
+        out.append(one_state(lambda y: 2 if y is x else 1))
+        out.append(one_state(lambda y: 1 if y is x else 0))
+    fair = adv.fairness_automaton()
+    return out + [fair, adv.complement(fair)]
+
+
 def halting_cases(seed: int, n: int):
     """``(automaton, algorithms)`` for the solvable GAMMA members of
     ``random_automata(seed, n)``: own-input deciding at the top of round

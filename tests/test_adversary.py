@@ -464,17 +464,25 @@ def test_fairness_automaton_states():
 
 def test_clause_blow_up_is_bounded():
     """20 clauses over 9 tracks would complement to 2^20 clause
-    choices; the count is checked before any is built."""
+    choices; the count is checked before any is built.  classify builds
+    no complement, so it decides this intersection and its 400-clause
+    square."""
     a = adv.intersect(adv.load("LB LW . {OK,LW}^w | C1 | LB OK . {OK,LW}^w"),
                       adv.load("C1 | {OK,LB}^w"))
     assert (len(a.acceptance), a.num_tracks) == (20, 9)
     start = time.perf_counter()
-    with pytest.raises(ResourceBoundError):
-        oracle.classify(a)
+    v = oracle.classify(a)
+    assert v.reason == "solvable via F1, F2"
+    assert oracle.check_witness(a, v)
     with pytest.raises(ResourceBoundError):
         adv.complement(a)
     assert time.perf_counter() - start < 1.0
     aa = adv.intersect(a, a)
     assert len(aa.acceptance) == 400
+    start = time.perf_counter()
+    v = oracle.classify(aa)
+    assert v.reason == "solvable via F1, F2"
+    assert oracle.check_witness(aa, v)
+    assert time.perf_counter() - start < 1.0
     with pytest.raises(ResourceBoundError):
         adv.intersect(aa, aa)  # 160,000 clause pairs

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import all_words, random_automata, random_gamma_lasso
+from conftest import (all_words, liveness_automata, random_automata,
+                      random_gamma_lasso)
+from oracle_reference import classify_by_complement
 from twogen import adversary as adv
-from twogen import oracle
+from twogen import cli, oracle
+from twogen.adversary import ResourceBoundError
 from twogen.indexfn import ind, ind_limit, ind_step, is_special_pair
 from twogen.oracle import (CornerWitness, FairWitness, Family,
                            SpecialPairWitness, Verdict, check_witness,
@@ -298,7 +301,7 @@ def test_f2_matches_the_explicit_pair_machine(builtins):
         comp = adv.complement(a)
         want = special_pair_product(comp).is_empty() is not None
         assert (Family.F2 in classify(a).families) == want
-        pair = oracle._excluded_special_pair(comp)
+        pair = oracle._excluded_special_pair(a)
         assert (pair is not None) == want
         if pair is not None:
             found += 1
@@ -357,3 +360,87 @@ def test_classify_builds_no_special_pair_product(builtins, monkeypatch):
     for excluded, a in _multi_pair_differences(20):
         v = classify(a)
         assert v.families == {Family.F2} and check_witness(a, v), excluded
+
+
+# ---------------------------------------------------------------------------
+# F1 and F2 on the adversary itself, against the complement route
+
+
+def _clause_blow_up():
+    """20 clauses over 9 tracks: the complement would hold 2^20."""
+    return adv.intersect(
+        adv.load("LB LW . {OK,LW}^w | C1 | LB OK . {OK,LW}^w"),
+        adv.load("C1 | {OK,LB}^w"))
+
+
+def test_classify_builds_no_complement(builtins, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("complement or intersect called")
+
+    cases = [builtins[n] for n in adv.BUILTIN_NAMES if n != "S2"]
+    cases += [_clause_blow_up()]
+    monkeypatch.setattr(adv, "complement", refuse)
+    monkeypatch.setattr(adv, "intersect", refuse)
+    for a in cases:
+        assert check_witness(a, classify(a))
+
+
+def test_classify_matches_the_complement_route_on_dsl_adversaries():
+    """Every clause of a DSL adversary has one track, and so does the
+    complement of a one-track adversary: the search then prunes as the
+    complement route does, and the whole Verdict is equal.  The
+    complement of a union is one clause of several tracks, searched SCC
+    by SCC rather than clause by clause: the families are equal and the
+    witness checks."""
+    cases = [a for a in random_automata(27, 300) if a.alphabet == GAMMA]
+    branched = 0
+    for a in cases:
+        assert all(len(c) == 1 for c in a.acceptance)
+        assert classify(a) == classify_by_complement(a)
+        comp = adv.complement(a)
+        v, want = classify(comp), classify_by_complement(comp)
+        if a.num_tracks == 1:
+            assert v == want
+        else:
+            branched += 1
+            assert (v.solvable, v.families) == (want.solvable, want.families)
+            assert check_witness(comp, v)
+    assert branched > 30, branched
+
+
+def test_classify_matches_the_complement_route_on_intersections():
+    """Seeded intersections of pairs of DSL adversaries and liveness
+    automata (where the F1 search's branching decides): the same
+    families as the complement route, and every witness checks.  Where
+    that route's complement passes the clause bound, the new verdict is
+    still checked."""
+    rng = random.Random(71)
+    autos = [a for a in random_automata(29, 200) if a.alphabet == GAMMA]
+    autos += liveness_automata() * 10
+    cases = [adv.intersect(*rng.sample(autos, 2)) for _ in range(240)]
+    cases += [_clause_blow_up()]
+    compared = bounded = 0
+    for a in cases:
+        v = classify(a)
+        assert check_witness(a, v)
+        try:
+            want = classify_by_complement(a)
+        except ResourceBoundError:
+            bounded += 1
+            continue
+        compared += 1
+        assert (v.solvable, v.families) == (want.solvable, want.families)
+    assert compared >= 200 and bounded >= 1, (compared, bounded)
+
+
+def test_fair_search_is_bounded(monkeypatch, capsys):
+    """The F1 search counts the SCCs it visits against the same bound
+    as complement and intersect; past it classify raises, and the CLI
+    exits 2 with a resource message."""
+    a = adv.load("C1")
+    monkeypatch.setattr(adv, "_MAX_WORK", 1)
+    with pytest.raises(ResourceBoundError, match="SCC visits"):
+        classify(a)
+    assert cli.main(["adv", "check", "C1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource:") and "SCC visits" in err

@@ -9,9 +9,11 @@ reference implementation.  A_w's guard is not symmetric, so its mirrored
 transcripts are pinned rather than asserted equal.
 """
 
+import math
 import random
 
-from conftest import DslTexts, all_words, random_gamma_lasso
+from conftest import (DslTexts, all_words, liveness_automata,
+                      random_gamma_lasso)
 from twogen import adversary as adv
 from twogen.indexfn import ind, ind_limit
 from twogen.oracle import CORNER_LB, Family, classify
@@ -136,3 +138,31 @@ def test_index_guard_transcripts_are_not_mirrored():
     assert run.decisions == mirror.decisions == (0, 0)
     assert (run.white.round, run.black.round) == (3, 2)
     assert (mirror.white.round, mirror.black.round) == (2, 2)
+
+
+def test_solvability_is_monotone_under_inclusion():
+    """intersect(x, y) lies within x, and x and y lie within union(x, y):
+    shrinking an adversary keeps it solvable.  600 seeded pairs of DSL
+    adversaries, some of whose intersections have complements past the
+    clause bound (classify builds no complement, so every pair gets a
+    verdict), then 300 pairs of a DSL adversary and a liveness
+    automaton."""
+    texts = DslTexts(random.Random(89), letters=("OK", "LW", "LB"))
+    autos = [a for _, a, _ in _loaded(texts, 150) if a.alphabet == GAMMA]
+    live = liveness_automata()
+    rng = random.Random(97)
+    pairs = [rng.sample(autos, 2) for _ in range(600)]
+    pairs += [[rng.choice(autos), rng.choice(live)][::rng.choice((1, -1))]
+              for _ in range(300)]
+    solvable = {id(a): classify(a).solvable for a in autos + live}
+    held = blown = 0
+    for x, y in pairs:
+        meet = adv.intersect(x, y)
+        blown += math.prod(len(c) for c in meet.acceptance) > adv._MAX_WORK
+        if solvable[id(x)]:
+            held += 1
+            assert classify(meet).solvable, (x, y)
+        if classify(adv.union(x, y)).solvable:
+            held += 1
+            assert solvable[id(x)] and solvable[id(y)], (x, y)
+    assert held > 600 and blown > 0, (held, blown)
