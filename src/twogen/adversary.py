@@ -27,7 +27,6 @@ import collections
 import functools
 import itertools
 import math
-import re
 from typing import Hashable, NamedTuple, Optional
 
 from .records import fields_eq, fields_repr, record
@@ -35,9 +34,11 @@ from .words import (
     FiniteWord,
     G2,
     GAMMA,
+    LETTER_TOKENS,
     LassoWord,
     Letter,
     ParseError,
+    TokenReader,
 )
 
 
@@ -210,10 +211,12 @@ class AdversaryAutomaton:
         """Yields ``(word, state)`` for ``prefix`` and for each extension
         of it by at most ``depth`` letters that an accepted infinite
         word still extends, depth first with children in ``str`` order;
-        ``state`` is the one the automaton reaches on ``word``.  Yields
-        nothing when no accepted word extends ``prefix``; raises
-        ValueError for a negative depth and ResourceBoundError when
-        words could grow longer than 12."""
+        ``state`` is the one the automaton reaches on ``word``.  A
+        caller that sends True in reply to a word does not get that
+        word's extensions; a ``for`` loop gets them all.  Yields nothing
+        when no accepted word extends ``prefix``; raises ValueError for a
+        negative depth and ResourceBoundError when words could grow
+        longer than 12."""
         if depth < 0:
             raise ValueError("extension depth %d is negative" % depth)
         limit = len(prefix) + depth
@@ -231,8 +234,7 @@ class AdversaryAutomaton:
         backwards = sorted(self.alphabet, key=str, reverse=True)
         while todo:
             word, state = todo.pop()
-            yield word, state
-            if len(word.letters) < limit:
+            if not (yield word, state) and len(word.letters) < limit:
                 row = self.transitions[state]
                 for a in backwards:  # pushed last, popped first
                     nxt = row[a][0]
@@ -361,14 +363,15 @@ def _edge_sccs(edges):
     return list(groups.values())
 
 
-def _mark_back(pred, todo: list, marks: dict, mark) -> None:
-    """Sets ``marks[q] = mark`` for every unmarked q from which a node
-    in ``todo`` is reached, following ``pred`` backwards."""
+def _mark_back(adj, todo: list, marks: dict, mark) -> None:
+    """Sets ``marks[q] = mark`` for every unmarked q reached from a node
+    in ``todo`` along ``adj``, whatever adjacency map (``{node:
+    neighbors}``) it is: predecessors or successors."""
     while todo:
-        for src in pred.get(todo.pop(), ()):
-            if src not in marks:
-                marks[src] = mark
-                todo.append(src)
+        for nxt in adj.get(todo.pop(), ()):
+            if nxt not in marks:
+                marks[nxt] = mark
+                todo.append(nxt)
 
 
 def _closed_walk(scc_edges) -> tuple:
@@ -645,13 +648,8 @@ def _compile_prefixed_oblivious(rx, letters, alphabet) -> AdversaryAutomaton:
             by_letter.setdefault((src, a), set()).add(dst)
 
     def closure(states):
-        out = set(states)
-        todo = list(states)
-        while todo:
-            for nxt in eps.get(todo.pop(), ()):
-                if nxt not in out:
-                    out.add(nxt)
-                    todo.append(nxt)
+        out = dict.fromkeys(states)
+        _mark_back(eps, list(states), out, None)
         return frozenset(out)
 
     def step(st, a):
@@ -750,14 +748,11 @@ def fairness_automaton() -> AdversaryAutomaton:
 # DSL parser
 
 
-_LETTER_TOKENS = tuple(a.value for a in Letter)
 #: every token a finite regex may contain
-_REGEX_TOKENS = frozenset(_LETTER_TOKENS + ("|", "*", "(", ")"))
-#: one token (a symbol or a word), whitespace, or any other character
-_TOKEN = re.compile(r"(\^w|[{}()|,.*\\]|\w+)|\s+|(.)")
+_REGEX_TOKENS = frozenset([*LETTER_TOKENS, "|", "*", "(", ")"])
 
 
-class _DslParser:
+class _DslParser(TokenReader):
     """Recursive descent over the adversary DSL; it never backtracks.
 
     adversary := term { "|" term }
@@ -772,51 +767,20 @@ class _DslParser:
     name      := "S0" | "TW" | "TB" | "C1" | "S1" | "R1" | "S2"
     letter    := "OK" | "LW" | "LB" | "LL"
 
+    The tokens, ``lasso`` and ``letter`` are ``TokenReader``'s.
     ``( X )^w`` requires X to be a set power; ``( LB )^w`` is the set
     power ``LB^w``, not a lasso.  A GAMMA difference excludes only
-    lassos without LL.  A term is picked by lookahead: a lasso when its
-    tokens are ahead, a regex prefix when its first atom (a letter, or a
-    group holding regex tokens only) is not followed by "^w", else a
-    tail.
+    lassos without LL.  Only set powers, names and regex-prefixed terms,
+    alone or in a parenthesized union, may follow ``regex "."``: a
+    lasso or a difference there parses, and ``compile_expr`` rejects
+    it.  A term is picked by lookahead: a lasso when its tokens are
+    ahead, a regex prefix when its first atom (a letter, or a group
+    holding regex tokens only) is not followed by "^w", else a tail.
     """
-
-    def __init__(self, text: str):
-        self.toks = self._lex(text)
-        self.pos = 0
-
-    @staticmethod
-    def _lex(text: str) -> list[str]:
-        out = []
-        for m in _TOKEN.finditer(text):
-            tok, bad = m.groups()
-            if bad is not None:
-                raise ParseError(
-                    "unexpected character %r at %d" % (bad, m.start())
-                )
-            if tok is not None:
-                out.append(tok)
-        return out
-
-    def peek(self, ahead: int = 0):
-        i = self.pos + ahead
-        return self.toks[i] if i < len(self.toks) else None
-
-    def take(self, expected=None):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        if expected is not None and tok != expected:
-            raise ParseError(
-                "expected %r at token %d, got %r"
-                % (expected, self.pos, tok)
-            )
-        self.pos += 1
-        return tok
 
     def parse(self):
         e = self.union()
-        if self.peek() is not None:
-            raise ParseError("trailing input at token %d" % self.pos)
+        self.end()
         return e
 
     def union(self):
@@ -841,9 +805,9 @@ class _DslParser:
         """``letter* "(" letter+ ")" "^w"`` is ahead, and is not the
         ``( letter )^w`` form of a set."""
         stem = cycle = 0
-        while self.peek(stem) in _LETTER_TOKENS:
+        while self.peek(stem) in LETTER_TOKENS:
             stem += 1
-        while self.peek(stem + 1 + cycle) in _LETTER_TOKENS:
+        while self.peek(stem + 1 + cycle) in LETTER_TOKENS:
             cycle += 1
         end = stem + 1 + cycle
         return (
@@ -854,7 +818,7 @@ class _DslParser:
     def _regex_ahead(self) -> bool:
         """A letter, or a group of regex tokens only, is ahead and no
         "^w" follows it."""
-        if self.peek() not in _LETTER_TOKENS and self.peek() != "(":
+        if self.peek() not in LETTER_TOKENS and self.peek() != "(":
             return False
         depth = 0
         for n, tok in enumerate(itertools.islice(self.toks, self.pos, None)):
@@ -869,7 +833,7 @@ class _DslParser:
         if self.peek() in BUILTIN_NAMES:
             return Named(self.take())
         if self.peek() == "(" and not (
-            self.peek(1) in _LETTER_TOKENS and self.peek(2) == ")"
+            self.peek(1) in LETTER_TOKENS and self.peek(2) == ")"
         ):
             self.take("(")
             inner = self.union()
@@ -896,12 +860,6 @@ class _DslParser:
         self.take("}" if opening == "{" else ")")
         return frozenset(letters)
 
-    def letter(self) -> Letter:
-        tok = self.take()
-        if tok not in _LETTER_TOKENS:
-            raise ParseError("unknown letter %r" % tok)
-        return Letter(tok)
-
     def diff(self):
         kind = self.take()
         alphabet = GAMMA if kind == "GAMMA" else G2
@@ -918,20 +876,6 @@ class _DslParser:
                 raise ParseError("LL letter in a GAMMA-difference lasso")
         return DifferenceFromFull(alphabet, tuple(lassos))
 
-    def lasso(self) -> LassoWord:
-        stem: list[Letter] = []
-        while self.peek() != "(":
-            stem.append(self.letter())
-        self.take("(")
-        cycle: list[Letter] = []
-        while self.peek() != ")":
-            cycle.append(self.letter())
-        self.take(")")
-        self.take("^w")
-        if not cycle:
-            raise ParseError("lasso cycle must be non-empty")
-        return LassoWord.of(stem, cycle)
-
     def regex(self):
         parts = [self.regex_concat()]
         while self.peek() == "|":
@@ -942,7 +886,7 @@ class _DslParser:
     def regex_concat(self):
         parts = []
         while True:
-            if self.peek() in _LETTER_TOKENS:
+            if self.peek() in LETTER_TOKENS:
                 atom = RegexLetter(self.letter())
             elif self.peek() == "(":
                 self.take("(")

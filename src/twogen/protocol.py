@@ -257,11 +257,12 @@ def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
     checks, one round on from the parent's: runs sharing a prefix share
     its rounds.  A word whose configurations have all halted is final:
     every extension of it has the same configurations, so the walk
-    yields it and does not go below it.  Each word's configurations
-    travel on the walk's stack with it.  Raises as ``a.extensions``
-    does, and yields nothing when no accepted word extends ``prefix``."""
-    root = next(a.extensions(prefix, depth), None)
-    if root is None:
+    sends True back to ``a.extensions`` and does not go below it.
+    Raises as ``a.extensions`` does, and yields nothing when no accepted
+    word extends ``prefix``."""
+    words = a.extensions(prefix, depth)
+    item = next(words, None)
+    if item is None:
         return
 
     maybe_halt, receive = algorithm.maybe_halt, algorithm.receive
@@ -276,26 +277,20 @@ def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
             black = maybe_halt(black)
         return white, black
 
-    limit = len(prefix) + depth
-    live = a.live
-    backwards = sorted(a.alphabet, key=str, reverse=True)
-    word, state = root
-    configs = [functools.reduce(step, prefix.letters, _halt_checks(
-        algorithm, _start(algorithm, inputs))) for inputs in vectors]
-    stack = []  # (parent, letter, state, parent's configs), stepped on pop
+    # path[k]: the configurations on the current word's ancestor with
+    # len(prefix) + k letters
+    path = [[functools.reduce(step, prefix.letters, _halt_checks(
+        algorithm, _start(algorithm, inputs))) for inputs in vectors]]
     while True:
-        yield word, state, configs
-        if len(word.letters) < limit and not all(map(_halted, configs)):
-            row = a.transitions[state]
-            for letter in backwards:  # pushed last, popped first
-                nxt = row[letter][0]
-                if nxt in live:
-                    stack.append((word, letter, nxt, configs))
-        if not stack:
+        word, state = item
+        k = len(word.letters) - len(prefix.letters)
+        if k:
+            path[k:] = [[step(c, word.letters[-1]) for c in path[k - 1]]]
+        yield word, state, path[k]
+        try:
+            item = words.send(all(map(_halted, path[k])))
+        except StopIteration:
             return
-        word, letter, state, configs = stack.pop()
-        word = FiniteWord(word.letters + (letter,))
-        configs = [step(config, letter) for config in configs]
 
 
 def _resume(algorithm: Algorithm, config: tuple, letter: Letter,

@@ -390,8 +390,6 @@ class TerminatingSubdivision:
         # (index, adversary state, fiber state) of the cells around z
         self._frontier = [(0, adversary.initial, fiber.initial)]
         self._depth = 0
-        # the greatest round whose radii are known to be final
-        self._settled = -1
 
     def materialize(self, depth: int):
         while self._depth < depth:
@@ -430,21 +428,13 @@ class TerminatingSubdivision:
         level-r grid but at z: deeper stable edges lie in those cells,
         so the radii of levels up to r are those of the infinite
         complex.  The wait, a run of 0 or 2 digits of z, is shorter
-        than the preperiod plus period that FIBER_DIGITS bounds.
-
-        Deeper cells around z nest inside these, and a grid point in a
-        cell of a finer grid is one of its ends, so once round r has
-        settled it stays settled, and so does every earlier round: a
-        round up to ``_settled`` is not checked again."""
-        if r <= self._settled:
-            return self._radius
+        than the preperiod plus period that FIBER_DIGITS bounds."""
         self.materialize(r)
         zn, zd = self.z.numerator, self.z.denominator
         while any(k % 3 ** (self._depth - r) == 0
                   and k * zd != zn * 3**self._depth
                   for i, _, _ in self._frontier for k in (i, i + 1)):
             self.materialize(self._depth + 1)
-        self._settled = r
         return self._radius
 
     def stable_complex(self) -> Complex:

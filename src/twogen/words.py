@@ -19,6 +19,7 @@ infinite words they denote.
 from __future__ import annotations
 
 import enum
+import re
 from typing import Iterable, Iterator
 
 from .records import Frozen
@@ -190,31 +191,90 @@ def is_fair(l: LassoWord) -> bool:
     return not (letters <= {LL, LW}) and not (letters <= {LL, LB})
 
 
-def _tokenize(text: str) -> list[str]:
-    return text.split()
+#: each letter token, mapped to its letter
+LETTER_TOKENS = {a.value: a for a in Letter}
+#: one token (a symbol or a word), whitespace, or any other character
+_TOKEN = re.compile(r"(\^w|[{}()|,.*\\]|\w+)|\s+|(.)")
+
+
+class TokenReader:
+    """Reads the tokens of one text, the adversary DSL's and every word
+    or lasso given on the command line, with the rules
+
+        lasso  := letter* "(" letter+ ")" "^w"
+        letter := "OK" | "LW" | "LB" | "LL"
+    """
+
+    def __init__(self, text: str):
+        self.toks = self._lex(text)
+        self.pos = 0
+
+    @staticmethod
+    def _lex(text: str) -> list[str]:
+        out = []
+        for m in _TOKEN.finditer(text):
+            tok, bad = m.groups()
+            if bad is not None:
+                raise ParseError(
+                    "unexpected character %r at %d" % (bad, m.start())
+                )
+            if tok is not None:
+                out.append(tok)
+        return out
+
+    def peek(self, ahead: int = 0):
+        i = self.pos + ahead
+        return self.toks[i] if i < len(self.toks) else None
+
+    def take(self, expected=None):
+        tok = self.peek()
+        if tok is None:
+            raise ParseError("unexpected end of input")
+        if expected is not None and tok != expected:
+            raise ParseError(
+                "expected %r at token %d, got %r"
+                % (expected, self.pos, tok)
+            )
+        self.pos += 1
+        return tok
+
+    def end(self) -> None:
+        """Raises ParseError unless every token has been read."""
+        if self.peek() is not None:
+            raise ParseError("trailing input at token %d" % self.pos)
+
+    def letter(self) -> Letter:
+        tok = self.take()
+        if tok not in LETTER_TOKENS:
+            raise ParseError(
+                "unknown letter %r at position %d" % (tok, self.pos - 1))
+        return LETTER_TOKENS[tok]
+
+    def lasso(self) -> LassoWord:
+        stem: list[Letter] = []
+        while self.peek() != "(":
+            stem.append(self.letter())
+        self.take("(")
+        cycle: list[Letter] = []
+        while self.peek() != ")":
+            cycle.append(self.letter())
+        self.take(")")
+        self.take("^w")
+        if not cycle:
+            raise ParseError("lasso cycle must be non-empty")
+        return LassoWord.of(stem, cycle)
 
 
 def parse_word(text: str) -> FiniteWord:
-    """Parses a whitespace-separated word such as ``"LW OK LB"``."""
-    letters = []
-    for pos, tok in enumerate(_tokenize(text)):
-        try:
-            letters.append(Letter(tok))
-        except ValueError:
-            raise ParseError(
-                "unknown token %r at position %d" % (tok, pos)
-            ) from None
-    return FiniteWord(tuple(letters))
+    """Parses letters to the end, such as ``"LW OK LB"``."""
+    reader = TokenReader(text)
+    return FiniteWord(tuple(reader.letter() for _ in reader.toks))
 
 
 def parse_lasso(text: str) -> LassoWord:
-    """Parses ``"<stem> ( <cycle> )^w"`` into a canonical lasso."""
-    toks = _tokenize(text)
-    if toks.count("(") != 1 or toks[-1] != ")^w":
-        raise ParseError("lasso must have the form '<stem> ( <cycle> )^w'")
-    i = toks.index("(")
-    stem = parse_word(" ".join(toks[:i]))
-    cycle = parse_word(" ".join(toks[i + 1 : -1]))
-    if len(cycle) == 0:
-        raise ParseError("lasso cycle must be non-empty")
-    return LassoWord(stem, cycle)
+    """Parses one ``lasso``, such as ``"LW LB ( OK )^w"`` or
+    ``"LW LB(OK)^w"``, into a canonical lasso."""
+    reader = TokenReader(text)
+    lasso = reader.lasso()
+    reader.end()
+    return lasso

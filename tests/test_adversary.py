@@ -275,6 +275,28 @@ def test_negative_extension_depth(builtins):
         builtins["C1"].prefixes(-2)
 
 
+@pytest.mark.parametrize("name", adv.BUILTIN_NAMES)
+def test_sending_true_skips_that_words_extensions(builtins, name):
+    """A caller that sends True in reply to a word gets the words of a
+    ``for`` walk less exactly those below it; False changes nothing."""
+    a = builtins[name]
+    walked = list(a.extensions(FiniteWord(), 5))
+    pruned = {w for w, _ in walked[1::4] if len(w) < 5}
+    kept = [(w, s) for w, s in walked
+            if not any(w[:i] in pruned for i in range(len(w)))]
+    got = []
+    walk = a.extensions(FiniteWord(), 5)
+    item = next(walk)
+    try:
+        while True:
+            got.append(item)
+            item = walk.send(item[0] in pruned)
+    except StopIteration:
+        pass
+    assert got == kept
+    assert len(kept) < len(walked)
+
+
 def test_fairness_automaton():
     from twogen.words import is_fair
     fair = adv.fairness_automaton()

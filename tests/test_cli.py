@@ -52,6 +52,35 @@ def test_index_bad_word(capsys):
     assert "parse" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["sim", "run", "--adversary", "C1", "--scenario", "( OK )^w",
+     "--inputs", "0,1"],
+    ["sim", "verify", "--adversary", "GAMMA^w \\ { LW LB ( OK )^w }",
+     "--algorithm", "aw", "--w", "LW LB ( OK )^w", "--depth", "3"],
+    ["index", "--limit", "OK ( LW )^w"],
+])
+def test_compact_lasso_spellings_print_the_same(capsys, argv):
+    """A lasso argument is read with the DSL's tokens, so dropping the
+    spaces around its symbols changes nothing."""
+    spaced = run(capsys, *argv)
+    assert spaced[0] == 0 and spaced[2] == ""
+    compact = [a.replace(" ( ", "(").replace(" )^w", ")^w") for a in argv]
+    assert compact != argv
+    assert run(capsys, *compact) == spaced
+
+
+@pytest.mark.parametrize("text", [
+    "OK . ( LW ( OK )^w )",
+    "OK* . ( GAMMA^w \\ { ( OK )^w } )",
+])
+def test_lasso_or_difference_after_a_regex_is_a_parse_error(capsys, text):
+    """The grammar admits these tails after ``regex "."``, and the
+    compiler rejects them."""
+    rc, out, err = run(capsys, "adv", "check", text)
+    assert (rc, out) == (1, "")
+    assert err.startswith("parse: unsupported tail under concatenation")
+
+
 def test_adv_check_solvable(capsys):
     rc, out, _ = run(capsys, "adv", "check", "C1")
     assert rc == 0
@@ -559,7 +588,7 @@ def _generated_argvs(seed: int, n: int, out: str):
 
     def spelled(toks):
         toks = texts.mutate(toks) if rng.random() < 0.3 else toks
-        return " ".join(toks).replace(") ^w", ")^w")
+        return " ".join(toks)
 
     for i in range(n):
         yield ["index", spelled(texts.letters(0, 5))]

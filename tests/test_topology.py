@@ -534,8 +534,8 @@ def _level_radii(ts, r):
 
 @pytest.mark.parametrize("w", [FAIR_W, LONG_W])
 def test_settled_radii_match_a_fresh_subdivision(w):
-    """A round whose radii have settled is not checked again: on a
-    subdivision grown past round 12 and asked in a shuffled order, and
+    """Asking a settled round again grows nothing: on a subdivision
+    grown past round 12 and asked in a shuffled order, and
     on one grown only by the rounds asked of it, in increasing order,
     the radii of levels 1..r are those a fresh subdivision finds for
     r."""

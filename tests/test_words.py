@@ -1,7 +1,12 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import DslTexts, random_gamma_lasso
 from twogen import indexfn
+from twogen.adversary import LassoExpr, OmegaPower, parse_adversary
 from twogen.words import (EPSILON, FiniteWord, G2, GAMMA, LassoWord, Letter,
                           ParseError, is_fair, parse_lasso, parse_word)
 
@@ -98,3 +103,57 @@ def test_fairness():
     assert not is_fair(parse_lasso("( LW )^w"))
     assert not is_fair(parse_lasso("OK OK ( LB )^w"))
     assert not is_fair(LassoWord.of((), (Letter.LL, Letter.LW)))
+
+
+def _compact(text):
+    """``text`` without the spaces next to a symbol token."""
+    return re.sub(r"(?<=[^\w\s]) +| +(?=[^\w\s])", "", text)
+
+
+def _dsl_and_lasso(text):
+    """What the DSL and ``parse_lasso`` make of ``text``, None for a
+    ParseError."""
+    def outcome(parse):
+        try:
+            return parse(text)
+        except ParseError:
+            return None
+    return outcome(parse_adversary), outcome(parse_lasso)
+
+
+def test_parse_lasso_reads_what_the_dsl_reads():
+    """On seeded DSL texts, lasso texts (some mutated), their compact
+    spellings and a hand list: where the DSL reads a lasso, parse_lasso
+    reads the same one unless the lasso is parenthesized, and where the
+    DSL raises, parse_lasso raises; parse_lasso reads anything else
+    only as the DSL's ``( X )^w``."""
+    gen = DslTexts(random.Random(29))
+    texts = ["(OK)^w", "OK (LW)^w", "( OK ) ^w", "OK ( )^w", "( OK"]
+    for i in range(3000):
+        lasso = gen.lasso()
+        texts += [gen.text(i % 3), " ".join(lasso),
+                  " ".join(gen.mutate(lasso))]
+    seen = {"lasso": 0, "power": 0, "error": 0}
+    for text in texts + [_compact(t) for t in texts]:
+        e, l = _dsl_and_lasso(text)
+        if isinstance(e, LassoExpr):
+            # with a second "(" the DSL read a parenthesized lasso
+            assert l == (e.word if text.count("(") == 1 else None), text
+            seen["lasso"] += 1
+        elif e is None:
+            assert l is None, text
+            seen["error"] += 1
+        elif l is not None:
+            assert not l.stem and len(l.cycle) == 1, text
+            assert e == OmegaPower(frozenset(l.cycle.letters)), text
+            seen["power"] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_lassos_and_words_round_trip_through_their_text():
+    rng = random.Random(31)
+    for _ in range(500):
+        l = random_gamma_lasso(rng, max_stem=5, max_cycle=4)
+        w = l.prefix(rng.randint(0, 8))
+        assert parse_lasso(str(l)) == l
+        assert parse_word(str(w)) == w
