@@ -105,6 +105,10 @@ def _breadth_first(start, succ):
 # the automaton
 
 
+#: letter -> the constant tail letter^w
+_CONSTANT = {x: LassoWord.of((), (x,)) for x in Letter}
+
+
 class AdversaryAutomaton:
     """Deterministic complete automaton over ``alphabet``.
 
@@ -129,6 +133,9 @@ class AdversaryAutomaton:
         self.transitions = transitions
         self.num_tracks = num_tracks
         self.acceptance = acceptance
+        # (state, letter) -> whether letter^w is accepted from state,
+        # filled by ``accepts_forever``; not a field
+        self._forever: dict = {}
 
     __eq__, __hash__, __repr__ = fields_eq, None, fields_repr
 
@@ -180,6 +187,16 @@ class AdversaryAutomaton:
             else:
                 return True
         return False
+
+    def accepts_forever(self, state, letter) -> bool:
+        """``accepts_from(state, letter^w)``: whether the constant tail
+        is accepted from ``state``, computed once per automaton, state
+        and letter, on the first call that asks."""
+        key = state, letter
+        forever = self._forever
+        if key not in forever:
+            forever[key] = self.accepts_from(state, _CONSTANT[letter])
+        return forever[key]
 
     def is_empty(self) -> Optional[LassoWord]:
         """None if the language is empty, else a witness lasso."""

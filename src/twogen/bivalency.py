@@ -15,21 +15,27 @@ it passes, the decisions reached below that word.  A word ending in x
 takes its parent's run under x^w, since w x . x^w is w . x^w, and each
 word's decisions are added to its ancestors on the walk's path.  The
 walk stops at a final word, whose processes have both halted: every
-completion below it decides as it did, so its subtree is filled from
-the automaton without being run.  ``valency`` reads the root of this
-map; ``explore`` builds its tree from the whole map, and
-``find_decisive`` walks that tree.
+completion below it decides as it did, so nothing below it is run.
+When its runs agree it is entered alone, with its decision if some
+live extension within the depth takes a default tail and with nothing
+otherwise; no reader goes below a word that is not bivalent.  When they
+disagree it is bivalent, and its subtree is filled from the automaton,
+without being run, for the tree to go below it.  ``valency`` reads the
+root of this map; ``explore`` builds its tree from the map, reading
+only the children of bivalent words, and ``find_decisive`` walks that
+tree.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from typing import NamedTuple, Optional
 
 from .adversary import AdversaryAutomaton
-from .protocol import (Algorithm, DEFAULT_TAILS, ProcessState,
-                       _accepted_tails, _halted, _resume, _walk)
+from .protocol import (Algorithm, ProcessState, _TAIL_LETTERS, _halted,
+                       _resume, _walk)
 from .records import fields_eq, fields_repr, record
 from .words import FiniteWord
 
@@ -46,24 +52,40 @@ class Valency(enum.Enum):
 
 def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
                      prefix: FiniteWord, inputs: tuple, depth: int) -> dict:
-    """``word -> decisions`` for ``prefix`` and each live extension of it
-    by at most ``depth`` letters, in ``str`` order.
+    """``word -> decisions`` for ``prefix`` and the live extensions of it
+    by at most ``depth`` letters that a reader can reach, in ``str``
+    order.
 
     A word's set holds the decisions of the runs under every scenario
     ``word'.tail`` inside the adversary with ``word'`` the word itself
     or an extension of it; None stands for a run that did not halt
-    within len(prefix) + depth + 40 rounds.
+    within len(prefix) + depth + 40 rounds.  The map holds ``prefix``,
+    every child of a word in it that is not final, and the whole
+    subtree of a final word whose runs disagree: a final word whose runs
+    agree is univalent or undetermined, so no reader asks for its
+    children, and it is entered without them.
     """
     if next(a.extensions(prefix, 0), None) is None:
         raise ValueError(
             "prefix %r is not a prefix of the adversary" % str(prefix))
-    budget = len(prefix) + depth + 40
-    tails_from = _accepted_tails(a)
+    limit = len(prefix) + depth
+    budget = limit + 40
+    forever, live, rows = a.accepts_forever, a.live, a.transitions
     below: dict = {}
     # path[k]: (set, runs) of the current word's ancestor with
     # len(prefix) + k letters; runs holds the decisions under each of
     # DEFAULT_TAILS, and every set holds those of its descendants so far
     path: list = []
+
+    @functools.cache
+    def tail_below(state, k: int) -> bool:
+        """Whether a default tail is accepted after some live word of at
+        most ``k`` letters from ``state``."""
+        if any(forever(state, x) for x in _TAIL_LETTERS):
+            return True
+        return k > 0 and any(tail_below(nxt, k - 1)
+                             for nxt, _ in rows[state].values()
+                             if nxt in live)
 
     def enter(word, found, runs=None):
         del path[len(word) - len(prefix):]
@@ -78,20 +100,22 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
 
     for word, state, (config,) in _walk(algorithm, a, prefix, depth,
                                         (inputs,)):
-        if _halted(config):  # final: its subtree is filled, not run
+        if _halted(config):  # final: nothing below it is run
             decided = _decisions(*config)
-            for w, s in a.extensions(word, len(prefix) + depth - len(word)):
-                enter(w, decided if tails_from(s) else frozenset())
+            if len(decided) == 1:
+                enter(word, decided if tail_below(state, limit - len(word))
+                      else frozenset())
+                continue
+            for w, s in a.extensions(word, limit - len(word)):
+                enter(w, decided if tail_below(s, 0) else frozenset())
             continue
-        tails = tails_from(state)
         k = len(word) - len(prefix)
         last = word.letters[-1] if k else None
         runs = []
-        for i, tail in enumerate(DEFAULT_TAILS):
-            letter = tail.cycle[0]
+        for i, letter in enumerate(_TAIL_LETTERS):
             if letter is last:  # w x . x^w is w . x^w: the parent's run
                 runs.append(path[k - 1][1][i])
-            elif tail in tails:
+            elif forever(state, letter):
                 runs.append(_decisions(*_resume(algorithm, config, letter,
                                                 len(word), budget)))
             else:

@@ -12,7 +12,8 @@ Every family is read off the adversary's own automaton; no complement
 is built.  F1 is one search over the product with the fairness
 automaton (``_excluded_fair_scenario``), F2 a walk over the adversary's
 transitions (``_excluded_special_pair``), and F3 / F4 two membership
-tests.
+tests.  F2 and the corners read the constant tails x^w from the
+automaton's own table (``AdversaryAutomaton.accepts_forever``).
 """
 
 from __future__ import annotations
@@ -113,9 +114,10 @@ def classify(a: AdversaryAutomaton) -> Verdict:
 
     F1 is decided by one search over ``a x fairness`` for fair cycles
     that ``a`` rejects, F2 by a walk over ``a``'s own transitions, and
-    F3 / F4 by membership of the corners.  ``a`` is never complemented,
-    so its clauses are never expanded into the complement's.  The
-    witness is the fair scenario if F1 holds (see
+    F3 / F4 by membership of the corners, read from the automaton's
+    table of constant tails (``accepts_forever``) as F2 is.  ``a`` is
+    never complemented, so its clauses are never expanded into the
+    complement's.  The witness is the fair scenario if F1 holds (see
     ``_excluded_fair_scenario`` for which one), else the first excluded
     corner, else the special pair.  Raises ResourceBoundError when the
     F1 search visits more than ``adversary._MAX_WORK`` SCCs."""
@@ -125,10 +127,10 @@ def classify(a: AdversaryAutomaton) -> Verdict:
         )
     families = set()
     corner = None
-    if not a.contains(CORNER_LB):
+    if not a.accepts_forever(a.initial, Letter.LB):
         families.add(Family.F3)
         corner = CornerWitness(CORNER_LB)
-    if not a.contains(CORNER_LW):
+    if not a.accepts_forever(a.initial, Letter.LW):
         families.add(Family.F4)
         if corner is None:
             corner = CornerWitness(CORNER_LW)
@@ -258,7 +260,8 @@ def _excluded_special_pair(
     """A special pair wholly outside L(a), or None, found on the
     diagonal of the pair machine of a's complement.  The complement has
     a's transitions, so the walk reads ``a.transitions`` and tests
-    exclusion as ``not a.accepts_from``; no complement is built.
+    exclusion of keep^w as ``not a.accepts_forever``, a's own table of
+    constant tails; no complement is built.
 
     While d = 0 both components read the same letter, so those states
     are (q, q, 0, p); once d = +1 only (keep, keep) is admitted, with
@@ -268,13 +271,7 @@ def _excluded_special_pair(
     letters in GAMMA order, trying the splits (a, a2) at each state,
     returns the pair with the length-lexicographically least common
     prefix u, then the first split in GAMMA x GAMMA order."""
-    keep_tail = {0: CORNER_LW, 1: CORNER_LB}  # keep^w by parity
-    accepts: dict = {}
-
-    def excluded(q, p):
-        if (q, p) not in accepts:
-            accepts[q, p] = not a.accepts_from(q, keep_tail[p])
-        return accepts[q, p]
+    keep_letter = (Letter.LW, Letter.LB)  # keep, by parity
 
     def succ(node):
         q, p = node
@@ -283,11 +280,12 @@ def _excluded_special_pair(
 
     for (q, p), u in adv._breadth_first((a.initial, 0), succ):
         row = a.transitions[q]
-        for x, x2, keep in _SPLITS[p]:
-            if excluded(row[x][0], keep) and excluded(row[x2][0], keep):
-                tail = keep_tail[keep].cycle.letters
-                return SpecialPairWitness(LassoWord.of(u + (x,), tail),
-                                          LassoWord.of(u + (x2,), tail))
+        for x, x2, after in _SPLITS[p]:
+            keep = keep_letter[after]
+            if not (a.accepts_forever(row[x][0], keep)
+                    or a.accepts_forever(row[x2][0], keep)):
+                return SpecialPairWitness(LassoWord.of(u + (x,), (keep,)),
+                                          LassoWord.of(u + (x2,), (keep,)))
     return None
 
 

@@ -322,6 +322,9 @@ DEFAULT_TAILS = (
     LassoWord.of((), (Letter.LB,)),
 )
 
+#: the letter x of each tail x^w in DEFAULT_TAILS, in its order
+_TAIL_LETTERS = tuple(tail.cycle[0] for tail in DEFAULT_TAILS)
+
 INPUT_VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -374,13 +377,6 @@ def completions(a: AdversaryAutomaton, depth: int):
                 yield lasso
 
 
-def _accepted_tails(a: AdversaryAutomaton):
-    """``state -> (the DEFAULT_TAILS accepted from state)``, memoized
-    for one caller, so each state's tails are computed once."""
-    return functools.cache(lambda state: tuple(
-        tail for tail in DEFAULT_TAILS if a.accepts_from(state, tail)))
-
-
 def _faults(inputs: tuple, white: ProcessState, black: ProcessState,
             budget: int) -> list:
     """``(kind, detail)`` for each property broken by the run that ends
@@ -414,14 +410,14 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton,
             "verification depth %d exceeds bound 10" % depth
         )
     budget = depth + 40
-    tails_from = _accepted_tails(a)
+    forever = a.accepts_forever
     live = a.live
 
     @functools.cache
     def count(state, k: int) -> int:
         """(leaf, accepted tail) pairs ``k`` live letters below state."""
         if not k:
-            return len(tails_from(state))
+            return sum(forever(state, letter) for letter in _TAIL_LETTERS)
         return sum(count(nxt, k - 1)
                    for nxt, _ in a.transitions[state].values()
                    if nxt in live)
@@ -442,12 +438,15 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton,
         for leaf, leaf_state in a.extensions(word, depth - n):
             if len(leaf) < depth:
                 continue
-            for tail in tails_from(leaf_state):
+            for tail in DEFAULT_TAILS:
+                letter = tail.cycle[0]
+                if not forever(leaf_state, letter):
+                    continue
                 scenario = LassoWord(leaf, tail.cycle)
                 for inputs, config in zip(INPUT_VECTORS, configs):
                     checked += 1
                     white, black = config if _halted(config) else _resume(
-                        algorithm, config, tail.cycle[0], n, budget)
+                        algorithm, config, letter, n, budget)
                     violations.extend(
                         Violation(kind, scenario, inputs, detail)
                         for kind, detail in _faults(inputs, white, black,

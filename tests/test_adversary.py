@@ -4,7 +4,8 @@ import time
 
 import pytest
 
-from conftest import DslTexts, random_automata, random_gamma_lasso
+from conftest import (DslTexts, liveness_automata, random_automata,
+                      random_gamma_lasso)
 from twogen import adversary as adv
 from twogen import oracle
 from twogen.adversary import (AdversaryAutomaton, CompileError,
@@ -133,6 +134,69 @@ def test_accepts_from_reads_the_tail_only():
                 state, _ = a.step(state, letter)
             assert a.accepts_from(state, t) == \
                 a.contains(LassoWord(u + t.stem, t.cycle)), (u, t)
+
+
+def _tail_table_automata():
+    """Seeded automata, the liveness automata, complements of unions
+    and a four-letter difference."""
+    seeded = random_automata(19, 20)
+    unions = [adv.complement(adv.union(x, y))
+              for x, y in zip(seeded[0::2], seeded[1::2])
+              if x.alphabet == y.alphabet]
+    return (seeded + liveness_automata() + unions
+            + [adv.load("G2^w \\ { ( LL )^w }")])
+
+
+def test_accepts_forever_is_membership_of_the_constant_tail():
+    """accepts_forever(q, x) is accepts_from(q, x^w) for every state and
+    letter, whichever of them is asked first; the alphabet checks are
+    accepts_from's."""
+    autos = _tail_table_automata()
+    assert any(a.alphabet == G2 for a in autos)
+    for a in autos:
+        pairs = [(q, x) for q in a.states for x in a.alphabet]
+        random.Random(len(pairs)).shuffle(pairs)
+        for q, x in pairs + pairs:
+            assert a.accepts_forever(q, x) == a.accepts_from(
+                q, LassoWord.of((), (x,))), (a, q, x)
+    c1 = adv.load("C1")
+    with pytest.raises(ValueError):
+        c1.accepts_forever(c1.initial, Letter.LL)
+
+
+def test_accepts_forever_runs_each_tail_once(monkeypatch):
+    """The table is filled on demand: one accepts_from per state and
+    letter asked, however often it is asked, and none before."""
+    a = adv.load("GAMMA^w \\ { LW LB ( OK )^w }")
+    asked = []
+    accepts = AdversaryAutomaton.accepts_from
+
+    def counted(self, state, l):
+        asked.append((state, l))
+        return accepts(self, state, l)
+
+    monkeypatch.setattr(AdversaryAutomaton, "accepts_from", counted)
+    assert asked == []
+    for _ in range(3):
+        for q in a.states:
+            a.accepts_forever(q, Letter.LB)
+    assert len(asked) == len(set(asked)) == len(a.states)
+
+
+def test_the_tail_table_is_not_a_field():
+    """A filled table changes neither equality nor repr, and the
+    automaton stays unhashable."""
+    for text in ("C1", "GAMMA^w \\ { LW LB ( OK )^w }",
+                 "G2^w \\ { ( LL )^w }"):
+        a = adv.load(text)
+        before = repr(a)
+        for q in a.states:
+            for x in a.alphabet:
+                a.accepts_forever(q, x)
+        assert a == adv.load(text) and adv.load(text) == a
+        assert repr(a) == before == repr(adv.load(text))
+        with pytest.raises(TypeError):
+            hash(a)
 
 
 def test_intersection_tw_tb_is_s0(builtins):

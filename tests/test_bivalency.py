@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import sys
+import tempfile
 
 import pytest
 
@@ -7,9 +10,10 @@ from conftest import _OwnInputAt, halting_cases, random_gamma_lasso
 from twogen import adversary as adv
 from twogen import oracle
 from twogen.bivalency import (DecisiveReport, ExplorationNode, Valency,
-                              explore, find_decisive, valency)
+                              _decisions_below, explore, find_decisive,
+                              valency)
 from twogen.protocol import (DEFAULT_TAILS, INPUT_VECTORS,
-                             IndexGuardAlgorithm, OwnInputAlgorithm,
+                             IndexGuardAlgorithm, OwnInputAlgorithm, _walk,
                              simulate)
 from twogen.words import FiniteWord, LassoWord, parse_lasso, parse_word
 
@@ -291,6 +295,53 @@ def test_a_final_word_with_no_tail_below_is_undetermined():
         for depth in range(4):
             assert explore(_OwnInputAt(k), a, (0, 1), depth).to_dict() == \
                 _ref_explore(_OwnInputAt(k), m, (0, 1), depth).to_dict()
+
+
+def _verify_bench_differences() -> list:
+    """The six differences of the first ``verify`` benchmark block for
+    seed 1, read from ``bench/workloads.py``."""
+    bench = os.path.join(os.path.dirname(__file__), "..", "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+    with tempfile.TemporaryDirectory() as tmp:
+        block = workloads.Verify(1, tmp).block(0)
+    return [text for kind, text, _ in block if kind == "diff"]
+
+
+@pytest.mark.parametrize("text", ["S1", "TW", "C1"]
+                         + _verify_bench_differences())
+def test_agreeing_final_words_are_entered_alone(text):
+    """A_w with the oracle's w decides correctly, so the runs of every
+    final word agree: the map holds exactly the words the walk runs, in
+    its order, and nothing below a final word, while the tree is the
+    reference's."""
+    a = adv.load(text)
+    algo = IndexGuardAlgorithm(
+        oracle.select_forbidden_scenario(oracle.classify(a)))
+    walked = [w for w, _, _ in _walk(algo, a, FiniteWord(), 4, ((0, 1),))]
+    assert list(_decisions_below(algo, a, FiniteWord(), (0, 1), 4)) == walked
+    assert explore(algo, a, (0, 1), 4).to_dict() == \
+        _ref_explore(algo, _Memo(a), (0, 1), 4).to_dict()
+
+
+@pytest.mark.parametrize("name", ["S1", "TW", "C1"])
+def test_disagreeing_final_words_keep_their_subtrees(builtins, name):
+    """Own-input deciding at round k disagrees on inputs (0, 1), so its
+    final words are bivalent and the tree goes below them: their
+    subtrees are filled, the map holds every live extension, and the
+    tree is the reference's."""
+    a = builtins[name]
+    m = _Memo(a)
+    every = [w for w, _ in a.extensions(FiniteWord(), 4)]
+    for algo in (OwnInputAlgorithm(), _OwnInputAt(2), _OwnInputAt(3)):
+        walked = [w for w, _, _ in _walk(algo, a, FiniteWord(), 4,
+                                         ((0, 1),))]
+        assert len(walked) < len(every)
+        assert list(_decisions_below(algo, a, FiniteWord(), (0, 1), 4)) == \
+            every
+        assert explore(algo, a, (0, 1), 4).to_dict() == \
+            _ref_explore(algo, m, (0, 1), 4).to_dict()
 
 
 def test_walk_matches_reenumeration_with_odd_tails():

@@ -4,9 +4,11 @@ Exchanging white and black turns the letter LW into LB and back, and
 the built-in TW into TB.  It reflects indexes (ind(swap u) =
 3^r - 1 - ind(u)) and limit indexes (z into 1 - z), maps an adversary's
 language onto the language of its swapped text, and exchanges the corner
-families F3 and F4 of ``classify``.  None of these relations needs a
-reference implementation.  A_w's guard is not symmetric, so its mirrored
-transcripts are pinned rather than asserted equal.
+families F3 and F4 of ``classify``.  It keeps ``verify``'s counts for
+A_w against A_{swap w}, and ``round_lower_bound``.  None of these
+relations needs a reference implementation.  A_w's guard is not
+symmetric, so its mirrored transcripts are pinned rather than asserted
+equal.
 """
 
 import math
@@ -16,8 +18,9 @@ from conftest import (DslTexts, all_words, liveness_automata,
                       random_gamma_lasso)
 from twogen import adversary as adv
 from twogen.indexfn import ind, ind_limit
-from twogen.oracle import CORNER_LB, Family, classify
-from twogen.protocol import IndexGuardAlgorithm, simulate
+from twogen.oracle import (CORNER_LB, Family, classify, round_lower_bound,
+                           select_forbidden_scenario)
+from twogen.protocol import IndexGuardAlgorithm, simulate, verify
 from twogen.words import (GAMMA, FiniteWord, LassoWord, Letter, ParseError,
                           is_fair, parse_lasso)
 
@@ -117,6 +120,40 @@ def test_classify_exchanges_f3_and_f4():
         assert u.families == {_SWAP_FAMILY[f] for f in v.families}, e
         assert (Family.F4 in u.families) == (
             not b.contains(swap_lasso(CORNER_LB))), e
+
+
+def test_verify_counts_are_kept_by_the_swap():
+    """verify(A_{swap w}, swap L, 3) has the ok, checked and violation
+    count of verify(A_w, L, 3), with w the oracle's forbidden scenario
+    for L: the completions swap one for one, and so do their tails.
+    The runs need not mirror (A_w's guard is not symmetric)."""
+    texts = DslTexts(random.Random(101), letters=("OK", "LW", "LB"))
+    held = 0
+    for e, a, b in _loaded(texts, 300):
+        if a.alphabet != GAMMA:
+            continue
+        v = classify(a)
+        if not v.solvable:
+            continue
+        w = select_forbidden_scenario(v)
+        rep = verify(IndexGuardAlgorithm(w), a, 3)
+        mirror = verify(IndexGuardAlgorithm(swap_lasso(w)), b, 3)
+        assert (mirror.ok, mirror.checked, len(mirror.violations)) == (
+            rep.ok, rep.checked, len(rep.violations)), e
+        held += 1
+    assert held > 150, held
+
+
+def test_round_lower_bound_is_kept_by_the_swap():
+    """Pref_r(swap L) = swap Pref_r(L), so both are GAMMA^r together."""
+    texts = DslTexts(random.Random(103), letters=("OK", "LW", "LB"))
+    held = 0
+    for e, a, b in _loaded(texts, 300):
+        if a.alphabet != GAMMA:
+            continue
+        assert round_lower_bound(b, 5) == round_lower_bound(a, 5), e
+        held += 1
+    assert held > 200, held
 
 
 def test_index_guard_transcripts_are_not_mirrored():
