@@ -61,10 +61,11 @@ ONE_TRACK = (frozenset((0,)),)
 _MAX_WORK = 1 << 16
 
 
-def _check_work(n: int, what: str) -> None:
-    if n > _MAX_WORK:
-        raise ResourceBoundError("%d %s exceed bound %d"
-                                 % (n, what, _MAX_WORK))
+def _check_work(what: str, n: int, bound: int) -> None:
+    """The one resource check: ResourceBoundError when ``n``, a count
+    of ``what``, exceeds ``bound``."""
+    if n > bound:
+        raise ResourceBoundError("%s %d exceeds bound %d" % (what, n, bound))
 
 
 def _explore(init, alphabet, step) -> dict:
@@ -237,10 +238,7 @@ class AdversaryAutomaton:
         if depth < 0:
             raise ValueError("extension depth %d is negative" % depth)
         limit = len(prefix) + depth
-        if limit > 12:
-            raise ResourceBoundError(
-                "prefix enumeration depth %d exceeds bound 12" % limit
-            )
+        _check_work("prefix enumeration depth", limit, 12)
         live = self.live
         state = self.initial
         for a in prefix:
@@ -324,7 +322,7 @@ def _good_sccs(edges, even: frozenset[int], odd: tuple = ()):
 
     def search(edges):
         for scc_edges in _edge_sccs(edges):
-            _check_work(next(visits), "SCC visits")
+            _check_work("SCC visits", next(visits), _MAX_WORK)
             top = {t: max(e[3][t] for e in scc_edges) for t in tracks}
             unmet = [c for c in odd if not any(top[t] % 2 for t in c)]
             forced = [t for t in even if top[t] % 2]
@@ -694,7 +692,8 @@ def complement(a: AdversaryAutomaton) -> AdversaryAutomaton:
     maximum: one clause per choice of a track from each old clause
     (tracks taken in increasing order, independent of hash order).
     Raises ResourceBoundError past ``_MAX_WORK`` clauses."""
-    _check_work(math.prod(len(c) for c in a.acceptance), "acceptance clauses")
+    _check_work("acceptance clauses", math.prod(len(c) for c in a.acceptance),
+                _MAX_WORK)
     trans = {
         st: {
             x: (nxt, tuple(c + 1 for c in colors))
@@ -737,7 +736,8 @@ def _product(a, b, combine):
 
 def intersect(a, b) -> AdversaryAutomaton:
     """Raises ResourceBoundError past ``_MAX_WORK`` clause pairs."""
-    _check_work(len(a.acceptance) * len(b.acceptance), "acceptance clauses")
+    _check_work("acceptance clauses", len(a.acceptance) * len(b.acceptance),
+                _MAX_WORK)
     return _product(a, b, lambda x, y: tuple(p | q for p in x for q in y))
 
 

@@ -5,8 +5,9 @@ both processes decide i, and bivalent when both values are reachable.
 Everything here is relative to a fixed executable algorithm and a
 bounded unrolling: extensions are enumerated up to a depth and closed
 off with the tails ``protocol.DEFAULT_TAILS``, and a run from a prefix
-p searched to a depth d gets len(p) + d + 40 rounds, so an Undetermined
-verdict only signals bound exhaustion, never a theorem.
+p searched to a depth d gets len(p) + d + ``protocol.SPARE_ROUNDS``
+rounds, as in ``verify``, so an Undetermined verdict only signals bound
+exhaustion, never a theorem.
 
 One depth-first walk over the live extensions of a prefix
 (``protocol._walk``) runs each distinct completion once, from the
@@ -18,24 +19,23 @@ walk stops at a final word, whose processes have both halted: every
 completion below it decides as it did, so nothing below it is run.
 When its runs agree it is entered alone, with its decision if some
 live extension within the depth takes a default tail and with nothing
-otherwise; no reader goes below a word that is not bivalent.  When they
-disagree it is bivalent, and its subtree is filled from the automaton,
-without being run, for the tree to go below it.  ``valency`` reads the
-root of this map; ``explore`` builds its tree from the map, reading
-only the children of bivalent words, and ``find_decisive`` walks that
-tree.
+otherwise, read from ``verify``'s completion count; no reader goes
+below a word that is not bivalent.  When they disagree it is bivalent,
+and its subtree is filled from the automaton, without being run, for
+the tree to go below it.  ``valency`` reads the root of this map;
+``explore`` builds its tree from the map, reading only the children of
+bivalent words, and ``find_decisive`` walks that tree.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import json
 from typing import NamedTuple, Optional
 
 from .adversary import AdversaryAutomaton
-from .protocol import (Algorithm, ProcessState, _TAIL_LETTERS, _halted,
-                       _resume, _walk)
+from .protocol import (SPARE_ROUNDS, Algorithm, ProcessState, _TAIL_LETTERS,
+                       _completion_counts, _halted, _resume, _walk)
 from .records import fields_eq, fields_repr, record
 from .words import FiniteWord
 
@@ -59,33 +59,23 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
     A word's set holds the decisions of the runs under every scenario
     ``word'.tail`` inside the adversary with ``word'`` the word itself
     or an extension of it; None stands for a run that did not halt
-    within len(prefix) + depth + 40 rounds.  The map holds ``prefix``,
-    every child of a word in it that is not final, and the whole
-    subtree of a final word whose runs disagree: a final word whose runs
-    agree is univalent or undetermined, so no reader asks for its
+    within len(prefix) + depth + SPARE_ROUNDS rounds.  The map holds
+    ``prefix``, every child of a word in it that is not final, and the
+    whole subtree of a final word whose runs disagree: a final word whose
+    runs agree is univalent or undetermined, so no reader asks for its
     children, and it is entered without them.
     """
     if next(a.extensions(prefix, 0), None) is None:
         raise ValueError(
             "prefix %r is not a prefix of the adversary" % str(prefix))
     limit = len(prefix) + depth
-    budget = limit + 40
-    forever, live, rows = a.accepts_forever, a.live, a.transitions
+    budget = limit + SPARE_ROUNDS
+    forever, count = a.accepts_forever, _completion_counts(a)
     below: dict = {}
     # path[k]: (set, runs) of the current word's ancestor with
     # len(prefix) + k letters; runs holds the decisions under each of
     # DEFAULT_TAILS, and every set holds those of its descendants so far
     path: list = []
-
-    @functools.cache
-    def tail_below(state, k: int) -> bool:
-        """Whether a default tail is accepted after some live word of at
-        most ``k`` letters from ``state``."""
-        if any(forever(state, x) for x in _TAIL_LETTERS):
-            return True
-        return k > 0 and any(tail_below(nxt, k - 1)
-                             for nxt, _ in rows[state].values()
-                             if nxt in live)
 
     def enter(word, found, runs=None):
         del path[len(word) - len(prefix):]
@@ -102,12 +92,13 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
                                         (inputs,)):
         if _halted(config):  # final: nothing below it is run
             decided = _decisions(*config)
-            if len(decided) == 1:
-                enter(word, decided if tail_below(state, limit - len(word))
-                      else frozenset())
+            if len(decided) == 1:  # some default tail within the depth?
+                tail = any(count(state, j)
+                           for j in range(limit - len(word) + 1))
+                enter(word, decided if tail else frozenset())
                 continue
             for w, s in a.extensions(word, limit - len(word)):
-                enter(w, decided if tail_below(s, 0) else frozenset())
+                enter(w, decided if count(s, 0) else frozenset())
             continue
         k = len(word) - len(prefix)
         last = word.letters[-1] if k else None

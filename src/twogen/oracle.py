@@ -85,8 +85,8 @@ def _witness_json(w):
     raise TypeError(w)
 
 
-CORNER_LB = LassoWord.of((), (Letter.LB,))
-CORNER_LW = LassoWord.of((), (Letter.LW,))
+CORNER_LB = adv._CONSTANT[Letter.LB]
+CORNER_LW = adv._CONSTANT[Letter.LW]
 
 
 #: fair scenarios over GAMMA, built once

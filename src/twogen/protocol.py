@@ -11,11 +11,13 @@ immutable named tuples, compared and hashed by value: derive a changed
 state with ``s._replace(...)``.  Transcripts, violations and reports
 are ``@record`` named tuples too, built once their run is over.
 
-The index-guard algorithm ("A_w") is parameterized by a scenario w
-excluded from the adversary: each process maintains an integer that
-brackets the index of the partial scenario seen so far and runs while
-that integer stays within 2 of ind(w|_r), then decides by comparing
-sides.
+Algorithms halt by one rule (``Algorithm.maybe_halt``): a process
+halts once its index leaves the undecided region of the round's table
+``sides(r)`` and decides the input of the side it fell on.  The
+index-guard algorithm ("A_w") is parameterized by a scenario w excluded
+from the adversary; its undecided region is the indexes within 2 of
+ind(w|_r).  ``verify`` and the valency walks share DEFAULT_TAILS,
+SPARE_ROUNDS and one completion count, ``_completion_counts``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from bisect import bisect_right
 from typing import Iterable, NamedTuple, Optional
 
-from .adversary import AdversaryAutomaton, ResourceBoundError
+from .adversary import _CONSTANT, AdversaryAutomaton, _check_work
 from .indexfn import BLACK, WHITE, ProcessId, ind, ind_step
 from .records import record
 from .words import FiniteWord, LassoWord, Letter
@@ -55,12 +58,33 @@ class Algorithm:
 
     name = "algorithm"
 
+    def __init__(self):
+        self._tables = {}  # r -> self.sides(r)
+
     def start(self, pid: ProcessId, init: int) -> ProcessState:
         return ProcessState(pid, init, ind=0 if pid is WHITE else 1)
 
-    def maybe_halt(self, s: ProcessState) -> ProcessState:
-        """Called at the top of each round; may halt and decide."""
+    def sides(self, r: int) -> tuple:
+        """Round r's table ``(bounds, sides)``: a process at index ind
+        halts on the side ``sides[bisect_right(bounds, ind)]``, WHITE or
+        BLACK, and keeps running where that is None."""
         raise NotImplementedError
+
+    def maybe_halt(self, s: ProcessState) -> ProcessState:
+        """Called at the top of each round; halts on a side and decides
+        that side's input, building each round's table once per
+        instance."""
+        table = self._tables.get(s.round)
+        if table is None:
+            table = self._tables[s.round] = self.sides(s.round)
+        bounds, sides = table
+        side = sides[bisect_right(bounds, s.ind)]
+        if side is None:
+            return s
+        value = s.init if side is s.id else s.initother
+        if value is None:
+            raise AssertionError("decided on an absent initother")
+        return ProcessState(s.id, s.init, s.initother, s.ind, s.round, value)
 
     def receive(self, s: ProcessState,
                 received: Optional[Message]) -> ProcessState:
@@ -82,6 +106,7 @@ class IndexGuardAlgorithm(Algorithm):
     def __init__(self, w: LassoWord):
         if not w.is_gamma():
             raise ValueError("the forbidden scenario must avoid LL")
+        super().__init__()
         self.w = w
         self._targets = [0]  # ind(w|_r) at index r
 
@@ -93,17 +118,11 @@ class IndexGuardAlgorithm(Algorithm):
                                     self.w.letter_at(len(targets) - 1)))
         return targets[r]
 
-    def maybe_halt(self, s: ProcessState) -> ProcessState:
-        target = self.target_index(s.round)
-        if abs(s.ind - target) <= 2:
-            return s
-        if s.id is WHITE:
-            value = s.init if s.ind < target else s.initother
-        else:
-            value = s.init if s.ind > target else s.initother
-        if value is None:
-            raise AssertionError("decided on an absent initother")
-        return ProcessState(s.id, s.init, s.initother, s.ind, s.round, value)
+    def sides(self, r: int) -> tuple:
+        """White's side below t - 2 and black's above t + 2, for t the
+        target index ind(w|_r)."""
+        t = self.target_index(r)
+        return [t - 2, t + 3], [WHITE, None, BLACK]
 
 
 class OwnInputAlgorithm(Algorithm):
@@ -301,8 +320,16 @@ def _resume(algorithm: Algorithm, config: tuple, letter: Letter,
     return _run(algorithm, config, itertools.repeat(letter, budget - start))
 
 
+#: the simulator's default round budget, and the deepest terminating
+#: subdivision or ``contrex`` family
+MAX_ROUNDS = 64
+
+#: the rounds a bounded walk gives a run past the words it searches
+SPARE_ROUNDS = 40
+
+
 def simulate(algorithm: Algorithm, scenario: LassoWord,
-             inputs: tuple, max_rounds: int = 64) -> Transcript:
+             inputs: tuple, max_rounds: int = MAX_ROUNDS) -> Transcript:
     """Runs both processes under the scenario until both halt or the
     round budget runs out (reported, not raised)."""
     config = _start(algorithm, inputs)
@@ -316,14 +343,10 @@ def simulate(algorithm: Algorithm, scenario: LassoWord,
                       not (white.halted and black.halted))
 
 
-DEFAULT_TAILS = (
-    LassoWord.of((), (Letter.OK,)),
-    LassoWord.of((), (Letter.LW,)),
-    LassoWord.of((), (Letter.LB,)),
-)
-
 #: the letter x of each tail x^w in DEFAULT_TAILS, in its order
-_TAIL_LETTERS = tuple(tail.cycle[0] for tail in DEFAULT_TAILS)
+_TAIL_LETTERS = (Letter.OK, Letter.LW, Letter.LB)
+
+DEFAULT_TAILS = tuple(_CONSTANT[x] for x in _TAIL_LETTERS)
 
 INPUT_VECTORS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -377,6 +400,22 @@ def completions(a: AdversaryAutomaton, depth: int):
                 yield lasso
 
 
+def _completion_counts(a: AdversaryAutomaton):
+    """``count(state, k)``: the pairs (leaf, tail) of a live word of
+    ``k`` letters from ``state`` and a tail of DEFAULT_TAILS accepted
+    after it, for the walks over ``a`` of one call."""
+    forever, live, rows = a.accepts_forever, a.live, a.transitions
+
+    @functools.cache
+    def count(state, k: int) -> int:
+        if not k:
+            return sum(forever(state, x) for x in _TAIL_LETTERS)
+        return sum(count(nxt, k - 1) for nxt, _ in rows[state].values()
+                   if nxt in live)
+
+    return count
+
+
 def _faults(inputs: tuple, white: ProcessState, black: ProcessState,
             budget: int) -> list:
     """``(kind, detail)`` for each property broken by the run that ends
@@ -399,28 +438,16 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton,
     """Checks Agreement, Validity and Termination over every scenario
     obtained by completing the adversary's depth-prefixes with
     DEFAULT_TAILS (the scenarios of ``completions``, in its order),
-    across all four input vectors, each run for at most depth + 40
-    rounds.  The walk stops at a final word, whose runs have all
-    halted: if they decided correctly, its completions are counted per
-    automaton state without being visited, and otherwise each of them
-    is checked off its configuration.  A run still going at its
+    across all four input vectors, each run for at most depth +
+    SPARE_ROUNDS rounds.  The walk stops at a final word, whose runs
+    have all halted: if they decided correctly, its completions are
+    counted per automaton state without being visited, and otherwise
+    each of them is checked off its configuration.  A run still going at its
     prefix's end resumes from its configuration there."""
-    if depth > 10:
-        raise ResourceBoundError(
-            "verification depth %d exceeds bound 10" % depth
-        )
-    budget = depth + 40
+    _check_work("verification depth", depth, 10)
+    budget = depth + SPARE_ROUNDS
     forever = a.accepts_forever
-    live = a.live
-
-    @functools.cache
-    def count(state, k: int) -> int:
-        """(leaf, accepted tail) pairs ``k`` live letters below state."""
-        if not k:
-            return sum(forever(state, letter) for letter in _TAIL_LETTERS)
-        return sum(count(nxt, k - 1)
-                   for nxt, _ in a.transitions[state].values()
-                   if nxt in live)
+    count = _completion_counts(a)
 
     checked = 0
     violations = []
@@ -438,8 +465,7 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton,
         for leaf, leaf_state in a.extensions(word, depth - n):
             if len(leaf) < depth:
                 continue
-            for tail in DEFAULT_TAILS:
-                letter = tail.cycle[0]
+            for letter, tail in zip(_TAIL_LETTERS, DEFAULT_TAILS):
                 if not forever(leaf_state, letter):
                     continue
                 scenario = LassoWord(leaf, tail.cycle)

@@ -29,7 +29,7 @@ import json
 import math
 import re
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -39,7 +39,7 @@ from .indexfn import (BLACK, WHITE, ProcessId, TernaryRational, ind,
                       ind_limit, ind_step, split_threes)
 from .oracle import (CornerWitness, FairWitness, Verdict, classify,
                      select_forbidden_scenario)
-from .protocol import Algorithm, ProcessState
+from .protocol import MAX_ROUNDS, Algorithm
 from .records import fields_repr, record
 from .words import FiniteWord, GAMMA, Letter
 
@@ -208,8 +208,7 @@ def _cell(k: int, r: int, segment: str = UNIT) -> ComplexEdge:
 def protocol_complex(a: AdversaryAutomaton, r: int) -> Complex:
     """Subcomplex of the r-subdivided input square whose cells are the
     adversary's length-r prefixes, repeated on all four sides."""
-    if r > 8:
-        raise ResourceBoundError("protocol complex depth capped at 8")
+    adv._check_work("protocol complex depth", r, 8)
     words = sorted(a.prefixes(r), key=str)
     edges = []
     for seg in SQUARE_SEGMENTS:
@@ -320,10 +319,8 @@ def _ternary_digits(z: Fraction) -> tuple:
     period, power = 1, 3 % q
     while power != 1 % q and loop + period <= FIBER_DIGITS:
         power, period = 3 * power % q, period + 1
-    if loop + period > FIBER_DIGITS:
-        raise ResourceBoundError(
-            "gap point repeats in base 3 only after more than %d digits"
-            % FIBER_DIGITS)
+    adv._check_work("base-3 digits read of the gap point", loop + period,
+                    FIBER_DIGITS)
     digits, x = [], z.numerator % z.denominator
     for _ in range(loop + period):
         digit, x = divmod(3 * x, z.denominator)
@@ -447,13 +444,11 @@ class TerminatingSubdivision:
 def build_terminating_subdivision(a: AdversaryAutomaton, z,
                                   depth: int = 6) -> TerminatingSubdivision:
     """Levels 1..depth around the gap point z, whose fiber in ``a`` must
-    be empty; depth is at most 64, the simulator's default round budget."""
+    be empty; depth is at most MAX_ROUNDS, the simulator's default round
+    budget."""
     if depth < 0:
         raise ValueError("subdivision depth %d is negative" % depth)
-    if depth > 64:
-        raise ResourceBoundError(
-            "subdivision depth %d exceeds bound 64" % depth
-        )
+    adv._check_work("subdivision depth", depth, MAX_ROUNDS)
     z = Fraction(z)
     fiber = index_fiber(z)
     if a.initial not in a.live:
@@ -605,40 +600,27 @@ def side_decision_map(z) -> Callable:
 
 
 class GeometricAlgorithm(Algorithm):
-    """Algorithm A_eta: same index updates as the index-guard
-    algorithm, halting as soon as Finished(r, ind/3^r) holds, deciding
-    the input of the process that the side decision map of the gap
-    point assigns to the witness vertex.
+    """Algorithm A_eta: same index updates and halting rule as the
+    index-guard algorithm, halting as soon as Finished(r, ind/3^r)
+    holds, on the side of the gap point (the side decision map's) of
+    the witness vertex.
 
     Finished(r, x) depends on r and x alone (``ts.radii(r)`` makes it
     independent of how deep the subdivision has grown).  At round r the
-    witness's side is a step function of ind: ``finished_sides`` builds
-    it once per round and instance from the three ranges each stable
+    witness's side is a step function of ind, so ``sides(r)`` is
+    ``finished_sides``'s table, built from the three ranges each stable
     cell wins, splitting ranges of both sides at the midpoint of their
-    witnesses with ties to white, and a halt check is one bisection."""
+    witnesses with ties to white."""
 
     name = "aeta"
 
     def __init__(self, ts: TerminatingSubdivision):
+        super().__init__()
         self.ts = ts
-        self.delta = side_decision_map(ts.z)
-        self._tables = {}  # r -> finished_sides(r, ts)
 
-    def maybe_halt(self, s: ProcessState) -> ProcessState:
-        r = s.round
-        if r == 0:
-            return s
-        table = self._tables.get(r)
-        if table is None:
-            table = self._tables[r] = finished_sides(r, self.ts)
-        bounds, sides = table
-        side = sides[bisect_right(bounds, s.ind)]
-        if side is None:
-            return s
-        value = s.init if side is s.id else s.initother
-        if value is None:
-            raise AssertionError("decision map points at an unseen input")
-        return ProcessState(s.id, s.init, s.initother, s.ind, r, value)
+    def sides(self, r: int) -> tuple:
+        """Nothing is finished at round 0."""
+        return finished_sides(r, self.ts) if r else ([], [None])
 
 
 def gap_point(v: Verdict) -> Fraction:
@@ -688,12 +670,11 @@ def contrex(depth: int = 6) -> Complex:
     components while its geometric realization is the whole interval:
     level 1 contributes [0,1/3] and [2/3,1]; level r >= 2 contributes
     the two cells ending at 2/3 - 1/3^r, creeping up to 2/3 from the
-    left without ever reaching it.  Depth is at most 64, the bound of a
-    terminating subdivision."""
+    left without ever reaching it.  Depth is at most MAX_ROUNDS, the
+    bound of a terminating subdivision."""
     if depth < 1:
         raise ValueError("contrex depth %d is below 1" % depth)
-    if depth > 64:
-        raise ResourceBoundError("contrex depth %d exceeds bound 64" % depth)
+    adv._check_work("contrex depth", depth, MAX_ROUNDS)
     edges = [
         word_to_edge(FiniteWord.of(Letter.LB)),
         word_to_edge(FiniteWord.of(Letter.LW)),

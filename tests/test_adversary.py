@@ -254,6 +254,23 @@ def test_prefix_monotone(builtins):
 def test_prefix_resource_bound(builtins):
     with pytest.raises(ResourceBoundError):
         builtins["R1"].prefixes(13)
+    assert builtins["C1"].prefixes(12)
+
+
+def test_scc_visit_bound_is_exact(monkeypatch):
+    """Emptiness of a chain of k states, each with an odd self-loop,
+    visits exactly k SCCs: it passes at _MAX_WORK = k and raises at
+    k - 1."""
+    k = 6
+    rows = {i: {Letter.OK: (i, (1,)), Letter.LW: (min(i + 1, k - 1), (1,)),
+                Letter.LB: (i, (1,))} for i in range(k)}
+    monkeypatch.setattr(adv, "_MAX_WORK", k)
+    assert AdversaryAutomaton(GAMMA, 0, rows, 1, adv.ONE_TRACK).is_empty() \
+        is None
+    monkeypatch.setattr(adv, "_MAX_WORK", k - 1)
+    with pytest.raises(ResourceBoundError,
+                       match="^SCC visits 6 exceeds bound 5$"):
+        AdversaryAutomaton(GAMMA, 0, rows, 1, adv.ONE_TRACK).is_empty()
 
 
 def _live_cases(builtins):

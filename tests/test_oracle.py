@@ -433,6 +433,27 @@ def test_classify_matches_the_complement_route_on_intersections():
     assert compared >= 200 and bounded >= 1, (compared, bounded)
 
 
+def test_check_witness_rejects_a_witness_the_adversary_contains():
+    """A fair witness inside L, an unfair scenario outside L, a corner
+    inside L and a special pair with one member inside L are each
+    rejected; the corner outside L is accepted."""
+    a = adv.load("GAMMA^w \\ { ( LW )^w , OK ( LW )^w }")
+    fair, unfair = L("( OK )^w"), L("( LW )^w")
+    pair = SpecialPairWitness(L("OK ( LW )^w"), L("LB ( LW )^w"))
+    assert is_fair(fair) and a.contains(fair)
+    assert not is_fair(unfair) and not a.contains(unfair)
+    assert is_special_pair(pair.first, pair.second)
+    assert a.contains(oracle.CORNER_LB) and a.contains(pair.second)
+    for family, witness in ((Family.F1, FairWitness(fair)),
+                            (Family.F1, FairWitness(unfair)),
+                            (Family.F3, CornerWitness(oracle.CORNER_LB)),
+                            (Family.F2, pair)):
+        verdict = Verdict(True, frozenset({family}), witness, "")
+        assert not check_witness(a, verdict), witness
+    assert check_witness(a, Verdict(True, frozenset({Family.F4}),
+                                    CornerWitness(oracle.CORNER_LW), ""))
+
+
 def test_fair_search_is_bounded(monkeypatch, capsys):
     """The F1 search counts the SCCs it visits against the same bound
     as complement and intersect; past it classify raises, and the CLI

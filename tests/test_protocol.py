@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -169,8 +170,51 @@ def test_completions_stay_inside(builtins):
 
 
 def test_verify_depth_cap(builtins):
+    """Depth 10 is the deepest verify accepts."""
     with pytest.raises(ResourceBoundError):
         verify(OwnInputAlgorithm(), builtins["S0"], depth=11)
+    c1 = builtins["C1"]
+    algo = IndexGuardAlgorithm(select_forbidden_scenario(classify(c1)))
+    assert verify(algo, c1, depth=10).to_json() == \
+        '{"checked": 92, "ok": true, "violations": []}'
+    with pytest.raises(ResourceBoundError,
+                       match="^verification depth 11 exceeds bound 10$"):
+        verify(algo, c1, depth=11)
+
+
+def test_index_guard_halts_off_its_guard():
+    """In rounds 0..8, at every ind within 4 of t = ind(w|_r), a process
+    of either side halts iff |ind - t| > 2, and then decides white's
+    input below t and black's above it."""
+    algo = IndexGuardAlgorithm(L("LW LB ( OK LW LB )^w"))
+    inputs = {WHITE: 0, BLACK: 1}
+    for r in range(9):
+        t = algo.target_index(r)
+        for i in range(t - 4, t + 5):
+            for pid, other in ((WHITE, BLACK), (BLACK, WHITE)):
+                s = ProcessState(pid, inputs[pid], inputs[other], i, r)
+                halted = algo.maybe_halt(s)
+                if abs(i - t) <= 2:
+                    assert halted == s, (r, i, pid)
+                else:
+                    want = inputs[WHITE if i < t else BLACK]
+                    assert halted == s._replace(decided=want), (r, i, pid)
+
+
+def test_aw_builds_one_table_per_round(builtins, monkeypatch):
+    """Verifying A_w builds each round's table at most once."""
+    built = collections.Counter()
+    sides = IndexGuardAlgorithm.sides
+
+    def counted(self, r):
+        built[r] += 1
+        return sides(self, r)
+
+    monkeypatch.setattr(IndexGuardAlgorithm, "sides", counted)
+    c1 = builtins["C1"]
+    assert verify(IndexGuardAlgorithm(
+        select_forbidden_scenario(classify(c1))), c1, 5).ok
+    assert built and set(built.values()) == {1}
 
 
 def test_invariant_checks_survive_optimized_mode():

@@ -97,6 +97,7 @@ def test_protocol_complex_counts(builtins):
     assert len(topo.protocol_complex(builtins["R1"], 1).edges) == 12
     assert len(topo.protocol_complex(builtins["S0"], 2).edges) == 4
     assert len(topo.protocol_complex(builtins["C1"], 1).edges) == 12
+    assert len(topo.protocol_complex(builtins["C1"], 8).edges) == 68
     with pytest.raises(ResourceBoundError):
         topo.protocol_complex(builtins["R1"], 9)
 
@@ -651,7 +652,7 @@ class _UncachedGeometric(topo.GeometricAlgorithm):
         y = topo.finished_witness(r, Fraction(s.ind, 3**r), self.ts)
         if y is None:
             return s
-        side = self.delta(y.position.value)
+        side = topo.side_decision_map(self.ts.z)(y.position.value)
         value = s.init if side is s.id else s.initother
         if value is None:
             raise AssertionError("decision map points at an unseen input")
