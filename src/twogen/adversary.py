@@ -27,6 +27,7 @@ import collections
 import functools
 import itertools
 import math
+import sys
 from typing import Hashable, NamedTuple, Optional
 
 from .records import fields_eq, fields_repr, record
@@ -66,6 +67,18 @@ def _check_work(what: str, n: int, bound: int) -> None:
     of ``what``, exceeds ``bound``."""
     if n > bound:
         raise ResourceBoundError("%s %d exceeds bound %d" % (what, n, bound))
+
+
+def _printed(fmt: str, *numbers: int) -> str:
+    """``fmt % numbers``; ResourceBoundError when one of the integers
+    has more digits than the interpreter converts to a string."""
+    try:
+        return fmt % numbers
+    except ValueError:  # only past sys.get_int_max_str_digits()
+        raise ResourceBoundError(
+            "a printed number has more than %d digits, the limit for "
+            "integer string conversion" % sys.get_int_max_str_digits()
+        ) from None
 
 
 def _explore(init, alphabet, step) -> dict:

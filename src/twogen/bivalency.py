@@ -14,15 +14,14 @@ One depth-first walk over the live extensions of a prefix
 configuration of the word it completes, and collects, for every word
 it passes, the decisions reached below that word.  A word ending in x
 takes its parent's run under x^w, since w x . x^w is w . x^w, and each
-word's decisions are added to its ancestors on the walk's path.  The
-walk stops at a final word, whose processes have both halted: every
-completion below it decides as it did, so nothing below it is run.
-When its runs agree it is entered alone, with its decision if some
-live extension within the depth takes a default tail and with nothing
-otherwise, read from ``verify``'s completion count; no reader goes
-below a word that is not bivalent.  When they disagree it is bivalent,
-and its subtree is filled from the automaton, without being run, for
-the tree to go below it.  ``valency`` reads the root of this map;
+word's decisions are added to its ancestors on the walk's path.  A
+final word, whose processes have both halted, decides the same below.
+The walk stops at one whose runs agree, entered alone with its decision
+if some live extension within the depth takes a default tail and with
+nothing otherwise, read from ``verify``'s completion count; no reader
+goes below a word that is not bivalent.  Below a final word whose runs
+disagree the walk goes on, carrying its halted configurations, for the
+tree to read.  ``valency`` reads the root of this map;
 ``explore`` builds its tree from the map, reading only the children of
 bivalent words, and ``find_decisive`` walks that tree.
 """
@@ -60,10 +59,9 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
     ``word'.tail`` inside the adversary with ``word'`` the word itself
     or an extension of it; None stands for a run that did not halt
     within len(prefix) + depth + SPARE_ROUNDS rounds.  The map holds
-    ``prefix``, every child of a word in it that is not final, and the
-    whole subtree of a final word whose runs disagree: a final word whose
-    runs agree is univalent or undetermined, so no reader asks for its
-    children, and it is entered without them.
+    ``prefix`` and every child of a word in it where the walk does not
+    stop: it stops at a final word whose runs agree, which is univalent
+    or undetermined, so no reader asks for its children.
     """
     if next(a.extensions(prefix, 0), None) is None:
         raise ValueError(
@@ -88,17 +86,16 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
         below[word] = found = set(found)
         path.append((found, runs))
 
-    for word, state, (config,) in _walk(algorithm, a, prefix, depth,
-                                        (inputs,)):
-        if _halted(config):  # final: nothing below it is run
-            decided = _decisions(*config)
-            if len(decided) == 1:  # some default tail within the depth?
-                tail = any(count(state, j)
-                           for j in range(limit - len(word) + 1))
-                enter(word, decided if tail else frozenset())
-                continue
-            for w, s in a.extensions(word, limit - len(word)):
-                enter(w, decided if count(s, 0) else frozenset())
+    def agree(configs) -> bool:
+        return len(_decisions(*configs[0])) == 1
+
+    for word, state, configs in _walk(algorithm, a, prefix, depth,
+                                      (inputs,), agree):
+        config, = configs
+        if _halted(config):  # where the walk stops, for its subtree too
+            reach = limit - len(word) if agree(configs) else 0
+            tail = any(count(state, j) for j in range(reach + 1))
+            enter(word, _decisions(*config) if tail else frozenset())
             continue
         k = len(word) - len(prefix)
         last = word.letters[-1] if k else None

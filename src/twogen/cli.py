@@ -27,7 +27,7 @@ import sys
 
 from . import adversary as adv
 from . import oracle
-from .adversary import CompileError, ResourceBoundError
+from .adversary import CompileError, ResourceBoundError, _printed
 from .indexfn import ind, ind_limit, ind_normalized
 from .words import ParseError, parse_lasso, parse_word
 
@@ -82,14 +82,16 @@ def _index(args) -> int:
         f = ind_limit(lasso)
         print(json.dumps({
             "lasso": str(lasso),
-            "limit": "%d/%d" % (f.numerator, f.denominator),
+            "limit": _printed("%d/%d", f.numerator, f.denominator),
         }))
         return EXIT_OK
     w = parse_word(args.word)
+    i, n = ind(w), ind_normalized(w)
+    _printed("%d", i)  # json.dumps prints the index as "%d" does
     print(json.dumps({
         "word": str(w),
-        "ind": ind(w),
-        "normalized": str(ind_normalized(w)),
+        "ind": i,
+        "normalized": _printed("%d/%d", n.numerator, 3**n.exponent),
     }))
     return EXIT_OK
 

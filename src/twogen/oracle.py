@@ -339,7 +339,7 @@ def round_lower_bound(l: AdversaryAutomaton, rmax: int = 8) -> int:
 
 
 # ---------------------------------------------------------------------------
-# witness validation (used by tests and by CLI reporting)
+# witness validation (used by the tests and the benchmark)
 
 
 def check_witness(a: AdversaryAutomaton, v: Verdict) -> bool:

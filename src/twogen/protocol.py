@@ -6,10 +6,10 @@ whether a round's messages arrive is dictated by the scenario letter
 has halted sends nothing, so its peer's receive returns nothing
 regardless of the letter.
 
-Process states (``ProcessState``) and messages (``Message``) are
-immutable named tuples, compared and hashed by value: derive a changed
-state with ``s._replace(...)``.  Transcripts, violations and reports
-are ``@record`` named tuples too, built once their run is over.
+Process states (``ProcessState``) are immutable named tuples, compared
+and hashed by value: derive a changed state with ``s._replace(...)``;
+a round's message is the sender's state.  Transcripts, violations and
+reports are ``@record`` named tuples too, built once their run is over.
 
 Algorithms halt by one rule (``Algorithm.maybe_halt``): a process
 halts once its index leaves the undecided region of the round's table
@@ -17,7 +17,8 @@ halts once its index leaves the undecided region of the round's table
 index-guard algorithm ("A_w") is parameterized by a scenario w excluded
 from the adversary; its undecided region is the indexes within 2 of
 ind(w|_r).  ``verify`` and the valency walks share DEFAULT_TAILS,
-SPARE_ROUNDS and one completion count, ``_completion_counts``.
+SPARE_ROUNDS, one completion count, ``_completion_counts``, and one
+prefix walk, ``_walk``, which stops where its caller's test says.
 """
 
 from __future__ import annotations
@@ -32,11 +33,6 @@ from .adversary import _CONSTANT, AdversaryAutomaton, _check_work
 from .indexfn import BLACK, WHITE, ProcessId, ind, ind_step
 from .records import record
 from .words import FiniteWord, LassoWord, Letter
-
-
-class Message(NamedTuple):
-    init: int
-    ind: int
 
 
 class ProcessState(NamedTuple):
@@ -55,8 +51,6 @@ class ProcessState(NamedTuple):
 
 class Algorithm:
     """Strategy interface used by the simulator."""
-
-    name = "algorithm"
 
     def __init__(self):
         self._tables = {}  # r -> self.sides(r)
@@ -87,8 +81,8 @@ class Algorithm:
         return ProcessState(s.id, s.init, s.initother, s.ind, s.round, value)
 
     def receive(self, s: ProcessState,
-                received: Optional[Message]) -> ProcessState:
-        """Index/state update after the exchange of one round."""
+                received: Optional[ProcessState]) -> ProcessState:
+        """Index/state update from the sender's state, or None."""
         if received is None:
             ind, initother = 3 * s.ind, s.initother
         else:
@@ -100,8 +94,6 @@ class Algorithm:
 class IndexGuardAlgorithm(Algorithm):
     """Algorithm A_w: run while |ind - ind(w|_r)| <= 2, then decide by
     which side of the target index the local index fell on."""
-
-    name = "aw"
 
     def __init__(self, w: LassoWord):
         if not w.is_gamma():
@@ -127,8 +119,6 @@ class IndexGuardAlgorithm(Algorithm):
 
 class OwnInputAlgorithm(Algorithm):
     """Strawman that decides its own input immediately (round 1)."""
-
-    name = "own-input"
 
     def maybe_halt(self, s: ProcessState) -> ProcessState:
         if s.round >= 1:
@@ -223,15 +213,12 @@ def _exchange(receive, white: ProcessState, black: ProcessState,
               letter: Letter) -> tuple:
     """``(white, black)`` after one round's exchange under ``letter``,
     with ``receive`` the algorithm's.  A halted process sends nothing
-    and receives nothing, and a message is built only when it reaches
-    a running process."""
+    and receives nothing; a running one sends its state."""
     white_hears, black_hears = _DELIVERY[letter]
     if white.decided is None:
         if black.decided is None:
-            return (receive(white, Message(black.init, black.ind)
-                            if white_hears else None),
-                    receive(black, Message(white.init, white.ind)
-                            if black_hears else None))
+            return (receive(white, black if white_hears else None),
+                    receive(black, white if black_hears else None))
         return receive(white, None), black
     if black.decided is None:
         return white, receive(black, None)
@@ -268,17 +255,18 @@ def _halted(config: tuple) -> bool:
 
 
 def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
-          depth: int, vectors: tuple):
+          depth: int, vectors: tuple, stop):
     """Yields ``(word, state, configs)`` for ``prefix`` and its live
     extensions by at most ``depth`` letters, in the order of
     ``a.extensions(prefix, depth)``, with per input vector the
     configuration at the top of round ``len(word)`` after its halt
     checks, one round on from the parent's: runs sharing a prefix share
     its rounds.  A word whose configurations have all halted is final:
-    every extension of it has the same configurations, so the walk
-    sends True back to ``a.extensions`` and does not go below it.
-    Raises as ``a.extensions`` does, and yields nothing when no accepted
-    word extends ``prefix``."""
+    every extension of it has the same configurations.  At a final
+    word the walk reads ``stop(configs)`` and, if it is true, sends True
+    back to ``a.extensions`` and does not go below it.  Raises as
+    ``a.extensions`` does, and yields nothing when no accepted word
+    extends ``prefix``."""
     words = a.extensions(prefix, depth)
     item = next(words, None)
     if item is None:
@@ -307,7 +295,7 @@ def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
             path[k:] = [[step(c, word.letters[-1]) for c in path[k - 1]]]
         yield word, state, path[k]
         try:
-            item = words.send(all(map(_halted, path[k])))
+            item = words.send(all(map(_halted, path[k])) and stop(path[k]))
         except StopIteration:
             return
 
@@ -440,35 +428,32 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton,
     DEFAULT_TAILS (the scenarios of ``completions``, in its order),
     across all four input vectors, each run for at most depth +
     SPARE_ROUNDS rounds.  The walk stops at a final word, whose runs
-    have all halted: if they decided correctly, its completions are
-    counted per automaton state without being visited, and otherwise
-    each of them is checked off its configuration.  A run still going at its
-    prefix's end resumes from its configuration there."""
+    have all halted, if they decided correctly: its completions are
+    counted per automaton state without being visited.  Below the other
+    final words the walk goes on to the leaves, whose completions are
+    checked one by one; a run still going there resumes from its
+    configuration."""
     _check_work("verification depth", depth, 10)
     budget = depth + SPARE_ROUNDS
     forever = a.accepts_forever
     count = _completion_counts(a)
 
+    def fault_free(configs) -> bool:
+        return not any(_faults(inputs, *config, budget)
+                       for inputs, config in zip(INPUT_VECTORS, configs))
+
     checked = 0
     violations = []
     for word, state, configs in _walk(algorithm, a, FiniteWord(), depth,
-                                      INPUT_VECTORS):
+                                      INPUT_VECTORS, fault_free):
         n = len(word)
-        if n < depth and not all(map(_halted, configs)):
-            continue
-        # a halted run is final, so its faults are read off its
-        # configuration; a running one shows as termination here
-        if not any(_faults(inputs, *config, budget)
-                   for inputs, config in zip(INPUT_VECTORS, configs)):
+        if all(map(_halted, configs)) and fault_free(configs):
             checked += len(configs) * count(state, depth - n)
-            continue
-        for leaf, leaf_state in a.extensions(word, depth - n):
-            if len(leaf) < depth:
-                continue
+        elif n == depth:
             for letter, tail in zip(_TAIL_LETTERS, DEFAULT_TAILS):
-                if not forever(leaf_state, letter):
+                if not forever(state, letter):
                     continue
-                scenario = LassoWord(leaf, tail.cycle)
+                scenario = LassoWord(word, tail.cycle)
                 for inputs, config in zip(INPUT_VECTORS, configs):
                     checked += 1
                     white, black = config if _halted(config) else _resume(

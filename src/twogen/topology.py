@@ -28,13 +28,12 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from bisect import bisect_left
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import adversary as adv
-from .adversary import ONE_TRACK, AdversaryAutomaton, ResourceBoundError
+from .adversary import ONE_TRACK, AdversaryAutomaton
 from .indexfn import (BLACK, WHITE, ProcessId, TernaryRational, ind,
                       ind_limit, ind_step, split_threes)
 from .oracle import (CornerWitness, FairWitness, Verdict, classify,
@@ -441,6 +440,13 @@ class TerminatingSubdivision:
         return Complex(tuple(edges), accumulation_points=(self.z,))
 
 
+def _fiber_scenario(a: AdversaryAutomaton, z: Fraction) -> tuple:
+    """``(fiber, scenario)``: z's index fiber, and a scenario of ``a``
+    with limit index z, or None when z is a gap point of ``a``."""
+    fiber = index_fiber(z)
+    return fiber, adv.intersect(a, fiber).is_empty()
+
+
 def build_terminating_subdivision(a: AdversaryAutomaton, z,
                                   depth: int = 6) -> TerminatingSubdivision:
     """Levels 1..depth around the gap point z, whose fiber in ``a`` must
@@ -450,10 +456,9 @@ def build_terminating_subdivision(a: AdversaryAutomaton, z,
         raise ValueError("subdivision depth %d is negative" % depth)
     adv._check_work("subdivision depth", depth, MAX_ROUNDS)
     z = Fraction(z)
-    fiber = index_fiber(z)
+    fiber, witness = _fiber_scenario(a, z)
     if a.initial not in a.live:
         raise ValueError("empty adversary has no subdivision")
-    witness = adv.intersect(a, fiber).is_empty()
     if witness is not None:
         raise ValueError(
             "%s is not a gap point: it is the limit of %s" % (z, witness)
@@ -612,8 +617,6 @@ class GeometricAlgorithm(Algorithm):
     cell wins, splitting ranges of both sides at the midpoint of their
     witnesses with ties to white."""
 
-    name = "aeta"
-
     def __init__(self, ts: TerminatingSubdivision):
         super().__init__()
         self.ts = ts
@@ -648,7 +651,7 @@ def limit_connectivity(a: AdversaryAutomaton) -> Connectivity:
     if not v.solvable:
         return Connectivity(True, None, "no limit point is vacated")
     z = gap_point(v)
-    reached = adv.intersect(a, index_fiber(z)).is_empty()
+    _, reached = _fiber_scenario(a, z)
     if reached is not None:
         raise AssertionError(
             "oracle's gap point %s is the limit of %s" % (z, reached))
@@ -710,19 +713,7 @@ def export_json(obj) -> str:
 
 def _frac_str(f: Fraction) -> str:
     f = Fraction(f)
-    return _rational_str(f.numerator, f.denominator)
-
-
-def _rational_str(num: int, den: int) -> str:
-    """The schema's ``n/d``; ResourceBoundError when n or d has more
-    digits than the interpreter converts to a string."""
-    try:
-        return "%d/%d" % (num, den)
-    except ValueError:  # only past sys.get_int_max_str_digits()
-        raise ResourceBoundError(
-            "an exported rational has more than %d digits, the limit "
-            "for integer string conversion" % sys.get_int_max_str_digits()
-        ) from None
+    return adv._printed("%d/%d", f.numerator, f.denominator)
 
 
 def _scale(vertices) -> int:
@@ -747,8 +738,8 @@ def _complex_doc(c: Complex) -> dict:
         "type": "complex",
         "vertices": [
             {
-                "position": _rational_str(v.position.numerator,
-                                          3**v.position.exponent),
+                "position": adv._printed("%d/%d", v.position.numerator,
+                                         3**v.position.exponent),
                 "color": v.color.value,
                 "segment": v.segment,
             }

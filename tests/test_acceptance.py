@@ -19,7 +19,7 @@ from twogen.indexfn import (BLACK, WHITE, ind, ind_inverse, ind_limit,
                             is_special_pair)
 from twogen.oracle import (Family, classify, pair_machine_difference,
                            round_lower_bound, select_forbidden_scenario)
-from twogen.protocol import (IndexGuardAlgorithm, Message, _delivered,
+from twogen.protocol import (IndexGuardAlgorithm, _delivered,
                              completions, simulate, verify)
 from twogen.words import FiniteWord, GAMMA, Letter, parse_lasso, parse_word
 
@@ -173,12 +173,10 @@ def test_criterion_08_index_bracket_invariant(report):
                     white = algo.start(WHITE, inputs[0])
                     black = algo.start(BLACK, inputs[1])
                     for a in letters:
-                        mw = Message(white.init, white.ind)
-                        mb = Message(black.init, black.ind)
-                        white = algo.receive(
-                            white, mb if _delivered(a, BLACK) else None)
-                        black = algo.receive(
-                            black, mw if _delivered(a, WHITE) else None)
+                        to_white = black if _delivered(a, BLACK) else None
+                        to_black = white if _delivered(a, WHITE) else None
+                        white = algo.receive(white, to_white)
+                        black = algo.receive(black, to_black)
                         i = ind(FiniteWord(letters[:white.round]))
                         assert white.ind % 2 == 0 and black.ind % 2 == 1
                         assert min(white.ind, black.ind) == i

@@ -356,6 +356,11 @@ def test_negative_extension_depth(builtins):
         builtins["C1"].prefixes(-2)
 
 
+def test_no_extensions_of_a_prefix_outside_the_alphabet(builtins):
+    """C1 reads GAMMA, so a prefix with LL has no extension at all."""
+    assert list(builtins["C1"].extensions(FiniteWord.of(Letter.LL), 2)) == []
+
+
 @pytest.mark.parametrize("name", adv.BUILTIN_NAMES)
 def test_sending_true_skips_that_words_extensions(builtins, name):
     """A caller that sends True in reply to a word gets the words of a

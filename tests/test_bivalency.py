@@ -267,7 +267,7 @@ def test_walk_matches_reenumeration(text, w):
 def test_walk_matches_reenumeration_on_runs_that_halt_mid_walk(case):
     """Own-input deciding at round k = 1..4 halts every run at depth k,
     and on mixed inputs the final words are bivalent: the tree goes
-    below them into entries filled without running them."""
+    below them into entries the walk reaches without running them."""
     _, (a, algos) = case
     m = _Memo(a)
     leaf = explore(algos[1], a, (0, 1), 3)  # k = 2: final at depth 2
@@ -319,7 +319,8 @@ def test_agreeing_final_words_are_entered_alone(text):
     a = adv.load(text)
     algo = IndexGuardAlgorithm(
         oracle.select_forbidden_scenario(oracle.classify(a)))
-    walked = [w for w, _, _ in _walk(algo, a, FiniteWord(), 4, ((0, 1),))]
+    walked = [w for w, _, _ in _walk(algo, a, FiniteWord(), 4, ((0, 1),),
+                                     lambda configs: True)]
     assert list(_decisions_below(algo, a, FiniteWord(), (0, 1), 4)) == walked
     assert explore(algo, a, (0, 1), 4).to_dict() == \
         _ref_explore(algo, _Memo(a), (0, 1), 4).to_dict()
@@ -328,15 +329,15 @@ def test_agreeing_final_words_are_entered_alone(text):
 @pytest.mark.parametrize("name", ["S1", "TW", "C1"])
 def test_disagreeing_final_words_keep_their_subtrees(builtins, name):
     """Own-input deciding at round k disagrees on inputs (0, 1), so its
-    final words are bivalent and the tree goes below them: their
-    subtrees are filled, the map holds every live extension, and the
+    final words are bivalent and the tree goes below them: the walk
+    goes on below them, the map holds every live extension, and the
     tree is the reference's."""
     a = builtins[name]
     m = _Memo(a)
     every = [w for w, _ in a.extensions(FiniteWord(), 4)]
     for algo in (OwnInputAlgorithm(), _OwnInputAt(2), _OwnInputAt(3)):
         walked = [w for w, _, _ in _walk(algo, a, FiniteWord(), 4,
-                                         ((0, 1),))]
+                                         ((0, 1),), lambda configs: True)]
         assert len(walked) < len(every)
         assert list(_decisions_below(algo, a, FiniteWord(), (0, 1), 4)) == \
             every

@@ -53,6 +53,27 @@ def test_index_bad_word(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["index", " ".join(["LW"] * 10000)],
+    ["index", "--limit", " ".join(["LW"] * 10000) + " ( OK )^w"],
+    # ind(OK LW^n) is 3^n, while its normalization is 1/3
+    ["index", "OK " + " ".join(["LW"] * 9100)],
+], ids=["word", "limit", "index-only"])
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no integer string conversion limit")
+def test_index_bounds_the_digits_it_prints(capsys, argv):
+    """A number to print with more digits than the interpreter converts
+    to a string is a resource bound, as in the topology export."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        rc, out, err = run(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (rc, out) == (2, "")
+    assert err.startswith("resource: ") and "more than 4300 digits" in err
+
+
+@pytest.mark.parametrize("argv", [
     ["sim", "run", "--adversary", "C1", "--scenario", "( OK )^w",
      "--inputs", "0,1"],
     ["sim", "verify", "--adversary", "GAMMA^w \\ { LW LB ( OK )^w }",

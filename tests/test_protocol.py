@@ -18,7 +18,7 @@ from twogen import topology as topo
 from twogen.adversary import AdversaryAutomaton, ResourceBoundError
 from twogen.indexfn import BLACK, WHITE, ind, ind_limit
 from twogen.oracle import classify, select_forbidden_scenario
-from twogen.protocol import (INPUT_VECTORS, IndexGuardAlgorithm, Message,
+from twogen.protocol import (INPUT_VECTORS, IndexGuardAlgorithm,
                              OwnInputAlgorithm, ProcessState, Report,
                              Violation, _delivered, completions, simulate,
                              verify)
@@ -30,16 +30,19 @@ def L(text):
     return parse_lasso(text)
 
 
+def _always(configs) -> bool:
+    """The walk's stop test that stops it at every final word."""
+    return True
+
+
 def _run_rounds(algo, letters, inputs=(0, 1)):
     """Drives both processes through the given prefix without letting
     either one halt; returns the two states."""
     white = algo.start(WHITE, inputs[0])
     black = algo.start(BLACK, inputs[1])
     for a in letters:
-        mw = Message(white.init, white.ind)
-        mb = Message(black.init, black.ind)
-        to_white = mb if _delivered(a, BLACK) else None
-        to_black = mw if _delivered(a, WHITE) else None
+        to_white = black if _delivered(a, BLACK) else None
+        to_black = white if _delivered(a, WHITE) else None
         white = algo.receive(white, to_white)
         black = algo.receive(black, to_black)
     return white, black
@@ -143,24 +146,20 @@ def test_halted_peer_message_absent():
 
 
 def test_states_and_messages_are_immutable_values():
-    """Process states and messages are named tuples: fields cannot be
-    set, equal values hash equal, and ``_replace`` makes a changed
-    copy."""
+    """Process states, which are also a round's messages, are named
+    tuples: fields cannot be set, equal values hash equal, and
+    ``_replace`` makes a changed copy."""
     s = ProcessState(WHITE, 1)
     assert (s.initother, s.ind, s.round, s.decided) == (None, 0, 0, None)
     assert not s.halted
-    m = Message(1, 4)
-    for obj, attr in ((s, "decided"), (s, "round"), (s, "extra"),
-                      (m, "ind"), (m, "extra")):
+    for attr in ("decided", "round", "ind", "extra"):
         with pytest.raises(AttributeError):
-            setattr(obj, attr, 0)
+            setattr(s, attr, 0)
     t = s._replace(decided=0, round=2)
     assert t.halted and (t.decided, t.round) == (0, 2)
     assert s.decided is None and not s.halted
     same = ProcessState(WHITE, 1, None, 0, 2, 0)
     assert t == same and hash(t) == hash(same) and len({t, same, s}) == 2
-    assert m == Message(1, 4) and hash(m) == hash(Message(1, 4))
-    assert m._replace(ind=5) == Message(1, 5) != m
 
 
 def test_completions_stay_inside(builtins):
@@ -326,6 +325,42 @@ def test_verify_budget_ends_before_a_halt_at_its_last_round(builtins):
             _assert_verify_matches(algo, builtins["C1"], (depth,))
 
 
+class _Contrary(OwnInputAlgorithm):
+    """Strawman that decides the other value than its input at round 1."""
+
+    def maybe_halt(self, s):
+        return s._replace(decided=1 - s.init) if s.round >= 1 else s
+
+
+def test_verify_reports_validity_violations(builtins):
+    """Deciding 1 - init breaks validity on unanimous inputs and
+    agreement on mixed ones, in every one of C1's seven depth-2
+    completions."""
+    rep = verify(_Contrary(), builtins["C1"], 2)
+    scenarios = ["( LB )^w", "( LW )^w", "( OK )^w", "OK ( LB )^w",
+                 "OK ( LW )^w", "OK OK ( LB )^w", "OK OK ( LW )^w"]
+    want = {"checked": 28, "ok": False, "violations": [
+        {"kind": "agreement", "scenario": s, "inputs": [i, 1 - i],
+         "detail": "white decided %d, black decided %d" % (1 - i, i)}
+        for s in scenarios for i in (0, 1)
+    ] + [
+        {"kind": "validity", "scenario": s, "inputs": [i, i],
+         "detail": "unanimous %d but white decided %d" % (i, 1 - i)}
+        for s in scenarios for i in (0, 1)
+    ]}
+    assert rep.to_json() == json.dumps(want)
+    assert rep.to_json() == \
+        _ref_verify(_Contrary(), builtins["C1"], 2).to_json()
+
+
+def test_verify_of_an_empty_adversary_checks_nothing():
+    """No word is a prefix of an empty adversary, so the walk yields
+    nothing and verify reports no scenario."""
+    a = adv.intersect(adv.load("{OK}^w"), adv.load("{LW}^w"))
+    assert verify(OwnInputAlgorithm(), a).to_json() == \
+        '{"checked": 0, "ok": true, "violations": []}'
+
+
 def _verify_cases():
     cases = list(adv.BUILTIN_NAMES)
     rng = random.Random(7)
@@ -392,13 +427,35 @@ def test_the_walk_stops_at_final_words(builtins, name):
     final = set()
     walked = 0
     for word, _, configs in protocol._walk(algo, a, FiniteWord(), 5,
-                                           INPUT_VECTORS):
+                                           INPUT_VECTORS, _always):
         walked += 1
         assert not word or word[:-1] not in final, word
         if all(map(protocol._halted, configs)):
             final.add(word)
     assert final and walked < len(list(a.extensions(FiniteWord(), 5)))
     assert verify(algo, a, 5).checked == 4 * len(list(completions(a, 5)))
+
+
+@pytest.mark.parametrize("name", ["S1", "C1", "TW"])
+def test_the_walk_goes_below_final_words_it_does_not_stop_at(builtins,
+                                                             name):
+    """A stop test that is never true lets the walk yield every word of
+    ``a.extensions``, in its order; a word below a final one carries
+    that word's configurations unchanged."""
+    a = builtins[name]
+    algo = IndexGuardAlgorithm(select_forbidden_scenario(classify(a)))
+    final = {}
+    words = []
+    for word, _, configs in protocol._walk(algo, a, FiniteWord(), 5,
+                                           INPUT_VECTORS,
+                                           lambda configs: False):
+        words.append(word)
+        if word and word[:-1] in final:
+            assert configs == final[word[:-1]], word
+        if all(map(protocol._halted, configs)):
+            final[word] = configs
+    assert words == [w for w, _ in a.extensions(FiniteWord(), 5)]
+    assert any(len(w) < 5 for w in final)
 
 
 @pytest.mark.parametrize("case", enumerate(halting_cases(5, 6)),
@@ -518,7 +575,8 @@ _GAMMA_W = adv.load("R1")  # GAMMA^w: every GAMMA word is a prefix
 def test_a_tail_letter_resume_equals_simulate(algo, word, letter, inputs):
     """The walk's configuration after ``word``, resumed under a constant
     tail, ends where simulating ``word . letter^w`` from round 0 does."""
-    (_, _, (config,)), = protocol._walk(algo, _GAMMA_W, word, 0, (inputs,))
+    (_, _, (config,)), = protocol._walk(algo, _GAMMA_W, word, 0, (inputs,),
+                                        _always)
     budget = len(word) + 40
     t = simulate(algo, LassoWord(word, FiniteWord.of(letter)), inputs,
                  budget)
@@ -535,7 +593,7 @@ def _walk_matches_runs(algo, prefix, depth) -> int:
               for inputs in INPUT_VECTORS]
     one_halted = 0
     for word, _, configs in protocol._walk(algo, _GAMMA_W, prefix, depth,
-                                           INPUT_VECTORS):
+                                           INPUT_VECTORS, _always):
         assert configs == [functools.reduce(step, word.letters, start)
                            for start in starts], word
         one_halted += sum(w.halted != b.halted for w, b in configs)

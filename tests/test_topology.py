@@ -606,8 +606,9 @@ def test_aeta_builds_one_table_per_round(monkeypatch):
 
 
 def _table_adversaries():
-    """The golden topology adversaries, TW, TB, S0 and 20 seeded
-    solvable GAMMA differences."""
+    """The golden topology adversaries, TW, TB, S0, 20 seeded solvable
+    GAMMA differences, and one whose tables split a piece covered by
+    both sides with a white half from round 5 on (gap point 2483/9840)."""
     out = [adv.load(text) for text in GOLDEN_ADVERSARIES + ("TW", "TB", "S0")]
     rng = random.Random(24)
     while len(out) < 29:
@@ -616,6 +617,7 @@ def _table_adversaries():
         a = adv.compile_expr(adv.DifferenceFromFull(GAMMA, lassos))
         if classify(a).solvable:
             out.append(a)
+    out.append(adv.load("LW . {LB}^w | LB* . {OK}^w"))
     return out
 
 
@@ -623,7 +625,8 @@ def test_finished_sides_match_finished_witness():
     """At every index 0..3^r with r <= 8, the round's table gives the
     side of finished_witness's vertex, or None where it has none.  Some
     table has a white run next to a black one: S1's do, and from round
-    5 on their ranges of the two sides overlap, so the split is met."""
+    5 on their ranges of the two sides overlap, so the split is met, on
+    both of its halves with the last adversary."""
     adjacent = 0
     for a in _table_adversaries():
         z = topo.gap_point(classify(a))
