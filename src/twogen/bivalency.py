@@ -10,20 +10,20 @@ rounds, as in ``verify``, so an Undetermined verdict only signals bound
 exhaustion, never a theorem.
 
 One depth-first walk over the live extensions of a prefix
-(``protocol._walk``) runs each distinct completion once, from the
-configuration of the word it completes, and collects, for every word
-it passes, the decisions reached below that word.  A word ending in x
-takes its parent's run under x^w, since w x . x^w is w . x^w, and each
-word's decisions are added to its ancestors on the walk's path.  A
-final word, whose processes have both halted, decides the same below.
-The walk stops at one whose runs agree, entered alone with its decision
-if some live extension within the depth takes a default tail and with
-nothing otherwise, read from ``verify``'s completion count; no reader
-goes below a word that is not bivalent.  Below a final word whose runs
-disagree the walk goes on, carrying its halted configurations, for the
-tree to read.  ``valency`` reads the root of this map;
-``explore`` builds its tree from the map, reading only the children of
-bivalent words, and ``find_decisive`` walks that tree.
+(``protocol._walk``) keeps ``verify``'s rule: it resumes runs only at
+the leaves, the words len(p) + d letters long, under each accepted
+default tail, and decides or counts at the final words where it stops.
+Since w . x^w is (w . x^m) . x^w, every completion of a shorter word
+is a leaf's.  A final word, whose processes have both halted, decides
+the same below; the walk stops at one whose runs agree, entered alone
+with its decision if ``verify``'s completion count finds a leaf tail
+below it and with nothing otherwise, and no reader goes below a word
+that is not bivalent.  Below a final word whose runs disagree the walk
+goes on, carrying its halted configurations, for the tree to read.
+Once the walk ends, each word's decisions join its parent's.
+``valency`` reads the root of this map; ``explore`` builds its tree
+from the map, reading only the children of bivalent words, and
+``find_decisive`` walks that tree.
 """
 
 from __future__ import annotations
@@ -56,12 +56,14 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
     order.
 
     A word's set holds the decisions of the runs under every scenario
-    ``word'.tail`` inside the adversary with ``word'`` the word itself
-    or an extension of it; None stands for a run that did not halt
-    within len(prefix) + depth + SPARE_ROUNDS rounds.  The map holds
-    ``prefix`` and every child of a word in it where the walk does not
-    stop: it stops at a final word whose runs agree, which is univalent
-    or undetermined, so no reader asks for its children.
+    ``word'.tail`` inside the adversary with ``word'`` an extension of
+    the word to len(prefix) + depth letters: w.x^w is (w.x^m).x^w, so
+    these are all of the word's completions.  None stands for a run
+    that did not halt within len(prefix) + depth + SPARE_ROUNDS rounds.
+    The map holds ``prefix`` and every child of a word in it where the
+    walk does not stop: it stops at a final word whose runs agree,
+    which is univalent or undetermined, so no reader asks for its
+    children.
     """
     if next(a.extensions(prefix, 0), None) is None:
         raise ValueError(
@@ -70,21 +72,6 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
     budget = limit + SPARE_ROUNDS
     forever, count = a.accepts_forever, _completion_counts(a)
     below: dict = {}
-    # path[k]: (set, runs) of the current word's ancestor with
-    # len(prefix) + k letters; runs holds the decisions under each of
-    # DEFAULT_TAILS, and every set holds those of its descendants so far
-    path: list = []
-
-    def enter(word, found, runs=None):
-        del path[len(word) - len(prefix):]
-        # an ancestor's set holds its descendants' on the path, so the
-        # climb ends at the first ancestor already holding ``found``
-        for seen, _ in reversed(path):
-            if found <= seen:
-                break
-            seen |= found
-        below[word] = found = set(found)
-        path.append((found, runs))
 
     def agree(configs) -> bool:
         return len(_decisions(*configs[0])) == 1
@@ -92,23 +79,22 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
     for word, state, configs in _walk(algorithm, a, prefix, depth,
                                       (inputs,), agree):
         config, = configs
-        if _halted(config):  # where the walk stops, for its subtree too
-            reach = limit - len(word) if agree(configs) else 0
-            tail = any(count(state, j) for j in range(reach + 1))
-            enter(word, _decisions(*config) if tail else frozenset())
-            continue
-        k = len(word) - len(prefix)
-        last = word.letters[-1] if k else None
-        runs = []
-        for i, letter in enumerate(_TAIL_LETTERS):
-            if letter is last:  # w x . x^w is w . x^w: the parent's run
-                runs.append(path[k - 1][1][i])
-            elif forever(state, letter):
-                runs.append(_decisions(*_resume(algorithm, config, letter,
-                                                len(word), budget)))
-            else:
-                runs.append(frozenset())
-        enter(word, frozenset().union(*runs), runs)
+        found = below[word] = set()
+        if _halted(config) and agree(configs):  # where the walk stops
+            # x^w accepted after a shorter word is accepted after its
+            # extension by x, so counting at the limit counts them all
+            if count(state, limit - len(word)):
+                found |= _decisions(*config)
+        elif len(word) == limit:
+            for letter in _TAIL_LETTERS:
+                if forever(state, letter):
+                    found |= _decisions(*_resume(algorithm, config, letter,
+                                                 limit, budget))
+    # the walk yields a word before its extensions, so in reverse each
+    # set is whole before it joins its parent's
+    for word in reversed(below):
+        if len(word) > len(prefix):
+            below[word[:-1]] |= below[word]
     return below
 
 

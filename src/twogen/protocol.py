@@ -17,8 +17,10 @@ halts once its index leaves the undecided region of the round's table
 index-guard algorithm ("A_w") is parameterized by a scenario w excluded
 from the adversary; its undecided region is the indexes within 2 of
 ind(w|_r).  ``verify`` and the valency walks share DEFAULT_TAILS,
-SPARE_ROUNDS, one completion count, ``_completion_counts``, and one
-prefix walk, ``_walk``, which stops where its caller's test says.
+SPARE_ROUNDS, one prefix walk, ``_walk``, which stops where its
+caller's test says, and one rule over it: runs resume only at the
+leaves, the words at the depth limit, and a final word where the walk
+stops is decided or counted with ``_completion_counts``.
 """
 
 from __future__ import annotations

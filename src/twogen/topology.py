@@ -450,8 +450,11 @@ def _fiber_scenario(a: AdversaryAutomaton, z: Fraction) -> tuple:
 def build_terminating_subdivision(a: AdversaryAutomaton, z,
                                   depth: int = 6) -> TerminatingSubdivision:
     """Levels 1..depth around the gap point z, whose fiber in ``a`` must
-    be empty; depth is at most MAX_ROUNDS, the simulator's default round
-    budget."""
+    be empty; ``a`` must be over GAMMA, and depth at most MAX_ROUNDS, the
+    simulator's default round budget."""
+    if a.alphabet != GAMMA:
+        raise ValueError(
+            "terminating subdivisions are built for GAMMA-adversaries only")
     if depth < 0:
         raise ValueError("subdivision depth %d is negative" % depth)
     adv._check_work("subdivision depth", depth, MAX_ROUNDS)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import _OwnInputAt, halting_cases, random_gamma_lasso
 from twogen import adversary as adv
-from twogen import oracle
+from twogen import bivalency, oracle
 from twogen.bivalency import (DecisiveReport, ExplorationNode, Valency,
                               _decisions_below, explore, find_decisive,
                               valency)
@@ -395,3 +395,36 @@ def test_budget_ends_before_a_halt_at_its_last_round(builtins):
         Valency.UNDETERMINED
     assert explore(_OwnInputAt(41), c1, (0, 0), 2).valency is \
         Valency.ZERO_VALENT
+
+
+@pytest.mark.parametrize("name", ["S1", "C1", "TW"])
+def test_runs_resume_only_at_the_depth_limit(builtins, monkeypatch, name):
+    """Every completion of an inner word is one of a word at the depth
+    limit (w . x^w is w x^m . x^w), so the walk resumes runs only there,
+    as ``verify`` does: in ``explore`` to depths 0-4 and in the
+    one-letter walks ``find_decisive`` runs below the tree's leaves."""
+    a = builtins[name]
+    walks, seen = [], set()
+
+    def below(algorithm, a, prefix, inputs, depth):
+        walks.append((len(prefix), len(prefix) + depth))
+        return decisions_below(algorithm, a, prefix, inputs, depth)
+
+    def resume(algorithm, config, letter, start, budget):
+        n, limit = walks[-1]
+        assert start == limit, (start, n, limit)
+        seen.add((n, start))
+        return resume_of(algorithm, config, letter, start, budget)
+
+    decisions_below, resume_of = bivalency._decisions_below, bivalency._resume
+    monkeypatch.setattr(bivalency, "_decisions_below", below)
+    monkeypatch.setattr(bivalency, "_resume", resume)
+    algo = IndexGuardAlgorithm(
+        oracle.select_forbidden_scenario(oracle.classify(a)))
+    for algorithm in (algo, OwnInputAlgorithm()):
+        for inputs in INPUT_VECTORS:
+            for depth in range(5):
+                explore(algorithm, a, inputs, depth)
+                find_decisive(algorithm, a, inputs, depth)
+    assert {start for n, start in seen if not n} == set(range(5))
+    assert {start for n, start in seen if n} >= {2, 3, 4, 5}  # one letter

@@ -319,6 +319,18 @@ def test_sim_verify_depth_over_cap_exit_2(capsys):
     assert err.startswith("resource:")
 
 
+def test_aeta_on_a_g2_adversary_names_the_gamma_requirement(capsys):
+    """A_eta is built on a terminating subdivision, which is defined over
+    GAMMA only: the error says so instead of an automaton mismatch."""
+    rc, out, err = run(
+        capsys, "sim", "verify", "--adversary", "S2", "--algorithm", "aeta",
+        "--w", "( OK )^w", "--depth", "2",
+    )
+    assert (rc, out) == (1, "")
+    assert err == ("domain: terminating subdivisions are built for "
+                   "GAMMA-adversaries only\n")
+
+
 def test_topo_components_missing_file(capsys, tmp_path):
     rc, _, err = run(
         capsys, "topo", "components", "--in", str(tmp_path / "none.json"),

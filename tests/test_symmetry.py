@@ -5,10 +5,11 @@ the built-in TW into TB.  It reflects indexes (ind(swap u) =
 3^r - 1 - ind(u)) and limit indexes (z into 1 - z), maps an adversary's
 language onto the language of its swapped text, and exchanges the corner
 families F3 and F4 of ``classify``.  It keeps ``verify``'s counts for
-A_w against A_{swap w}, and ``round_lower_bound``.  None of these
+A_w against A_{swap w}, ``round_lower_bound``, and valency for
+own-input and for A_eta at the reflected gap point.  None of these
 relations needs a reference implementation.  A_w's guard is not
 symmetric, so its mirrored transcripts are pinned rather than asserted
-equal.
+equal, and its valency is not compared.
 """
 
 import math
@@ -17,10 +18,13 @@ import random
 from conftest import (DslTexts, all_words, liveness_automata,
                       random_gamma_lasso)
 from twogen import adversary as adv
+from twogen import topology as topo
+from twogen.bivalency import valency
 from twogen.indexfn import ind, ind_limit
 from twogen.oracle import (CORNER_LB, Family, classify, round_lower_bound,
                            select_forbidden_scenario)
-from twogen.protocol import IndexGuardAlgorithm, simulate, verify
+from twogen.protocol import (INPUT_VECTORS, IndexGuardAlgorithm,
+                             OwnInputAlgorithm, simulate, verify)
 from twogen.words import (GAMMA, FiniteWord, LassoWord, Letter, ParseError,
                           is_fair, parse_lasso)
 
@@ -154,6 +158,35 @@ def test_round_lower_bound_is_kept_by_the_swap():
         assert round_lower_bound(b, 5) == round_lower_bound(a, 5), e
         held += 1
     assert held > 200, held
+
+
+def test_valency_is_kept_by_the_swap():
+    """The valency of swap p in swap L with the inputs swapped is that
+    of p in L, to depth 3 for every prefix of length at most 2 and every
+    input vector: for own-input, and for A_eta built at the gap point z
+    of L and at 1 - z for swap L, whose decision map reflects with the
+    unit interval.  A tail skipped or miscounted for one process shows
+    up as a mismatch, since the swap turns LW^w into LB^w."""
+    held = 0
+    for e, a, b in _loaded(DslTexts(random.Random(3)), 120):
+        if a.alphabet != GAMMA:
+            continue
+        pairs = [(OwnInputAlgorithm(), OwnInputAlgorithm())]
+        v = classify(a)
+        if v.solvable:
+            z = topo.gap_point(v)
+            pairs.append(tuple(
+                topo.GeometricAlgorithm(
+                    topo.build_terminating_subdivision(x, gap))
+                for x, gap in ((a, z), (b, 1 - z))))
+        for p in [p for k in range(3) for p in sorted(a.prefixes(k), key=str)]:
+            for algo, mirror in pairs:
+                for inputs in INPUT_VECTORS:
+                    assert valency(mirror, b, swap_word(p), inputs[::-1],
+                                   3) is valency(algo, a, p, inputs, 3), \
+                        (e, p, inputs)
+                    held += 1
+    assert held > 1500, held
 
 
 def test_index_guard_transcripts_are_not_mirrored():
