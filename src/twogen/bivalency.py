@@ -9,17 +9,10 @@ p searched to a depth d gets len(p) + d + ``protocol.SPARE_ROUNDS``
 rounds, as in ``verify``, so an Undetermined verdict only signals bound
 exhaustion, never a theorem.
 
-One depth-first walk over the live extensions of a prefix
-(``protocol._walk``) keeps ``verify``'s rule: it resumes runs only at
-the leaves, the words len(p) + d letters long, under each accepted
-default tail, and decides or counts at the final words where it stops.
-Since w . x^w is (w . x^m) . x^w, every completion of a shorter word
-is a leaf's.  A final word, whose processes have both halted, decides
-the same below; the walk stops at one whose runs agree, entered alone
-with its decision if ``verify``'s completion count finds a leaf tail
-below it and with nothing otherwise, and no reader goes below a word
-that is not bivalent.  Below a final word whose runs disagree the walk
-goes on, carrying its halted configurations, for the tree to read.
+One depth-first walk over the live extensions of a prefix,
+``protocol._walk``, hands over the runs that end at each word, by
+``verify``'s completion rule.  It stops at a final word whose runs
+agree; below one whose runs disagree it goes on for the tree to read.
 Once the walk ends, each word's decisions join its parent's.
 ``valency`` reads the root of this map; ``explore`` builds its tree
 from the map, reading only the children of bivalent words, and
@@ -33,8 +26,7 @@ import json
 from typing import NamedTuple, Optional
 
 from .adversary import AdversaryAutomaton
-from .protocol import (SPARE_ROUNDS, Algorithm, ProcessState, _TAIL_LETTERS,
-                       _completion_counts, _halted, _resume, _walk)
+from .protocol import Algorithm, ProcessState, _walk
 from .records import fields_eq, fields_repr, record
 from .words import FiniteWord
 
@@ -55,41 +47,26 @@ def _decisions_below(algorithm: Algorithm, a: AdversaryAutomaton,
     by at most ``depth`` letters that a reader can reach, in ``str``
     order.
 
-    A word's set holds the decisions of the runs under every scenario
-    ``word'.tail`` inside the adversary with ``word'`` an extension of
-    the word to len(prefix) + depth letters: w.x^w is (w.x^m).x^w, so
-    these are all of the word's completions.  None stands for a run
-    that did not halt within len(prefix) + depth + SPARE_ROUNDS rounds.
-    The map holds ``prefix`` and every child of a word in it where the
-    walk does not stop: it stops at a final word whose runs agree,
-    which is univalent or undetermined, so no reader asks for its
-    children.
+    A word's set holds the decisions of the runs that end at or below
+    it in ``protocol._walk``, which are all of its completions: None
+    stands for a run that did not halt within len(prefix) + depth +
+    SPARE_ROUNDS rounds.  The map holds ``prefix`` and every child of
+    a word in it where the walk does not stop: it stops at a final
+    word whose runs agree, univalent or undetermined, so no reader
+    asks for its children.
     """
     if next(a.extensions(prefix, 0), None) is None:
         raise ValueError(
             "prefix %r is not a prefix of the adversary" % str(prefix))
-    limit = len(prefix) + depth
-    budget = limit + SPARE_ROUNDS
-    forever, count = a.accepts_forever, _completion_counts(a)
     below: dict = {}
 
     def agree(configs) -> bool:
         return len(_decisions(*configs[0])) == 1
 
-    for word, state, configs in _walk(algorithm, a, prefix, depth,
-                                      (inputs,), agree):
-        config, = configs
-        found = below[word] = set()
-        if _halted(config) and agree(configs):  # where the walk stops
-            # x^w accepted after a shorter word is accepted after its
-            # extension by x, so counting at the limit counts them all
-            if count(state, limit - len(word)):
-                found |= _decisions(*config)
-        elif len(word) == limit:
-            for letter in _TAIL_LETTERS:
-                if forever(state, letter):
-                    found |= _decisions(*_resume(algorithm, config, letter,
-                                                 limit, budget))
+    for word, _, ends in _walk(algorithm, a, prefix, depth, (inputs,),
+                               agree):
+        below[word] = {d for _, (final,), n in ends if n
+                       for d in _decisions(*final)}
     # the walk yields a word before its extensions, so in reverse each
     # set is whole before it joins its parent's
     for word in reversed(below):

@@ -16,11 +16,11 @@ halts once its index leaves the undecided region of the round's table
 ``sides(r)`` and decides the input of the side it fell on.  The
 index-guard algorithm ("A_w") is parameterized by a scenario w excluded
 from the adversary; its undecided region is the indexes within 2 of
-ind(w|_r).  ``verify`` and the valency walks share DEFAULT_TAILS,
-SPARE_ROUNDS, one prefix walk, ``_walk``, which stops where its
-caller's test says, and one rule over it: runs resume only at the
-leaves, the words at the depth limit, and a final word where the walk
-stops is decided or counted with ``_completion_counts``.
+ind(w|_r).  ``verify`` and the valency walks read their runs off one
+prefix walk, ``_walk``, by one completion rule: runs are closed off with
+DEFAULT_TAILS, and resumed for SPARE_ROUNDS rounds, only at the leaves,
+the words at the depth limit, and a final word where the walk stops has
+its completions counted with ``_completion_counts``.
 """
 
 from __future__ import annotations
@@ -258,22 +258,34 @@ def _halted(config: tuple) -> bool:
 
 def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
           depth: int, vectors: tuple, stop):
-    """Yields ``(word, state, configs)`` for ``prefix`` and its live
+    """Yields ``(word, configs, ends)`` for ``prefix`` and its live
     extensions by at most ``depth`` letters, in the order of
     ``a.extensions(prefix, depth)``, with per input vector the
     configuration at the top of round ``len(word)`` after its halt
     checks, one round on from the parent's: runs sharing a prefix share
-    its rounds.  A word whose configurations have all halted is final:
-    every extension of it has the same configurations.  At a final
-    word the walk reads ``stop(configs)`` and, if it is true, sends True
-    back to ``a.extensions`` and does not go below it.  Raises as
-    ``a.extensions`` does, and yields nothing when no accepted word
-    extends ``prefix``."""
+    its rounds.  ``ends`` lists the runs that end at the word, as
+    ``(tail, finals, n)``: ``n`` runs per input vector, each ending in
+    its configuration of ``finals``.
+
+    A word whose configurations have all halted is final: every
+    extension has the same configurations.  At a final word the walk
+    reads ``stop(configs)`` once; if true, it sends True back to
+    ``a.extensions``, goes no lower and ends ``(None, configs, n)``,
+    with n the pairs of a leaf below and a tail of DEFAULT_TAILS
+    accepted after it.  At a leaf, a word of len(prefix) + depth
+    letters, it ends ``(x^w, finals, 1)`` per accepted tail x^w, a
+    halted configuration as it is and any other resumed under x to
+    len(prefix) + depth + SPARE_ROUNDS rounds.  Other words end no run:
+    w.x^w is (w.x^m).x^w.  Raises as ``a.extensions`` does, and yields
+    nothing when no accepted word extends ``prefix``."""
     words = a.extensions(prefix, depth)
     item = next(words, None)
     if item is None:
         return
 
+    limit = len(prefix.letters) + depth
+    budget = limit + SPARE_ROUNDS
+    forever, count = a.accepts_forever, _completion_counts(a)
     maybe_halt, receive = algorithm.maybe_halt, algorithm.receive
 
     def step(config, letter):
@@ -295,9 +307,21 @@ def _walk(algorithm: Algorithm, a: AdversaryAutomaton, prefix: FiniteWord,
         k = len(word.letters) - len(prefix.letters)
         if k:
             path[k:] = [[step(c, word.letters[-1]) for c in path[k - 1]]]
-        yield word, state, path[k]
+        configs = path[k]
+        stops = all(map(_halted, configs)) and stop(configs)
+        if stops:
+            ends = [(None, configs, count(state, depth - k))]
+        elif k == depth:
+            ends = [(tail, [c if _halted(c) else
+                            _resume(algorithm, c, x, limit, budget)
+                            for c in configs], 1)
+                    for x, tail in zip(_TAIL_LETTERS, DEFAULT_TAILS)
+                    if forever(state, x)]
+        else:
+            ends = []
+        yield word, configs, ends
         try:
-            item = words.send(all(map(_halted, path[k])) and stop(path[k]))
+            item = words.send(stops)
         except StopIteration:
             return
 
@@ -429,16 +453,11 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton,
     obtained by completing the adversary's depth-prefixes with
     DEFAULT_TAILS (the scenarios of ``completions``, in its order),
     across all four input vectors, each run for at most depth +
-    SPARE_ROUNDS rounds.  The walk stops at a final word, whose runs
-    have all halted, if they decided correctly: its completions are
-    counted per automaton state without being visited.  Below the other
-    final words the walk goes on to the leaves, whose completions are
-    checked one by one; a run still going there resumes from its
-    configuration."""
+    SPARE_ROUNDS rounds.  These are the runs that end at the words of
+    ``_walk``, which stops at a final word whose runs decided correctly:
+    its completions are counted, and the leaves' are checked."""
     _check_work("verification depth", depth, 10)
     budget = depth + SPARE_ROUNDS
-    forever = a.accepts_forever
-    count = _completion_counts(a)
 
     def fault_free(configs) -> bool:
         return not any(_faults(inputs, *config, budget)
@@ -446,22 +465,14 @@ def verify(algorithm: Algorithm, a: AdversaryAutomaton,
 
     checked = 0
     violations = []
-    for word, state, configs in _walk(algorithm, a, FiniteWord(), depth,
-                                      INPUT_VECTORS, fault_free):
-        n = len(word)
-        if all(map(_halted, configs)) and fault_free(configs):
-            checked += len(configs) * count(state, depth - n)
-        elif n == depth:
-            for letter, tail in zip(_TAIL_LETTERS, DEFAULT_TAILS):
-                if not forever(state, letter):
-                    continue
+    for word, _, ends in _walk(algorithm, a, FiniteWord(), depth,
+                               INPUT_VECTORS, fault_free):
+        for tail, finals, n in ends:
+            checked += n * len(finals)
+            if tail is not None:
                 scenario = LassoWord(word, tail.cycle)
-                for inputs, config in zip(INPUT_VECTORS, configs):
-                    checked += 1
-                    white, black = config if _halted(config) else _resume(
-                        algorithm, config, letter, n, budget)
-                    violations.extend(
-                        Violation(kind, scenario, inputs, detail)
-                        for kind, detail in _faults(inputs, white, black,
-                                                    budget))
+                violations.extend(
+                    Violation(kind, scenario, inputs, detail)
+                    for inputs, final in zip(INPUT_VECTORS, finals)
+                    for kind, detail in _faults(inputs, *final, budget))
     return Report(checked, violations)

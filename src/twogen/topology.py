@@ -802,20 +802,38 @@ def _rational(text) -> tuple:
     return int(m[1]), int(m[2])
 
 
+def _typed(value, what: str, *kinds: type):
+    """``value`` if its type is exactly one of ``kinds`` (so no bool
+    passes for an int), else a malformed-document ValueError."""
+    if type(value) not in kinds:
+        raise ValueError("malformed complex document: %s %r has the "
+                         "wrong type" % (what, value))
+    return value
+
+
 def _complex_from_doc(doc: dict) -> Complex:
     verts = []
     for d in doc["vertices"]:
-        v = ColoredVertex(_ternary(*_rational(d["position"])), d["segment"])
+        v = ColoredVertex(_ternary(*_rational(d["position"])),
+                          _typed(d["segment"], "segment", str))
         if ProcessId(d["color"]) is not v.color:
             raise ValueError("vertex at %s is colored %s, not %s"
                              % (v.position, d["color"], v.color.value))
         verts.append(v)
+
+    def vertex(i) -> ColoredVertex:
+        if _typed(i, "vertex index", int) < 0:
+            raise ValueError(
+                "malformed complex document: vertex index %d is negative" % i)
+        return verts[i]
+
     edges = tuple(
-        ComplexEdge(verts[d["a"]], verts[d["b"]], d.get("level"))
+        ComplexEdge(vertex(d["a"]), vertex(d["b"]),
+                    _typed(d.get("level"), "level", int, type(None)))
         for d in doc["edges"]
     )
     gluing = tuple(
-        frozenset(verts[i] for i in group) for group in doc.get("gluing", [])
+        frozenset(map(vertex, group)) for group in doc.get("gluing", [])
     )
     acc = tuple(Fraction(*_rational(p))
                 for p in doc.get("accumulation_points", []))
@@ -835,7 +853,10 @@ _SQUARE_ANCHORS = {
 def _coord(segment: str, p: TernaryRational) -> tuple:
     """The point at p on the segment, each coordinate rounded to two
     decimals: v = c0 + (c1 - c0) p is an integer over the odd 3^e, so
-    100 v is never halfway and rounds to floor(100 v + 1/2)."""
+    100 v is never halfway and rounds to floor(100 v + 1/2).  Raises
+    ValueError for a segment with no anchors."""
+    if segment not in _SQUARE_ANCHORS:
+        raise ValueError("no svg anchors for segment %r" % (segment,))
     (x0, y0), (x1, y1) = _SQUARE_ANCHORS[segment]
     den = 3**p.exponent
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import _OwnInputAt, halting_cases, random_gamma_lasso
 from twogen import adversary as adv
-from twogen import bivalency, oracle
+from twogen import bivalency, oracle, protocol
 from twogen.bivalency import (DecisiveReport, ExplorationNode, Valency,
                               _decisions_below, explore, find_decisive,
                               valency)
@@ -402,7 +402,9 @@ def test_runs_resume_only_at_the_depth_limit(builtins, monkeypatch, name):
     """Every completion of an inner word is one of a word at the depth
     limit (w . x^w is w x^m . x^w), so the walk resumes runs only there,
     as ``verify`` does: in ``explore`` to depths 0-4 and in the
-    one-letter walks ``find_decisive`` runs below the tree's leaves."""
+    one-letter walks ``find_decisive`` runs below the tree's leaves.
+    Halted runs are not resumed, so own-input deciding at round 6 keeps
+    runs going at every depth limit."""
     a = builtins[name]
     walks, seen = [], set()
 
@@ -416,12 +418,12 @@ def test_runs_resume_only_at_the_depth_limit(builtins, monkeypatch, name):
         seen.add((n, start))
         return resume_of(algorithm, config, letter, start, budget)
 
-    decisions_below, resume_of = bivalency._decisions_below, bivalency._resume
+    decisions_below, resume_of = bivalency._decisions_below, protocol._resume
     monkeypatch.setattr(bivalency, "_decisions_below", below)
-    monkeypatch.setattr(bivalency, "_resume", resume)
+    monkeypatch.setattr(protocol, "_resume", resume)
     algo = IndexGuardAlgorithm(
         oracle.select_forbidden_scenario(oracle.classify(a)))
-    for algorithm in (algo, OwnInputAlgorithm()):
+    for algorithm in (algo, OwnInputAlgorithm(), _OwnInputAt(6)):
         for inputs in INPUT_VECTORS:
             for depth in range(5):
                 explore(algorithm, a, inputs, depth)

@@ -397,6 +397,63 @@ def test_topo_components_malformed_rational(capsys, tmp_path, doc):
     assert err.startswith("domain: malformed complex document"), err
 
 
+def _segment_doc(segment):
+    doc = _unit_edge_doc()
+    for v in doc["vertices"]:
+        v["segment"] = segment
+    return doc
+
+
+def _edge_doc(**fields):
+    doc = _unit_edge_doc()
+    doc["edges"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("action", ["components", "json", "svg"])
+@pytest.mark.parametrize("doc", [
+    _segment_doc(5),
+    _edge_doc(level="x"),
+    _edge_doc(level=True),
+    _edge_doc(a=-1, b=-2),
+    _edge_doc(a=False),
+    dict(_unit_edge_doc(), gluing=[[-1, 0]]),
+], ids=["int-segment", "str-level", "bool-level", "negative-index",
+        "bool-index", "negative-gluing"])
+def test_topo_rejects_documents_outside_the_schema(capsys, tmp_path, doc,
+                                                  action):
+    """A segment that is not a string, a level that is neither null nor
+    an integer, and a vertex index that is negative or not an integer
+    are malformed, whether the document is counted or exported."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    if action == "components":
+        argv = ["topo", "components", "--in", str(path)]
+    else:
+        argv = ["topo", "subdivide", "--in", str(path),
+                "--out", str(tmp_path / ("out." + action))]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err.startswith("domain: malformed complex document"), err
+
+
+def test_topo_svg_needs_an_anchored_segment(capsys, tmp_path):
+    """The schema allows any string as a segment: a segment with no svg
+    anchors is counted and exported as JSON, but not drawn."""
+    path = tmp_path / "foo.json"
+    path.write_text(json.dumps(_segment_doc("foo")))
+    rc, _, _ = run(capsys, "topo", "components", "--in", str(path))
+    assert rc == 0
+    rc, _, _ = run(capsys, "topo", "subdivide", "--in", str(path),
+                   "--out", str(tmp_path / "foo.out.json"))
+    assert rc == 0
+    rc, out, err = run(capsys, "topo", "subdivide", "--in", str(path),
+                       "--out", str(tmp_path / "foo.svg"))
+    assert (rc, out) == (1, "")
+    assert err == "domain: no svg anchors for segment 'foo'\n"
+    assert not (tmp_path / "foo.svg").exists()
+
+
 def test_topo_components_deeply_nested_document(capsys, tmp_path):
     """JSON nested past the decoder's recursion limit is a malformed
     document, not a traceback."""
@@ -696,11 +753,7 @@ def _mutated_document(rng: random.Random, doc) -> str:
     return text
 
 
-def test_topo_components_on_mutated_documents(capsys, tmp_path):
-    """Exported complexes with values replaced, deleted or repeated, or
-    cut short, end in exit 0 or 1 on ``topo components --in``, never in
-    an exception."""
-    rng = random.Random(11)
+def _exported_documents(tmp_path) -> list:
     docs = []
     for rounds in ("0", "2", "4"):
         path = str(tmp_path / ("ts%s.json" % rounds))
@@ -708,6 +761,15 @@ def test_topo_components_on_mutated_documents(capsys, tmp_path):
                          "--rounds", rounds, "--out", path]) == 0
         with open(path) as fh:
             docs.append(json.load(fh))
+    return docs
+
+
+def test_topo_components_on_mutated_documents(capsys, tmp_path):
+    """Exported complexes with values replaced, deleted or repeated, or
+    cut short, end in exit 0 or 1 on ``topo components --in``, never in
+    an exception."""
+    rng = random.Random(11)
+    docs = _exported_documents(tmp_path)
     codes = set()
     path = str(tmp_path / "mutated.json")
     for i in range(300):
@@ -716,6 +778,26 @@ def test_topo_components_on_mutated_documents(capsys, tmp_path):
             fh.write(text)
         argv = ["topo", "components", "--in", path,
                 *rng.choice(((), ("--abstract",), ("--realization",)))]
+        rc = cli.main(argv)
+        assert rc in (0, 1), (argv, text)
+        codes.add(rc)
+    capsys.readouterr()
+    assert codes == {0, 1}
+
+
+def test_topo_subdivide_on_mutated_documents(capsys, tmp_path):
+    """The same mutated documents, exported again as JSON or drawn as
+    SVG by ``topo subdivide --in``, end in exit 0 or 1 too."""
+    rng = random.Random(12)
+    docs = _exported_documents(tmp_path)
+    codes = set()
+    path = str(tmp_path / "mutated.json")
+    for i in range(300):
+        text = _mutated_document(rng, docs[i % len(docs)])
+        with open(path, "w") as fh:
+            fh.write(text)
+        out = str(tmp_path / ("x." + rng.choice(("json", "svg"))))
+        argv = ["topo", "subdivide", "--in", path, "--out", out]
         rc = cli.main(argv)
         assert rc in (0, 1), (argv, text)
         codes.add(rc)

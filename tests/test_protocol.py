@@ -426,7 +426,7 @@ def test_the_walk_stops_at_final_words(builtins, name):
     algo = IndexGuardAlgorithm(select_forbidden_scenario(classify(a)))
     final = set()
     walked = 0
-    for word, _, configs in protocol._walk(algo, a, FiniteWord(), 5,
+    for word, configs, _ in protocol._walk(algo, a, FiniteWord(), 5,
                                            INPUT_VECTORS, _always):
         walked += 1
         assert not word or word[:-1] not in final, word
@@ -446,7 +446,7 @@ def test_the_walk_goes_below_final_words_it_does_not_stop_at(builtins,
     algo = IndexGuardAlgorithm(select_forbidden_scenario(classify(a)))
     final = {}
     words = []
-    for word, _, configs in protocol._walk(algo, a, FiniteWord(), 5,
+    for word, configs, _ in protocol._walk(algo, a, FiniteWord(), 5,
                                            INPUT_VECTORS,
                                            lambda configs: False):
         words.append(word)
@@ -456,6 +456,60 @@ def test_the_walk_goes_below_final_words_it_does_not_stop_at(builtins,
             final[word] = configs
     assert words == [w for w, _ in a.extensions(FiniteWord(), 5)]
     assert any(len(w) < 5 for w in final)
+
+
+def _walk_ends(algo, a, prefix, depth, stop) -> tuple:
+    """The runs ``_walk`` ends with ``stop``: their number, and per
+    input vector the set of decision pairs of those that are counted."""
+    runs = 0
+    pairs = [set() for _ in INPUT_VECTORS]
+    for _, _, ends in protocol._walk(algo, a, prefix, depth, INPUT_VECTORS,
+                                     stop):
+        for _, finals, n in ends:
+            runs += n * len(finals)
+            for found, (white, black) in zip(pairs, finals):
+                if n:
+                    found.add((white.decided, black.decided))
+    return runs, pairs
+
+
+def _leaf_tails(a, prefix, depth) -> int:
+    """The pairs (leaf, x) of a live extension of ``prefix`` by
+    ``depth`` letters and a tail x^w of DEFAULT_TAILS accepted after
+    it."""
+    return sum(a.accepts_from(state, tail)
+               for word, state in a.extensions(prefix, depth)
+               if len(word) == len(prefix) + depth
+               for tail in protocol.DEFAULT_TAILS)
+
+
+_STOP_CASES = ["S1", "C1", "TW", "R1", "GAMMA^w \\ { LW LB ( OK )^w }"] + [
+    "GAMMA^w \\ { %s }" % " , ".join(
+        str(random_gamma_lasso(rng)) for _ in range(rng.randint(1, 3)))
+    for rng in [random.Random(17)] for _ in range(10)]
+
+
+@pytest.mark.parametrize("text", _STOP_CASES)
+def test_where_the_walk_stops_does_not_change_what_it_ends(text):
+    """Stopping at every final word or at none ends the same number of
+    runs, four per pair of a leaf and an accepted constant tail, and the
+    same decision pairs per input vector: from every prefix of length at
+    most 2, to depths 0-3, for own-input deciding at rounds 1-3 and A_w
+    with the oracle's w."""
+    a = adv.load(text)
+    algos = [OwnInputAlgorithm(), _OwnInputAt(2), _OwnInputAt(3)]
+    v = classify(a)
+    if v.solvable:
+        algos.append(IndexGuardAlgorithm(select_forbidden_scenario(v)))
+    for prefix, _ in a.extensions(FiniteWord(), 2):
+        for depth in range(4):
+            leaves = _leaf_tails(a, prefix, depth)
+            for algo in algos:
+                stopped = _walk_ends(algo, a, prefix, depth, _always)
+                walked = _walk_ends(algo, a, prefix, depth,
+                                    lambda configs: False)
+                assert stopped == walked, (str(prefix), depth)
+                assert stopped[0] == 4 * leaves, (str(prefix), depth)
 
 
 @pytest.mark.parametrize("case", enumerate(halting_cases(5, 6)),
@@ -490,7 +544,6 @@ def test_halted_runs_are_not_replayed(builtins, monkeypatch, name):
         return accepts(self, *args)
 
     monkeypatch.setattr(protocol, "_resume", counted_resume)
-    monkeypatch.setattr(bivalency, "_resume", counted_resume)
     monkeypatch.setattr(AdversaryAutomaton, "accepts_from", counted_accepts)
     rep = verify(algo, a, 5)
     assert rep.ok and rep.checked == checked
@@ -575,7 +628,7 @@ _GAMMA_W = adv.load("R1")  # GAMMA^w: every GAMMA word is a prefix
 def test_a_tail_letter_resume_equals_simulate(algo, word, letter, inputs):
     """The walk's configuration after ``word``, resumed under a constant
     tail, ends where simulating ``word . letter^w`` from round 0 does."""
-    (_, _, (config,)), = protocol._walk(algo, _GAMMA_W, word, 0, (inputs,),
+    (_, (config,), _), = protocol._walk(algo, _GAMMA_W, word, 0, (inputs,),
                                         _always)
     budget = len(word) + 40
     t = simulate(algo, LassoWord(word, FiniteWord.of(letter)), inputs,
@@ -592,7 +645,7 @@ def _walk_matches_runs(algo, prefix, depth) -> int:
     starts = [protocol._halt_checks(algo, protocol._start(algo, inputs))
               for inputs in INPUT_VECTORS]
     one_halted = 0
-    for word, _, configs in protocol._walk(algo, _GAMMA_W, prefix, depth,
+    for word, configs, _ in protocol._walk(algo, _GAMMA_W, prefix, depth,
                                            INPUT_VECTORS, _always):
         assert configs == [functools.reduce(step, word.letters, start)
                            for start in starts], word
