@@ -8,6 +8,13 @@ four, produces machine-checkable witnesses, picks the forbidden
 scenario used to parameterize the index-guard consensus algorithm, and
 derives round lower bounds from prefix inclusion.
 
+A verdict stores its families and one ``Witness``: a family and the
+excluded scenarios that show it applies (a fair lasso, a special pair,
+or that corner); whether it is solvable, and why, follow from its
+families.  ``check_witness`` holds every witness to one rule: its family
+is among the verdict's, its scenarios have that family's shape, and the
+adversary contains none of them.
+
 Every family is read off the adversary's own automaton; no complement
 is built.  F1 is one search over the product with the fairness
 automaton (``_excluded_fair_scenario``), F2 a walk over the adversary's
@@ -38,27 +45,33 @@ class Family(enum.Enum):
 
 
 @record
-class FairWitness(NamedTuple):
-    scenario: LassoWord
-
-
-@record
-class CornerWitness(NamedTuple):
-    scenario: LassoWord
-
-
-@record
-class SpecialPairWitness(NamedTuple):
-    first: LassoWord
-    second: LassoWord
+class Witness(NamedTuple):
+    """Excluded scenarios showing that ``family`` applies: ``(w,)`` for
+    a fair w (F1), the special pair, lower index first (F2), or the
+    corner, ``(CORNER_LB,)`` (F3) or ``(CORNER_LW,)`` (F4)."""
+    family: Family
+    scenarios: tuple
 
 
 @record
 class Verdict(NamedTuple):
-    solvable: bool
     families: frozenset
-    witness: object
-    reason: str
+    witness: Optional[Witness]
+
+    @property
+    def solvable(self) -> bool:
+        return bool(self.families)
+
+    @property
+    def reason(self) -> str:
+        if self.families:
+            return "solvable via %s" % ", ".join(
+                sorted(f.value for f in self.families)
+            )
+        return (
+            "obstruction: contains all fair scenarios, both corner "
+            "scenarios, and at least one member of every special pair"
+        )
 
     def to_json(self) -> str:
         doc = {
@@ -73,16 +86,11 @@ class Verdict(NamedTuple):
 def _witness_json(w):
     if w is None:
         return None
-    if isinstance(w, FairWitness):
-        return {"kind": "fair", "scenario": str(w.scenario)}
-    if isinstance(w, CornerWitness):
-        return {"kind": "corner", "scenario": str(w.scenario)}
-    if isinstance(w, SpecialPairWitness):
-        return {
-            "kind": "special-pair",
-            "scenarios": [str(w.first), str(w.second)],
-        }
-    raise TypeError(w)
+    if w.family is Family.F2:
+        return {"kind": "special-pair",
+                "scenarios": [str(s) for s in w.scenarios]}
+    kind = "fair" if w.family is Family.F1 else "corner"
+    return {"kind": kind, "scenario": str(w.scenarios[0])}
 
 
 CORNER_LB = adv._CONSTANT[Letter.LB]
@@ -125,40 +133,21 @@ def classify(a: AdversaryAutomaton) -> Verdict:
         raise ValueError(
             "solvability is characterized for GAMMA-adversaries only"
         )
-    families = set()
-    corner = None
+    # witnesses in order of preference: a fair scenario makes the
+    # algorithm's analysis uniform, corners are degenerate-but-simple, a
+    # special pair needs its partner excluded too
+    witnesses = {}
+    fair = _excluded_fair_scenario(a)
+    if fair is not None:
+        witnesses[Family.F1] = Witness(Family.F1, (fair,))
     if not a.accepts_forever(a.initial, Letter.LB):
-        families.add(Family.F3)
-        corner = CornerWitness(CORNER_LB)
+        witnesses[Family.F3] = Witness(Family.F3, (CORNER_LB,))
     if not a.accepts_forever(a.initial, Letter.LW):
-        families.add(Family.F4)
-        if corner is None:
-            corner = CornerWitness(CORNER_LW)
-
-    fair_wit = _excluded_fair_scenario(a)
-    fair = None
-    if fair_wit is not None:
-        families.add(Family.F1)
-        fair = FairWitness(fair_wit)
-
+        witnesses[Family.F4] = Witness(Family.F4, (CORNER_LW,))
     pair = _excluded_special_pair(a)
     if pair is not None:
-        families.add(Family.F2)
-
-    # witness preference: a fair scenario makes the algorithm's
-    # analysis uniform, corners are degenerate-but-simple, a special
-    # pair needs its partner excluded too
-    witness = fair or corner or pair
-    if families:
-        reason = "solvable via %s" % ", ".join(
-            sorted(f.value for f in families)
-        )
-    else:
-        reason = (
-            "obstruction: contains all fair scenarios, both corner "
-            "scenarios, and at least one member of every special pair"
-        )
-    return Verdict(bool(families), frozenset(families), witness, reason)
+        witnesses[Family.F2] = pair
+    return Verdict(frozenset(witnesses), next(iter(witnesses.values()), None))
 
 
 def select_forbidden_scenario(v: Verdict) -> LassoWord:
@@ -166,9 +155,7 @@ def select_forbidden_scenario(v: Verdict) -> LassoWord:
     algorithm (fair preferred, then corner, then a pair member)."""
     if not v.solvable:
         raise ValueError("no forbidden scenario for an obstruction")
-    if isinstance(v.witness, (FairWitness, CornerWitness)):
-        return v.witness.scenario
-    return v.witness.first
+    return v.witness.scenarios[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +243,7 @@ _SPLITS = {p: _admitted_splits(p) for p in (0, 1)}
 
 
 def _excluded_special_pair(
-        a: AdversaryAutomaton) -> Optional[SpecialPairWitness]:
+        a: AdversaryAutomaton) -> Optional[Witness]:
     """A special pair wholly outside L(a), or None, found on the
     diagonal of the pair machine of a's complement.  The complement has
     a's transitions, so the walk reads ``a.transitions`` and tests
@@ -284,8 +271,8 @@ def _excluded_special_pair(
             keep = keep_letter[after]
             if not (a.accepts_forever(row[x][0], keep)
                     or a.accepts_forever(row[x2][0], keep)):
-                return SpecialPairWitness(LassoWord.of(u + (x,), (keep,)),
-                                          LassoWord.of(u + (x2,), (keep,)))
+                return Witness(Family.F2, (LassoWord.of(u + (x,), (keep,)),
+                                           LassoWord.of(u + (x2,), (keep,))))
     return None
 
 
@@ -343,20 +330,21 @@ def round_lower_bound(l: AdversaryAutomaton, rmax: int = 8) -> int:
 
 
 def check_witness(a: AdversaryAutomaton, v: Verdict) -> bool:
-    """Machine-checks the verdict's witness against its automaton."""
+    """Machine-checks the verdict's witness against its automaton: an
+    obstruction has none; otherwise the witness's family is one of the
+    verdict's, its scenarios have that family's shape, and ``a``
+    contains none of them."""
     w = v.witness
     if w is None:
-        return not v.solvable
-    if isinstance(w, FairWitness):
-        return is_fair(w.scenario) and not a.contains(w.scenario)
-    if isinstance(w, CornerWitness):
-        return w.scenario in (CORNER_LB, CORNER_LW) and not a.contains(
-            w.scenario
-        )
-    if isinstance(w, SpecialPairWitness):
-        return (
-            is_special_pair(w.first, w.second)
-            and not a.contains(w.first)
-            and not a.contains(w.second)
-        )
-    return False
+        return not v.families
+    return (w.family in v.families and _SHAPE[w.family](w.scenarios)
+            and not any(a.contains(s) for s in w.scenarios))
+
+
+#: per family, whether a witness's scenarios have its shape
+_SHAPE = {
+    Family.F1: lambda s: len(s) == 1 and is_fair(s[0]),
+    Family.F2: lambda s: len(s) == 2 and is_special_pair(*s),
+    Family.F3: lambda s: s == (CORNER_LB,),
+    Family.F4: lambda s: s == (CORNER_LW,),
+}

@@ -136,14 +136,15 @@ class Transcript(NamedTuple):
     rounds: list  # (letter, white state, black state) per round
     white: ProcessState
     black: ProcessState
-    exhausted: bool
 
     @property
     def decisions(self) -> tuple:
         return (self.white.decided, self.black.decided)
 
-    def both_halted(self) -> bool:
-        return self.white.halted and self.black.halted
+    @property
+    def exhausted(self) -> bool:
+        """Whether the round budget ran out before both halted."""
+        return not (self.white.halted and self.black.halted)
 
     def to_json(self) -> str:
         doc = {
@@ -353,8 +354,7 @@ def simulate(algorithm: Algorithm, scenario: LassoWord,
     white, black = _run(algorithm, config,
                         itertools.islice(scenario.letters(), max_rounds),
                         rounds)
-    return Transcript(scenario, tuple(inputs), rounds, white, black,
-                      not (white.halted and black.halted))
+    return Transcript(scenario, tuple(inputs), rounds, white, black)
 
 
 #: the letter x of each tail x^w in DEFAULT_TAILS, in its order

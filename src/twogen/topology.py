@@ -36,8 +36,7 @@ from . import adversary as adv
 from .adversary import ONE_TRACK, AdversaryAutomaton
 from .indexfn import (BLACK, WHITE, ProcessId, TernaryRational, ind,
                       ind_limit, ind_step, split_threes)
-from .oracle import (CornerWitness, FairWitness, Verdict, classify,
-                     select_forbidden_scenario)
+from .oracle import Family, Verdict, classify, select_forbidden_scenario
 from .protocol import MAX_ROUNDS, Algorithm
 from .records import fields_repr, record
 from .words import FiniteWord, GAMMA, Letter
@@ -442,9 +441,12 @@ class TerminatingSubdivision:
 
 def _fiber_scenario(a: AdversaryAutomaton, z: Fraction) -> tuple:
     """``(fiber, scenario)``: z's index fiber, and a scenario of ``a``
-    with limit index z, or None when z is a gap point of ``a``."""
+    with limit index z, or None when z is a gap point of ``a``; one
+    search over ``a x fiber``, whose fiber track joins every clause."""
     fiber = index_fiber(z)
-    return fiber, adv.intersect(a, fiber).is_empty()
+    init, rows = adv._product_rows(a, fiber)
+    acceptance = tuple(c | {a.num_tracks} for c in a.acceptance)
+    return fiber, adv._good_lasso(init, rows, acceptance)
 
 
 def build_terminating_subdivision(a: AdversaryAutomaton, z,
@@ -637,9 +639,21 @@ def gap_point(v: Verdict) -> Fraction:
 
 @record
 class Connectivity(NamedTuple):
-    connected: bool
     gap: Optional[Fraction]
     reason: str
+
+    @property
+    def connected(self) -> bool:
+        return self.gap is None
+
+
+#: why the realization comes apart at the gap point, by witness family
+_GAP_REASONS = {
+    Family.F1: "fair limit point %s removed (sole preimage)",
+    Family.F2: "shared limit %s removed with both preimages",
+    Family.F3: "corner gluing broken at %s",
+    Family.F4: "corner gluing broken at %s",
+}
 
 
 def limit_connectivity(a: AdversaryAutomaton) -> Connectivity:
@@ -652,19 +666,13 @@ def limit_connectivity(a: AdversaryAutomaton) -> Connectivity:
     """
     v = classify(a)
     if not v.solvable:
-        return Connectivity(True, None, "no limit point is vacated")
+        return Connectivity(None, "no limit point is vacated")
     z = gap_point(v)
     _, reached = _fiber_scenario(a, z)
     if reached is not None:
         raise AssertionError(
             "oracle's gap point %s is the limit of %s" % (z, reached))
-    if isinstance(v.witness, CornerWitness):
-        reason = "corner gluing broken at %s" % z
-    elif isinstance(v.witness, FairWitness):
-        reason = "fair limit point %s removed (sole preimage)" % z
-    else:
-        reason = "shared limit %s removed with both preimages" % z
-    return Connectivity(False, z, reason)
+    return Connectivity(z, _GAP_REASONS[v.witness.family] % z)
 
 
 # ---------------------------------------------------------------------------

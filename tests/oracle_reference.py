@@ -10,9 +10,8 @@ would hold more than 65,536 clauses.
 """
 
 from twogen import adversary as adv
-from twogen.oracle import (CORNER_LB, CORNER_LW, CornerWitness, FairWitness,
-                           Family, SpecialPairWitness, Verdict, _NEXT_PARITY,
-                           _SPLITS)
+from twogen.oracle import (CORNER_LB, CORNER_LW, Family, Verdict, Witness,
+                           _NEXT_PARITY, _SPLITS)
 from twogen.words import GAMMA, LassoWord
 
 
@@ -25,34 +24,24 @@ def classify_by_complement(a) -> Verdict:
     corner = None
     if not a.contains(CORNER_LB):
         families.add(Family.F3)
-        corner = CornerWitness(CORNER_LB)
+        corner = Witness(Family.F3, (CORNER_LB,))
     if not a.contains(CORNER_LW):
         families.add(Family.F4)
         if corner is None:
-            corner = CornerWitness(CORNER_LW)
+            corner = Witness(Family.F4, (CORNER_LW,))
 
     comp = adv.complement(a)
     fair_wit = adv.intersect(comp, adv.fairness_automaton()).is_empty()
     fair = None
     if fair_wit is not None:
         families.add(Family.F1)
-        fair = FairWitness(fair_wit)
+        fair = Witness(Family.F1, (fair_wit,))
 
     pair = excluded_special_pair_in(comp)
     if pair is not None:
         families.add(Family.F2)
 
-    witness = fair or corner or pair
-    if families:
-        reason = "solvable via %s" % ", ".join(
-            sorted(f.value for f in families)
-        )
-    else:
-        reason = (
-            "obstruction: contains all fair scenarios, both corner "
-            "scenarios, and at least one member of every special pair"
-        )
-    return Verdict(bool(families), frozenset(families), witness, reason)
+    return Verdict(frozenset(families), fair or corner or pair)
 
 
 def excluded_special_pair_in(comp):
@@ -77,6 +66,6 @@ def excluded_special_pair_in(comp):
         for a, a2, keep in _SPLITS[p]:
             if excluded(row[a][0], keep) and excluded(row[a2][0], keep):
                 tail = keep_tail[keep].cycle.letters
-                return SpecialPairWitness(LassoWord.of(u + (a,), tail),
-                                          LassoWord.of(u + (a2,), tail))
+                return Witness(Family.F2, (LassoWord.of(u + (a,), tail),
+                                           LassoWord.of(u + (a2,), tail)))
     return None

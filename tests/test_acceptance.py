@@ -201,7 +201,7 @@ def test_criterion_09_guard_behavior(report):
                 select_forbidden_scenario(classify(a))
             algo = IndexGuardAlgorithm(g)
             for scenario in completions(a, 3):
-                assert simulate(algo, scenario, (0, 1)).both_halted(), \
+                assert not simulate(algo, scenario, (0, 1)).exhausted, \
                     (text, scenario)
 
 
@@ -263,4 +263,4 @@ def test_criterion_13_geometric_algorithm(report):
         for tail in ("( OK )^w", "( LW )^w", "( LB )^w"):
             for bit in (0, 1):
                 t = simulate(algo, parse_lasso(tail), (bit, bit))
-                assert t.both_halted() and t.decisions == (bit, bit)
+                assert not t.exhausted and t.decisions == (bit, bit)

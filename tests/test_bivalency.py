@@ -178,7 +178,7 @@ def _ref_valency_of(algorithm, m, prefix, inputs, depth):
     undecided = False
     for scenario in _ref_completions_of(m, prefix, depth):
         t = m.simulate(algorithm, scenario, inputs, budget)
-        if not t.both_halted():
+        if t.exhausted:
             undecided = True
             continue
         decided.update(t.decisions)

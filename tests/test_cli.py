@@ -32,6 +32,10 @@ def check_schema(text):
     return doc
 
 
+#: ``SCHEMA`` checked once, for tests that validate many documents
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+
 def test_index_word(capsys):
     rc, out, _ = run(capsys, "index", "LW OK LB")
     assert rc == 0
@@ -724,9 +728,21 @@ JUNK = (None, True, -1, 0, 7, 2.5, "", "x", "1/0", "-1/3", "7/9", "WHITE",
 
 def _mutated_document(rng: random.Random, doc) -> str:
     """``doc`` as JSON with one or two values replaced by ``JUNK``,
-    deleted or repeated, or its text cut short."""
+    deleted or repeated, or one key set to the same ``JUNK`` value in
+    every vertex or every edge, or its text cut short."""
     doc = json.loads(json.dumps(doc))
     for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.2:
+            items = doc.get(rng.choice(("vertices", "edges")))
+            if not isinstance(items, list):
+                items = []
+            items = [x for x in items if isinstance(x, dict)]
+            keys = sorted({k for x in items for k in x})
+            if keys:
+                key, value = rng.choice(keys), rng.choice(JUNK)
+                for x in items:
+                    x[key] = value
+                continue
         node = doc
         while True:
             keys = list(node) if isinstance(node, dict) else range(len(node))
@@ -787,7 +803,8 @@ def test_topo_components_on_mutated_documents(capsys, tmp_path):
 
 def test_topo_subdivide_on_mutated_documents(capsys, tmp_path):
     """The same mutated documents, exported again as JSON or drawn as
-    SVG by ``topo subdivide --in``, end in exit 0 or 1 too."""
+    SVG by ``topo subdivide --in``, end in exit 0 or 1 too, and every
+    JSON document written with exit 0 fits the schema."""
     rng = random.Random(12)
     docs = _exported_documents(tmp_path)
     codes = set()
@@ -801,6 +818,9 @@ def test_topo_subdivide_on_mutated_documents(capsys, tmp_path):
         rc = cli.main(argv)
         assert rc in (0, 1), (argv, text)
         codes.add(rc)
+        if rc == 0 and out.endswith(".json"):
+            with open(out) as fh:
+                VALIDATOR.validate(json.load(fh))
     capsys.readouterr()
     assert codes == {0, 1}
 

@@ -12,8 +12,7 @@ from twogen import adversary as adv
 from twogen import cli, oracle
 from twogen.adversary import ResourceBoundError
 from twogen.indexfn import ind, ind_limit, ind_step, is_special_pair
-from twogen.oracle import (CornerWitness, FairWitness, Family,
-                           SpecialPairWitness, Verdict, check_witness,
+from twogen.oracle import (Family, Verdict, Witness, check_witness,
                            classify, pair_machine_difference,
                            round_lower_bound, select_forbidden_scenario,
                            special_pair_product)
@@ -61,9 +60,10 @@ def test_obstruction_sensitivity():
 
 def test_fair_witness_is_fair_and_excluded(builtins):
     v = classify(builtins["C1"])
-    assert isinstance(v.witness, FairWitness)
-    assert is_fair(v.witness.scenario)
-    assert not builtins["C1"].contains(v.witness.scenario)
+    assert v.witness.family is Family.F1
+    (scenario,) = v.witness.scenarios
+    assert is_fair(scenario)
+    assert not builtins["C1"].contains(scenario)
 
 
 def test_corner_witness():
@@ -79,9 +79,10 @@ def test_pair_witness_unzips_to_a_special_pair():
     a = adv.load("GAMMA^w \\ { OK ( LW )^w , LB ( LW )^w }")
     v = classify(a)
     w = v.witness
-    assert isinstance(w, SpecialPairWitness)
-    assert is_special_pair(w.first, w.second)
-    assert not a.contains(w.first) and not a.contains(w.second)
+    assert w.family is Family.F2
+    first, second = w.scenarios
+    assert is_special_pair(first, second)
+    assert not a.contains(first) and not a.contains(second)
 
 
 def test_select_forbidden_scenario(builtins):
@@ -283,7 +284,7 @@ def _least_excluded_pair(excluded):
         key = (i, [LETTER_ORDER[x] for x in l1.prefix(i)],
                LETTER_ORDER[l1.letter_at(i)], LETTER_ORDER[l2.letter_at(i)])
         if best is None or key < best[0]:
-            best = (key, SpecialPairWitness(l1, l2))
+            best = (key, Witness(Family.F2, (l1, l2)))
     return None if best is None else best[1]
 
 
@@ -305,9 +306,8 @@ def test_f2_matches_the_explicit_pair_machine(builtins):
         assert (pair is not None) == want
         if pair is not None:
             found += 1
-            assert is_special_pair(pair.first, pair.second)
-            assert check_witness(a, Verdict(True, frozenset({Family.F2}),
-                                            pair, ""))
+            assert is_special_pair(*pair.scenarios)
+            assert check_witness(a, Verdict(frozenset({Family.F2}), pair))
     assert found > 200, found
 
 
@@ -344,8 +344,8 @@ def test_pair_witness_literal_case():
                  "OK OK ( LB )^w , LW OK ( LW )^w }")
     v = classify(a)
     assert v.families == {Family.F2}
-    assert v.witness == SpecialPairWitness(L("OK LW ( LB )^w"),
-                                           L("OK OK ( LB )^w"))
+    assert v.witness == Witness(Family.F2, (L("OK LW ( LB )^w"),
+                                            L("OK OK ( LB )^w")))
 
 
 def test_classify_builds_no_special_pair_product(builtins, monkeypatch):
@@ -439,19 +439,33 @@ def test_check_witness_rejects_a_witness_the_adversary_contains():
     rejected; the corner outside L is accepted."""
     a = adv.load("GAMMA^w \\ { ( LW )^w , OK ( LW )^w }")
     fair, unfair = L("( OK )^w"), L("( LW )^w")
-    pair = SpecialPairWitness(L("OK ( LW )^w"), L("LB ( LW )^w"))
+    pair = Witness(Family.F2, (L("OK ( LW )^w"), L("LB ( LW )^w")))
     assert is_fair(fair) and a.contains(fair)
     assert not is_fair(unfair) and not a.contains(unfair)
-    assert is_special_pair(pair.first, pair.second)
-    assert a.contains(oracle.CORNER_LB) and a.contains(pair.second)
-    for family, witness in ((Family.F1, FairWitness(fair)),
-                            (Family.F1, FairWitness(unfair)),
-                            (Family.F3, CornerWitness(oracle.CORNER_LB)),
-                            (Family.F2, pair)):
-        verdict = Verdict(True, frozenset({family}), witness, "")
+    assert is_special_pair(*pair.scenarios)
+    assert a.contains(oracle.CORNER_LB) and a.contains(pair.scenarios[1])
+    for witness in (Witness(Family.F1, (fair,)),
+                    Witness(Family.F1, (unfair,)),
+                    Witness(Family.F3, (oracle.CORNER_LB,)),
+                    pair):
+        verdict = Verdict(frozenset({witness.family}), witness)
         assert not check_witness(a, verdict), witness
-    assert check_witness(a, Verdict(True, frozenset({Family.F4}),
-                                    CornerWitness(oracle.CORNER_LW), ""))
+    assert check_witness(a, Verdict(frozenset({Family.F4}),
+                                    Witness(Family.F4, (oracle.CORNER_LW,))))
+
+
+def test_check_witness_rejects_a_witness_outside_the_verdicts_families():
+    """An excluded scenario of the right shape still fails when its
+    family is not one the verdict claims."""
+    a = adv.load("GAMMA^w \\ { ( OK )^w , ( LB )^w }")
+    fair = Witness(Family.F1, (L("( OK )^w"),))
+    corner = Witness(Family.F3, (oracle.CORNER_LB,))
+    assert is_fair(fair.scenarios[0]) and not a.contains(fair.scenarios[0])
+    assert check_witness(a, Verdict(frozenset({Family.F1}), fair))
+    assert check_witness(a, Verdict(frozenset({Family.F3}), corner))
+    assert not check_witness(a, Verdict(frozenset({Family.F3}), fair))
+    assert not check_witness(a, Verdict(frozenset({Family.F1}), corner))
+    assert not check_witness(a, Verdict(frozenset(), fair))
 
 
 def test_fair_search_is_bounded(monkeypatch, capsys):

@@ -113,7 +113,7 @@ def test_aw_guard_fires_on_verified_scenarios(text, wtext):
     algo = IndexGuardAlgorithm(w)
     for scenario in completions(a, 3):
         t = simulate(algo, scenario, (0, 1))
-        assert t.both_halted(), scenario
+        assert not t.exhausted, scenario
 
 
 def test_strawman_violates_agreement(builtins):
@@ -139,7 +139,7 @@ def test_halted_peer_message_absent():
     under OK letters."""
     algo = IndexGuardAlgorithm(L("( LB )^w"))
     t = simulate(algo, L("( OK )^w"), (0, 1))
-    assert t.both_halted()
+    assert not t.exhausted
     hw = t.white.round if t.white.halted else None
     hb = t.black.round
     assert t.decisions[0] == t.decisions[1]
@@ -252,7 +252,8 @@ def test_simulate_checks_no_halt_after_its_last_round():
     assert not t.white.halted and not t.black.halted
     assert t.exhausted and len(t.rounds) == 1
     t = simulate(OwnInputAlgorithm(), L("( OK )^w"), (0, 1), max_rounds=2)
-    assert t.both_halted() and not t.exhausted and len(t.rounds) == 1
+    assert t.white.halted and t.black.halted
+    assert not t.exhausted and len(t.rounds) == 1
 
 
 def test_target_index_in_any_order():
@@ -280,7 +281,7 @@ def _ref_verify(algorithm, a, depth):
             checked += 1
             t = simulate(algorithm, scenario, inputs, budget)
             dw, db = t.decisions
-            if not t.both_halted():
+            if t.exhausted:
                 violations.append(Violation(
                     "termination", scenario, inputs,
                     "undecided after %d rounds" % budget,

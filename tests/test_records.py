@@ -22,6 +22,7 @@ ATOM = adv.RegexLetter(OK)
 OMEGA = adv.OmegaPower(frozenset((OK, LW)))
 EDGE = topology.ComplexEdge(topology.vertex_at(0), topology.vertex_at(1))
 VIOLATION = protocol.Violation("agreement", L1, (0, 1), "white decided 0")
+WITNESS = oracle.Witness(oracle.Family.F2, (L1, L2))
 
 #: (record, its fields in declaration order) for each immutable record
 FROZEN = [
@@ -38,18 +39,14 @@ FROZEN = [
     (adv.DifferenceFromFull(GAMMA, (L1,)), ("alphabet", "excluded")),
     (adv.Named("C1"), ("name",)),
     (adv.LassoExpr(L1), ("word",)),
-    (oracle.FairWitness(L1), ("scenario",)),
-    (oracle.CornerWitness(L2), ("scenario",)),
-    (oracle.SpecialPairWitness(L1, L2), ("first", "second")),
-    (oracle.Verdict(True, frozenset({oracle.Family.F1}),
-                    oracle.FairWitness(L1), "fair"),
-     ("solvable", "families", "witness", "reason")),
+    (WITNESS, ("family", "scenarios")),
+    (oracle.Verdict(frozenset({oracle.Family.F2}), WITNESS),
+     ("families", "witness")),
     (VIOLATION, ("kind", "scenario", "inputs", "detail")),
     (topology.vertex_at(Fraction(1, 3)), ("position", "segment")),
     (EDGE, ("a", "b", "level")),
     (topology.Complex((EDGE,)), ("edges", "gluing", "accumulation_points")),
-    (topology.Connectivity(False, Fraction(1, 3), "gap"),
-     ("connected", "gap", "reason")),
+    (topology.Connectivity(Fraction(1, 3), "gap"), ("gap", "reason")),
 ]
 
 #: (record, its fields) for each mutable record
@@ -57,7 +54,7 @@ MUTABLE = [
     (adv.load("C1"),
      ("alphabet", "initial", "transitions", "num_tracks", "acceptance")),
     (protocol.simulate(protocol.OwnInputAlgorithm(), L1, (0, 1)),
-     ("scenario", "inputs", "rounds", "white", "black", "exhausted")),
+     ("scenario", "inputs", "rounds", "white", "black")),
     (protocol.Report(4, [VIOLATION]), ("checked", "violations")),
     (ExplorationNode(FiniteWord(), Valency.BIVALENT),
      ("prefix", "valency", "children")),
@@ -78,7 +75,7 @@ def _id(case):
 
 def test_every_record_class_is_covered():
     classes = {type(r) for r, _ in FROZEN + MUTABLE}
-    assert len(classes) == len(FROZEN) + len(MUTABLE) == 27
+    assert len(classes) == len(FROZEN) + len(MUTABLE) == 25
     assert type(SUBDIVISION) not in classes
 
 
@@ -139,7 +136,7 @@ def _unequal(a, b):
 
 
 @pytest.mark.parametrize("a, b", [
-    (oracle.FairWitness(L1), oracle.CornerWitness(L1)),
+    (WITNESS, oracle.Verdict(*WITNESS)),
     *itertools.combinations([adv.RegexConcat((ATOM,)),
                              adv.RegexUnion((ATOM,)),
                              adv.Union((ATOM,))], 2),

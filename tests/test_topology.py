@@ -514,7 +514,7 @@ def test_aeta_validity_unanimous(fair_setup):
             t = simulate(
                 topo.GeometricAlgorithm(ts), parse_lasso(tail), (bit, bit)
             )
-            assert t.both_halted()
+            assert not t.exhausted
             assert t.decisions == (bit, bit)
 
 
