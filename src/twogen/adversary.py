@@ -479,29 +479,22 @@ AdversaryExpr = object
 
 
 def expr_alphabet(e) -> tuple:
-    """G2 when LL appears anywhere in the expression, else GAMMA."""
+    """G2 when LL appears anywhere in the expression, else GAMMA: a walk
+    over the fields of the nodes, names resolved; a difference counts
+    its alphabet, not its excluded lassos."""
     todo = [e]
     while todo:
         e = todo.pop()
-        if isinstance(e, Named):
-            e = builtin(e.name)
-        letters = ()
-        if isinstance(e, (Union, RegexConcat, RegexUnion)):
-            todo += e.parts
-        elif isinstance(e, (Concat, RegexStar)):
-            todo += e  # (prefix, tail) or (inner,)
-        elif isinstance(e, RegexLetter):
-            letters = (e.letter,)
-        elif isinstance(e, OmegaPower):
-            letters = e.letters
-        elif isinstance(e, DifferenceFromFull):
-            letters = e.alphabet
-        elif isinstance(e, LassoExpr):
-            letters = e.word.stem.letters + e.word.cycle.letters
-        else:
-            raise TypeError(e)
-        if Letter.LL in letters:
+        if e is Letter.LL:
             return G2
+        if isinstance(e, Named):
+            todo.append(builtin(e.name))
+        elif isinstance(e, DifferenceFromFull):
+            todo += e.alphabet
+        elif isinstance(e, LassoWord):
+            todo += e.stem.letters + e.cycle.letters
+        elif isinstance(e, (tuple, frozenset)):
+            todo += e
     return GAMMA
 
 
@@ -578,11 +571,17 @@ def _regex_nfa(rx, counter):
 
 
 def compile_expr(e: AdversaryExpr) -> AdversaryAutomaton:
-    alphabet = expr_alphabet(e)
-    return _compile(e, alphabet)
+    """The deterministic automaton of an adversary expression, over G2
+    when LL appears in it and over GAMMA otherwise.  Raises CompileError
+    on what it does not support (such as a lasso or a difference after
+    ``regex "."``) and ParseError on an unknown built-in name."""
+    return _compile(e, expr_alphabet(e))
 
 
 def _compile(e, alphabet) -> AdversaryAutomaton:
+    """The one dispatch over expression nodes.  A concatenation's tail
+    is rewritten until it is a set power: ``r . (A | B)`` as
+    ``r . A | r . B``, and ``r . (s . A)`` as ``(r s) . A``."""
     if isinstance(e, Named):
         e = builtin(e.name)
     if isinstance(e, OmegaPower):
@@ -592,17 +591,24 @@ def _compile(e, alphabet) -> AdversaryAutomaton:
     if isinstance(e, LassoExpr):
         return _compile_lassos((e.word,), alphabet, alphabet, True)
     if isinstance(e, Union):
-        autos = [_compile(p, alphabet) for p in e.parts]
-    elif isinstance(e, Concat):
-        autos = [
-            _compile_prefixed_oblivious(rx, letters, alphabet)
-            for rx, letters in _flatten_concat(e)
-        ]
-    else:
+        if not e.parts:
+            raise CompileError("empty union")
+        return functools.reduce(
+            union, (_compile(p, alphabet) for p in e.parts))
+    if not isinstance(e, Concat):
         raise CompileError("unsupported expression %r" % (e,))
-    if not autos:
-        raise CompileError("empty union")
-    return functools.reduce(union, autos)
+    prefix, tail = e
+    if isinstance(tail, Named):
+        tail = builtin(tail.name)
+    if isinstance(tail, OmegaPower):
+        return _compile_prefixed_oblivious(prefix, tail.letters, alphabet)
+    if isinstance(tail, Union):
+        return _compile(
+            Union(tuple(Concat(prefix, p) for p in tail.parts)), alphabet)
+    if isinstance(tail, Concat):
+        return _compile(
+            Concat(RegexConcat((prefix, tail.prefix)), tail.tail), alphabet)
+    raise CompileError("unsupported tail under concatenation: %r" % (tail,))
 
 
 def _compile_lassos(lassos, letters, alphabet, follow: bool):
@@ -636,24 +642,6 @@ def _compile_lassos(lassos, letters, alphabet, follow: bool):
     init = frozenset((i, 0) for i in range(len(word))) or "free"
     trans = _explore(init, alphabet, step)
     return AdversaryAutomaton(alphabet, init, trans, 1, ONE_TRACK)
-
-
-def _flatten_concat(e: Concat):
-    """Normalizes nested Concat/Union tails into (regex, letterset) pairs."""
-    tail = e.tail
-    if isinstance(tail, Named):
-        tail = builtin(tail.name)
-    if isinstance(tail, OmegaPower):
-        return [(e.prefix, tail.letters)]
-    if isinstance(tail, Union):
-        return [pair for part in tail.parts
-                for pair in _flatten_concat(Concat(e.prefix, part))]
-    if isinstance(tail, Concat):
-        return [(RegexConcat((e.prefix, rx)), letters)
-                for rx, letters in _flatten_concat(tail)]
-    raise CompileError(
-        "unsupported tail under concatenation: %r" % (tail,)
-    )
 
 
 def _compile_prefixed_oblivious(rx, letters, alphabet) -> AdversaryAutomaton:

@@ -468,6 +468,26 @@ def test_difference_without_exclusions_is_everything():
         assert a.contains(random_gamma_lasso(rng))
 
 
+def test_a_difference_counts_its_alphabet_not_its_lassos():
+    """A library-built GAMMA difference may exclude a lasso with LL,
+    which the parser rejects; the expression stays over GAMMA, and the
+    lasso, outside it, excludes nothing."""
+    e = adv.DifferenceFromFull(GAMMA, (L("OK ( LL )^w"),))
+    assert adv.expr_alphabet(e) == GAMMA
+    a = adv.compile_expr(e)
+    assert a.alphabet == GAMMA
+    assert a.contains(L("( OK )^w"))
+    assert adv.expr_alphabet(adv.Union((e, adv.Named("S2")))) == G2
+
+
+@pytest.mark.parametrize("e", [
+    42, "C1", Letter.LW, (adv.Named("C1"),), adv.RegexLetter(Letter.OK),
+])
+def test_a_non_expression_is_a_compile_error(e):
+    with pytest.raises(CompileError, match="^unsupported expression "):
+        adv.compile_expr(e)
+
+
 def test_gamma_difference_under_a_g2_union():
     a = adv.load("GAMMA^w \\ { ( OK )^w } | ( LL )^w")
     assert a.alphabet == adv.G2
@@ -550,13 +570,18 @@ def test_set_power_states():
     ("OK LW* . {OK,LB}^w", 5, 1, "OK LB ( LB OK )^w", "LB ( LB OK LW )^w"),
     ("GAMMA^w \\ { ( OK )^w } | ( LL )^w", 5, 2,
      "LB ( LB OK LW )^w", "( OK )^w"),
+    ("OK . ( {LW}^w | ( {LB}^w | LB* . {OK}^w ) )", 6, 3,
+     "OK ( LW )^w", "LB ( LB OK LW )^w"),
+    ("OK* . ( LW . ( {LB}^w | S1 ) | C1 )", 10, 6,
+     "LW ( LB )^w", "LB OK ( LB OK LW )^w"),
 ])
 def test_leaf_kinds_compile_to_fixed_automata(text, states, tracks, witness,
                                               co_witness):
     """One term of each leaf kind (set power, built-in name, GAMMA and
-    G2 difference, singleton, prefixed set power) and a GAMMA term
-    inside a G2 union: state count, tracks, and the witnesses of the
-    automaton and of its complement."""
+    G2 difference, singleton, prefixed set power), a GAMMA term inside
+    a G2 union, and unions and concatenations nested under a prefix:
+    state count, tracks, and the witnesses of the automaton and of its
+    complement."""
     a = adv.load(text)
     assert (len(a.transitions), a.num_tracks) == (states, tracks)
     assert a.is_empty() == L(witness)

@@ -6,7 +6,8 @@ the built-in TW into TB.  It reflects indexes (ind(swap u) =
 language onto the language of its swapped text, and exchanges the corner
 families F3 and F4 of ``classify``.  It keeps ``verify``'s counts for
 A_w against A_{swap w}, ``round_lower_bound``, and valency for
-own-input and for A_eta at the reflected gap point.  None of these
+own-input and for A_eta at the reflected gap point, which stays a gap
+point, and it reflects the stable complex there.  None of these
 relations needs a reference implementation.  A_w's guard is not
 symmetric, so its mirrored transcripts are pinned rather than asserted
 equal, and its valency is not compared.
@@ -14,6 +15,7 @@ equal, and its valency is not compared.
 
 import math
 import random
+from fractions import Fraction
 
 from conftest import (DslTexts, all_words, liveness_automata,
                       random_gamma_lasso)
@@ -26,7 +28,7 @@ from twogen.oracle import (CORNER_LB, Family, classify, round_lower_bound,
 from twogen.protocol import (INPUT_VECTORS, IndexGuardAlgorithm,
                              OwnInputAlgorithm, simulate, verify)
 from twogen.words import (GAMMA, FiniteWord, LassoWord, Letter, ParseError,
-                          is_fair, parse_lasso)
+                          TokenReader, is_fair, parse_lasso)
 
 _SWAP = {Letter.LW: Letter.LB, Letter.LB: Letter.LW,
          Letter.OK: Letter.OK, Letter.LL: Letter.LL}
@@ -44,9 +46,10 @@ def swap_lasso(l: LassoWord) -> LassoWord:
 
 
 def swap_text(text: str) -> str:
-    """A DSL text (tokens separated by spaces) with LW and LB, and TW
-    and TB, exchanged."""
-    return " ".join(_SWAP_TOKENS.get(tok, tok) for tok in text.split())
+    """A DSL text with LW and LB, and TW and TB, exchanged; its tokens
+    are the DSL's, so a letter glued to a brace is swapped too."""
+    return " ".join(_SWAP_TOKENS.get(tok, tok)
+                    for tok in TokenReader._lex(text))
 
 
 def _loaded(texts: DslTexts, n: int):
@@ -75,6 +78,15 @@ def _kinds(e) -> set:
     elif isinstance(e, adv.Concat):
         out |= _kinds(e.tail)
     return out
+
+
+def test_swap_text_reads_tokens_not_spaces():
+    """A compact spelling and a spaced one swap to the same text, and
+    so to the same language."""
+    compact = swap_text("LW.{LB}^w|LB*.{OK}^w|TW")
+    assert compact == swap_text("LW . { LB }^w | LB* . {OK}^w | TW") == (
+        "LB . { LW } ^w | LW * . { OK } ^w | TB")
+    assert adv.load(compact) == adv.load("LB . {LW}^w | LW* . {OK}^w | TB")
 
 
 def test_swap_reflects_the_index():
@@ -187,6 +199,50 @@ def test_valency_is_kept_by_the_swap():
                         (e, p, inputs)
                     held += 1
     assert held > 1500, held
+
+
+def _reflected(ts) -> dict:
+    """Each level's stable cells, reflected by x -> 1 - x."""
+    return {k: sorted((1 - hi, 1 - lo) for lo, hi in
+                      (e.interval for e in edges))
+            for k, edges in ts.levels.items()}
+
+
+def test_stable_complex_is_reflected_by_the_swap():
+    """1 - z, the reflection of L's gap point z, is a gap point of
+    swap L, whose stable complex there is L's reflected by x -> 1 - x,
+    level by level and edge for edge, with the same abstract and
+    realization component counts; and swap L's limit realization is
+    disconnected.  Its gap need not be 1 - z: the oracle picks its
+    forbidden scenario in search order, which the swap does not keep,
+    so TW's gap is 151/3280 and TB's 2483/3280, and C1 and S1, their
+    own swaps, keep theirs.  The built-ins, and the GAMMA automata of
+    600 seeded texts."""
+    names = ("S0", "TW", "TB", "C1", "S1", "R1")
+    cases = [(adv.load(n), adv.load(swap_text(n))) for n in names]
+    cases += [(a, b) for _, a, b in _loaded(DslTexts(random.Random(3)), 600)
+              if a.alphabet == GAMMA]
+    held = 0
+    for a, b in cases:
+        v = classify(a)
+        if not v.solvable:
+            continue
+        z = topo.gap_point(v)
+        ts = topo.build_terminating_subdivision(a, z)
+        mirror = topo.build_terminating_subdivision(b, 1 - z)
+        assert _reflected(ts) == {k: sorted(e.interval for e in edges)
+                                  for k, edges in mirror.levels.items()}, a
+        k, m = ts.stable_complex(), mirror.stable_complex()
+        assert topo.abstract_components(m) == topo.abstract_components(k), a
+        assert (topo.realization_components(m)
+                == topo.realization_components(k)), a
+        assert not topo.limit_connectivity(b).connected, a
+        held += 1
+    assert held > 150, held
+    gaps = {n: topo.limit_connectivity(a).gap
+            for n, (a, _) in zip(names, cases)}
+    assert (gaps["TW"], gaps["TB"]) == (Fraction(151, 3280),
+                                        Fraction(2483, 3280))
 
 
 def test_index_guard_transcripts_are_not_mirrored():

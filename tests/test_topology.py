@@ -102,6 +102,35 @@ def test_protocol_complex_counts(builtins):
         topo.protocol_complex(builtins["R1"], 9)
 
 
+def _glued_solvable(a, r: int) -> bool:
+    """No component of the glued ``protocol_complex(a, r)`` meets both
+    W0B0 and W1B1: gluing all of W0B0's vertices into one group and all
+    of W1B1's into another leaves one component more than gluing both
+    sides into one group."""
+    k = topo.protocol_complex(a, r)
+    side = {seg: frozenset(v for e in k.edges for v in (e.a, e.b)
+                           if v.segment == seg) for seg in ("W0B0", "W1B1")}
+    apart = k._replace(gluing=k.gluing + (side["W0B0"], side["W1B1"]))
+    joined = k._replace(gluing=k.gluing + (side["W0B0"] | side["W1B1"],))
+    return topo.abstract_components(apart) > topo.abstract_components(joined)
+
+
+@pytest.mark.parametrize("text, least", [
+    ("S0", 1), ("TW", 1), ("TB", 1), ("C1", 2), ("S1", 2), ("R1", 5),
+    ("LW . {LB}^w | LB* . {OK}^w", 2), ("OK* . {LW,LB}^w | {OK}^w", 2),
+    ("GAMMA^w \\ { ( OK )^w }", 5), (FAIR_ADV, 5),
+])
+def test_glued_protocol_complex_decides_r_round_consensus(text, least):
+    """Consensus is solvable in r rounds iff no component of the glued
+    ``protocol_complex(a, r)`` meets both W0B0 and W1B1, as the graph
+    of full-information views decides it, for r <= 4; ``least`` is the
+    fewest rounds, 5 for none up to 4."""
+    a = adv.load(text)
+    rounds = [r for r in range(5) if topology_reference.views_solvable(a, r)]
+    assert rounds == list(range(least, 5))
+    assert [r for r in range(5) if _glued_solvable(a, r)] == rounds
+
+
 def _stable_words(ts):
     """The words of each level's stable cells, read back from the
     cells, in ``str`` order."""

@@ -1,15 +1,49 @@
-"""The topology export and realization counting in ``Fraction``
-arithmetic, as they were before positions stayed integers, kept as the
-reference for the differential tests in ``test_topology.py``.
+"""References for the differential tests in ``test_topology.py``.
 
+The topology export and realization counting in ``Fraction``
+arithmetic, as they were before positions stayed integers.
 ``reference_coord`` formats the sign apart from the digits, so that a
 negative coordinate reads as its true value; the integer ``_coord``
 must round exactly as ``round`` does on the Fraction.
+
+``views_solvable`` decides r-round consensus without the complex, on
+the graph of full-information views.
 """
 
 from fractions import Fraction
 
+from twogen.protocol import _DELIVERY, INPUT_VECTORS
 from twogen.topology import _SQUARE_ANCHORS
+
+
+def views_solvable(a, r: int) -> bool:
+    """Whether consensus is solvable in r rounds under ``a``: no
+    component of the views graph holds both a (0, 0) node and a (1, 1)
+    node.  A node is a pair (input vector, p in Pref_r(a)); two nodes
+    are joined when white's full-information views after p coincide,
+    or black's do.  A view is an input, then ``(own previous view,
+    other's previous view or None)`` after each round."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    prefixes = a.prefixes(r)
+    for inputs in INPUT_VECTORS:
+        for p in prefixes:
+            white, black = inputs
+            for letter in p:
+                white_hears, black_hears = _DELIVERY[letter]
+                white, black = ((white, black if white_hears else None),
+                                (black, white if black_hears else None))
+            for view in (("W", white), ("B", black)):
+                parent[find(view)] = find((inputs, p))
+    return not ({find(((0, 0), p)) for p in prefixes}
+                & {find(((1, 1), p)) for p in prefixes})
 
 
 def reference_realization_components(k) -> int:
